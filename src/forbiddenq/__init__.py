@@ -4,11 +4,10 @@ from .exact import (
     AlgebraicNumber,
     IntPoly,
     NoSignChange,
-    Rational,
     isolate_root,
     merge_parity,
     parity_split,
-    poly_eval,
+    real_roots,
 )
 from .continuants import (
     CutoffExceeded,

@@ -2,9 +2,11 @@
 machine-readable certificates.
 
 Exit codes: 0 success (including "nothing found"), 1 invalid input,
-2 internal budget or overflow fault.  Rationals are accepted as "a/b" or as
-finite decimals, both converted exactly.  All big integers in JSON output are
-rendered as decimal strings.
+2 internal fault (budget, overflow, failed verification or root isolation:
+any ``ArithmeticError`` but division by zero), 141 when the reader of stdout
+closed it early.  Rationals are accepted as "a/b" or as finite decimals, both
+converted exactly.  All big integers in JSON output are rendered as decimal
+strings.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -23,6 +26,7 @@ from .exact import AlgebraicNumber, IntPoly
 from . import continuants, families, loops
 
 WEIGHT_FORMULA = "1/|1+c q (c+(-1)^n)|"
+EXIT_BROKEN_PIPE = 128 + 13  # the shell status of a writer killed by SIGPIPE
 
 
 def parse_rational(text: str) -> Fraction:
@@ -302,9 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--window", type=int, default=4)
     sp.add_argument("--budget", type=int, default=200_000)
     sp.add_argument("--jobs", type=int, default=1)
-    fmt = sp.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--csv", action="store_true")
+    sp.add_argument("--json", action="store_true", help="JSON report instead of CSV")
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("pell", help="witnesses from units of the norm form")
@@ -349,11 +351,18 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`forbiddenq pell ... | head`); point stdout
+        # at devnull so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (loops.BudgetExceeded, OverflowError) as e:
+    except (loops.BudgetExceeded, ArithmeticError) as e:
         print(f"fault: {e}", file=sys.stderr)
         return 2
 

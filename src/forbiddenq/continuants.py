@@ -18,13 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exact import (
-    AlgebraicNumber,
-    IntPoly,
-    isolate_root,
-    parity_split,
-    poly_eval,
-)
+from .exact import AlgebraicNumber, IntPoly, isolate_root, parity_split, real_roots
 
 EXPLICIT_CUTOFF = 12
 
@@ -138,47 +132,29 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     return num, den
 
 
-def _distinct_square_roots(n: int) -> list[float]:
-    """Distinct values 4*cos(pi*j/(n+1))**2 over j = 1..n, increasing."""
-    vals = [4.0 * math.cos(math.pi * j / (n + 1)) ** 2 for j in range(1, (n + 1) // 2 + 1)]
-    return sorted(vals)
-
-
 def u_set(n: int, eps: Fraction = Fraction(1, 10**12)) -> list[AlgebraicNumber]:
     """Certified squared roots of ``g_poly(n)`` with index coprime to n+1.
 
     Each element is 4*cos(pi*j/(n+1))**2 for some 1 <= j <= n with
     gcd(j, n+1) = 1, returned as an :class:`AlgebraicNumber` whose defining
     polynomial is the denominator from :func:`ratio_in_q` (the parity part of
-    g_n rewritten in q).  That polynomial has extra roots for non-coprime j;
-    the isolating interval pins the intended one.  Sorted increasing.
+    g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
+    each j = 1..ceil(n/2), decreasing in j, so the i-th root in increasing
+    order has j = ceil(n/2) - i; the roots are isolated exactly and the index
+    of each is pure integer bookkeeping.  Sorted increasing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _, den = ratio_in_q(n)
-    all_roots = _distinct_square_roots(n)
-    targets = sorted(
-        {
-            min(j, n + 1 - j)
-            for j in range(1, n + 1)
-            if math.gcd(j, n + 1) == 1
-        },
-        reverse=True,
-    )
-    out = []
-    for j in targets:
-        v = 4.0 * math.cos(math.pi * j / (n + 1)) ** 2
-        i = min(range(len(all_roots)), key=lambda k: abs(all_roots[k] - v))
-        left = all_roots[i - 1] if i > 0 else v - 1.0
-        right = all_roots[i + 1] if i + 1 < len(all_roots) else v + 1.0
-        lo = Fraction((left + v) / 2).limit_denominator(10**9)
-        hi = Fraction((v + right) / 2).limit_denominator(10**9)
-        vf = Fraction(v)
-        for _ in range(60):
-            if lo < hi and poly_eval(den, lo) * poly_eval(den, hi) < 0:
-                break
-            lo = (lo + vf) / 2
-            hi = (hi + vf) / 2
-        out.append(isolate_root(den, lo, hi, eps))
-    out.sort(key=lambda a: a.approx)
-    return out
+    half = (n + 1) // 2
+    roots = real_roots(den, 0, 4)
+    if len(roots) != half:
+        raise ArithmeticError(f"den of order {n} has {len(roots)} roots in [0, 4], not {half}")
+    # cut points between consecutive roots; den has no root below 0 or at 4
+    ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
+    cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
+    return [
+        isolate_root(den, cuts[i], cuts[i + 1], eps)
+        for i in range(half)
+        if math.gcd(half - i, n + 1) == 1
+    ]

@@ -1,8 +1,13 @@
 """Exact arithmetic building blocks: integer polynomials and certified real roots.
 
 Scalars are `fractions.Fraction` throughout.  Nothing in this module rounds
-unless a float approximation is explicitly requested, and every isolated root
-carries a sign-change certificate that can be re-checked in exact arithmetic.
+unless a float approximation is explicitly requested.  One isolator,
+:func:`real_roots`, finds every real root: a Sturm sequence of integer
+pseudo-remainders counts roots exactly, using the sign of the integer
+``b**d * p(a/b)`` at ``a/b``, and bisection stops when each interval holds
+one root.  So the Sturm count certifies that a root is unique in its
+interval, and the sign change at the ends, re-checkable by anyone, that it is
+there.
 """
 
 from __future__ import annotations
@@ -12,20 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rational = Fraction
 RationalLike = Union[Fraction, int]
 
 
-class NoSignChange(ValueError):
-    """A bisection bracket does not straddle a root: p(lo) * p(hi) >= 0."""
-
-
-def _sign(x: Fraction) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
+class NoSignChange(ArithmeticError):
+    """An interval does not hold exactly one root, or lost its sign change."""
 
 
 class IntPoly:
@@ -113,6 +109,19 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
+    def sign_at(self, x: RationalLike) -> int:
+        """Sign (-1, 0 or 1) of the value at ``x = a/b``.
+
+        Computed as the sign of the integer ``b**d * p(a/b)``, by Horner's
+        rule in the homogeneous form, so no fraction is ever reduced.
+        """
+        a, b = x.numerator, x.denominator
+        acc, scale = 0, 1
+        for c in reversed(self.coeffs):
+            acc = acc * a + c * scale
+            scale *= b
+        return (acc > 0) - (acc < 0)
+
     def eval_float(self, x: float) -> float:
         """Float Horner evaluation.
 
@@ -144,15 +153,11 @@ class IntPoly:
         """Primitive quotient by gcd(p, p'); same roots, all simple."""
         if self.degree <= 1:
             return self.primitive()
-        g = _poly_gcd(self, self.derivative())
-        if g.degree <= 0:
-            return self.primitive()
-        return _exact_div(self, g).primitive()
-
-
-def poly_eval(p: IntPoly, x: RationalLike) -> Fraction:
-    """Exact value of ``p`` at the rational point ``x``."""
-    return p.eval(x)
+        g, r = self, self.derivative()
+        while not r.is_zero:  # Euclid's algorithm on primitive pseudo-remainders
+            g, r = r, _pseudo_remainder(g, r).primitive()
+        g = g.primitive()
+        return _exact_div(self, -g if g.leading < 0 else g).primitive()
 
 
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -171,76 +176,120 @@ def merge_parity(even: IntPoly, odd: IntPoly) -> IntPoly:
     return IntPoly(out)
 
 
-def _trim(v: list[Fraction]) -> list[Fraction]:
-    while v and v[-1] == 0:
-        v.pop()
-    return v
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The remainder of ``a`` divided by ``b`` times a positive integer.
 
-
-def _poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Polynomial gcd over the rationals, returned primitive with positive lead."""
-    fa = _trim([Fraction(c) for c in a.coeffs])
-    fb = _trim([Fraction(c) for c in b.coeffs])
-    while fb:
-        r = fa[:]
-        d = len(fb) - 1
-        lead = fb[-1]
-        while len(r) - 1 >= d and r:
-            factor = r[-1] / lead
-            shift = len(r) - 1 - d
-            for i in range(d + 1):
-                r[shift + i] -= factor * fb[i]
+    Each step scales by ``|lead(b)|`` instead of ``lead(b)``, so the result
+    keeps the sign of the true remainder, which a Sturm sequence needs.
+    """
+    r = list(a.coeffs)
+    d = b.degree
+    scale, sign = abs(b.leading), (1 if b.leading > 0 else -1)
+    while len(r) > d:
+        top, shift = r[-1] * sign, len(r) - 1 - d
+        r = [c * scale for c in r]
+        for i, c in enumerate(b.coeffs):
+            r[shift + i] -= top * c
+        r.pop()
+        while r and r[-1] == 0:
             r.pop()
-            _trim(r)
-        fa, fb = fb, r
-    if not fa:
-        return IntPoly()
-    den = 1
-    for c in fa:
-        den = math.lcm(den, c.denominator)
-    ints = [int(c * den) for c in fa]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, c)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPoly(ints)
+    return IntPoly(r)
 
 
 def _exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
-    """Exact polynomial quotient; raises if the division leaves a remainder."""
-    if d.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    r = [Fraction(c) for c in p.coeffs]
-    dd = [Fraction(c) for c in d.coeffs]
-    qdeg = len(r) - len(dd)
-    if qdeg < 0:
-        raise ValueError("degree of divisor exceeds degree of dividend")
-    quot = [Fraction(0)] * (qdeg + 1)
-    lead = dd[-1]
-    work = r[:]
-    for shift in range(qdeg, -1, -1):
-        factor = work[shift + len(dd) - 1] / lead
-        quot[shift] = factor
-        if factor:
-            for i in range(len(dd)):
-                work[shift + i] -= factor * dd[i]
-    if any(work):
+    """Quotient ``p / d`` for a primitive divisor ``d`` of ``p``.
+
+    By Gauss's lemma the quotient has integer coefficients, so long division
+    stays in the integers; a remainder anywhere means ``d`` does not divide.
+    """
+    r, quot = list(p.coeffs), []
+    while len(r) >= len(d.coeffs):
+        f, rem = divmod(r[-1], d.leading)
+        if rem:
+            raise ValueError("inexact polynomial division")
+        shift = len(r) - len(d.coeffs)
+        for i, c in enumerate(d.coeffs):
+            r[shift + i] -= f * c
+        r.pop()
+        quot.append(f)
+    if any(r):
         raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in quot):
-        raise ValueError("quotient is not an integer polynomial")
-    return IntPoly([int(c) for c in quot])
+    return IntPoly(reversed(quot))
+
+
+def _sturm_sequence(p: IntPoly) -> list[IntPoly]:
+    """p, p', then negated primitive pseudo-remainders down to a constant.
+
+    ``p`` must be square-free, so no remainder before the constant is zero.
+    """
+    seq = [p, p.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-_pseudo_remainder(seq[-2], seq[-1]).primitive())
+    return seq
+
+
+def _sturm_point(seq: list[IntPoly], x: Fraction) -> tuple[int, int]:
+    """(sign of ``seq[0]`` at x, sign variations of the sequence at x)."""
+    signs = [q.sign_at(x) for q in seq]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+
+
+def real_roots(
+    p: IntPoly, lo: RationalLike, hi: RationalLike
+) -> list[Union[Fraction, AlgebraicNumber]]:
+    """Every real root of ``p`` in the closed interval ``[lo, hi]``, increasing.
+
+    Works on the square-free part of ``p``.  By Sturm's theorem the number of
+    its roots in ``(a, b]`` is ``V(a) - V(b)``, where ``V`` counts sign
+    variations of the Sturm sequence; intervals are bisected until each
+    holds exactly one root and has no root at either end.  A root that is an
+    endpoint or a bisection midpoint is returned exactly as a ``Fraction``;
+    every other root is an :class:`AlgebraicNumber` whose open interval lies
+    inside ``(lo, hi)`` and holds no other root.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError("need lo < hi")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no isolated roots")
+    ps = p.square_free_part()
+    seq = _sturm_sequence(ps)
+    at_lo = _sturm_point(seq, lo)
+    out: list[Union[Fraction, AlgebraicNumber]] = [lo] if at_lo[0] == 0 else []
+    todo = [(lo, at_lo, hi, _sturm_point(seq, hi))]
+    while todo:
+        a, at_a, b, at_b = todo.pop()
+        count = at_a[1] - at_b[1] - (at_b[0] == 0)  # roots in the open (a, b)
+        if count == 0 or (count == 1 and at_a[0] and at_b[0]):
+            if count:
+                out.append(AlgebraicNumber(ps, a, b, float((a + b) / 2)))
+            if at_b[0] == 0:
+                out.append(b)
+            continue
+        mid = (a + b) / 2
+        at_mid = _sturm_point(seq, mid)
+        todo.append((mid, at_mid, b, at_b))
+        todo.append((a, at_a, mid, at_mid))
+    return out
+
+
+def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """An interval of width <= eps around ``r``, strictly inside ``(lo, hi)``."""
+    half = min(eps, r - lo, hi - r) / 2
+    return r - half, r + half
 
 
 @dataclass(frozen=True)
 class AlgebraicNumber:
-    """A real algebraic number certified by a sign-change bracket.
+    """A real algebraic number: a root of ``defining`` in the open ``(lo, hi)``.
 
-    ``defining`` changes sign between ``lo`` and ``hi`` and has exactly one
-    root there (guaranteed by the :func:`isolate_root` construction path,
-    which bisects the square-free part of the input polynomial).  ``approx``
-    is the float midpoint of the bracket at its final width.
+    Intervals built by :func:`real_roots` and :func:`isolate_root` hold
+    exactly one root of ``defining``, certified by a Sturm count, and have no
+    root at either end.  The constructor re-checks only the sign change at
+    the endpoints, which proves an odd number of roots inside, so a value
+    read back from outside (a JSON certificate) is a root but not known to be
+    the only one.  ``approx`` is the float midpoint of the interval.
     """
 
     defining: IntPoly
@@ -251,7 +300,7 @@ class AlgebraicNumber:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("empty isolating interval")
-        if _sign(self.defining.eval(self.lo)) * _sign(self.defining.eval(self.hi)) >= 0:
+        if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
             raise NoSignChange("isolating interval lost its sign-change certificate")
         # the float midpoint can land one ulp outside a bracket narrower than
         # double precision; allow exactly that much slack
@@ -283,26 +332,24 @@ class AlgebraicNumber:
                 return 1
             if r >= cur.hi:
                 return -1
-            if cur.defining.eval(r) == 0:
+            if cur.defining.sign_at(r) == 0:
                 return 0
             cur = cur.refine(cur.width / 4)
 
 
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a verified sign-change bracket of ``p`` down to width <= eps."""
-    slo = _sign(p.eval(lo))
+    """Bisect a sign-change interval of ``p`` down to width <= eps.
+
+    A midpoint where ``p`` vanishes is the root when the interval holds only
+    one; a narrow interval around it is returned, whose sign change the
+    :class:`AlgebraicNumber` constructor re-checks.
+    """
+    slo = p.sign_at(lo)
     while hi - lo > eps:
         mid = (lo + hi) / 2
-        sm = _sign(p.eval(mid))
+        sm = p.sign_at(mid)
         if sm == 0:
-            # the midpoint is the root itself; recover a strict bracket around it
-            half = min(eps, mid - lo, hi - mid) / 2
-            for _ in range(200):
-                l2, h2 = mid - half, mid + half
-                if _sign(p.eval(l2)) == slo and _sign(p.eval(h2)) == -slo:
-                    return l2, h2
-                half /= 2
-            raise NoSignChange("could not re-establish a bracket around an exact root")
+            return _bracket(mid, lo, hi, eps)
         if sm == slo:
             lo = mid
         else:
@@ -316,23 +363,23 @@ def isolate_root(
     hi: RationalLike,
     eps: RationalLike = Fraction(1, 10**12),
 ) -> AlgebraicNumber:
-    """Isolate the root of ``p`` bracketed by ``(lo, hi)`` to width <= eps.
+    """The one root of ``p`` in the open ``(lo, hi)``, to width <= eps.
 
-    The bracket must satisfy ``p(lo) * p(hi) < 0``.  The polynomial is
-    defensively replaced by its square-free part before bisection, so the
-    certified root is simple and the returned bracket keeps strictly opposite
-    endpoint signs.
+    The root is found by :func:`real_roots`, whose Sturm count certifies that
+    it is the only root of ``p`` in ``(lo, hi)``; :class:`NoSignChange` is
+    raised when that count is not 1.  The defining polynomial of the result
+    is the square-free part of ``p``, so the root is simple and the returned
+    interval has strictly opposite endpoint signs.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    if _sign(p.eval(lo)) * _sign(p.eval(hi)) >= 0:
-        raise NoSignChange(f"no sign change of p on [{lo}, {hi}]")
-    ps = p.square_free_part()
-    if _sign(ps.eval(lo)) * _sign(ps.eval(hi)) >= 0:
-        raise NoSignChange("square-free part has no sign change; bracket contains "
-                           "an even-multiplicity root")
-    lo2, hi2 = _bisect(ps, lo, hi, eps)
-    return AlgebraicNumber(ps, lo2, hi2, float((lo2 + hi2) / 2))
+    inside = [r for r in real_roots(p, lo, hi)
+              if not isinstance(r, Fraction) or lo < r < hi]
+    if len(inside) != 1:
+        raise NoSignChange(f"{len(inside)} roots of p in ({lo}, {hi}), need exactly one")
+    root = inside[0]
+    if isinstance(root, AlgebraicNumber):
+        return root.refine(eps)
+    a, b = _bracket(root, lo, hi, eps)
+    return AlgebraicNumber(p.square_free_part(), a, b, float(root))

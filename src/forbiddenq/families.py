@@ -25,9 +25,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
-from .exact import AlgebraicNumber, IntPoly, isolate_root, poly_eval
+from .exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from .continuants import ratio_in_q, u_set
 from .loops import (
     ALG_INTERVAL_WIDTH,
@@ -181,81 +179,51 @@ def _t1_approx(n: int, t0f: float) -> float:
     return min(cands)
 
 
-def _rational_probe(num: IntPoly, den: IntPoly, t0f: float, t1f: float) -> Fraction:
-    """A rational point strictly inside (t0, t1) avoiding roots of num and den."""
-    span = t1f - t0f
-    for frac in (0.5, 0.37, 0.61, 0.43, 0.57):
-        r = Fraction(t0f + frac * span).limit_denominator(10**6)
-        if t0f + 1e-9 < float(r) < t1f - 1e-9:
-            if poly_eval(num, r) != 0 and poly_eval(den, r) != 0:
-                return r
-    raise NoRoot("could not place a probe point inside the interval")
+def _exact_if_rational(r: AlgebraicNumber) -> Union[Fraction, AlgebraicNumber]:
+    """``r`` as a Fraction when it is rational, else ``r`` itself.
 
-
-def _rational_roots(p: IntPoly) -> list[Fraction]:
-    """All rational roots of a non-zero integer polynomial, exactly."""
-    cs = list(p.coeffs)
-    roots: set[Fraction] = set()
-    while cs and cs[0] == 0:
-        roots.add(Fraction(0))
-        cs.pop(0)
-    if len(cs) <= 1:
-        return sorted(roots)
-
-    def divisors(x: int) -> list[int]:
-        x = abs(x)
-        out = []
-        d = 1
-        while d * d <= x:
-            if x % d == 0:
-                out.append(d)
-                out.append(x // d)
-            d += 1
-        return sorted(set(out))
-
-    body = IntPoly(cs)
-    for pnum in divisors(cs[0]):
-        for pden in divisors(cs[-1]):
-            for cand in (Fraction(pnum, pden), Fraction(-pnum, pden)):
-                if body.eval(cand) == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    A rational root of the primitive integer polynomial ``r.defining`` is a
+    multiple of 1/L, L its leading coefficient; an interval narrower than
+    1/L holds at most one such multiple, which is then tested exactly.
+    """
+    lead = abs(r.defining.leading)
+    r = r.refine(Fraction(1, 2 * lead))
+    x = Fraction(math.floor(r.lo * lead) + 1, lead)
+    return x if r.defining.eval(x) == 0 and x < r.hi else r
 
 
 def _root_in_interval(
-    target: IntPoly, t0: AlgebraicNumber, t0f: float, t1f: float
+    target: IntPoly, t0: AlgebraicNumber, t1: Fraction
 ) -> Optional[Union[Fraction, AlgebraicNumber]]:
     """Smallest root of ``target`` in (t0, t1), exact when rational.
 
-    Returns None when no root lies in the interval.  Rational roots are
-    confirmed exactly, including the comparison against t0; float roots are
-    bracketed away from their neighbours and certified by sign change.
+    Returns None when no root lies in the interval.  The roots are isolated
+    exactly from t0's left end up to t1; a root that shares t0's interval is
+    placed above or below t0 by refining both until their intervals part.
+    They do part: at t0, a root of den, ``target`` = num - eps*c*den equals
+    num, which is non-zero there because num and den are coprime.
     """
-    margin = 1e-9
-    rational = [
-        r
-        for r in _rational_roots(target)
-        if float(r) < t1f - margin and t0.compare_rational(r) < 0
-    ]
-    complex_roots = np.roots(list(reversed(target.coeffs)))
-    reals = sorted(float(z.real) for z in complex_roots if abs(z.imag) < 1e-9)
-    inside = [r for r in reals if t0f + margin < r < t1f - margin]
-    if not inside:
-        return rational[0] if rational else None
-    r = inside[0]
-    if rational and abs(float(rational[0]) - r) < 1e-6:
-        return rational[0]
-    fences = [x for x in reals if abs(x - r) > 1e-12] + [t0f, t1f]
-    gap = min(abs(x - r) for x in fences) / 2
-    lo = Fraction(r - gap).limit_denominator(10**12)
-    hi = Fraction(r + gap).limit_denominator(10**12)
-    rf = Fraction(r)
-    for _ in range(60):
-        if lo < hi and poly_eval(target, lo) * poly_eval(target, hi) < 0:
-            return isolate_root(target, lo, hi, Fraction(1, 10**12))
-        lo = (lo + rf) / 2
-        hi = (hi + rf) / 2
+    for r in real_roots(target, t0.lo, t1):
+        if isinstance(r, Fraction):
+            if r < t1 and t0.compare_rational(r) < 0:
+                return r
+            continue
+        while r.lo < t0.hi and t0.lo < r.hi:
+            r, t0 = r.refine(r.width / 2), t0.refine(t0.width / 2)
+        if r.lo >= t0.hi:
+            return _exact_if_rational(r)
     return None
+
+
+def _sign_above(num: IntPoly, den: IntPoly, t0: AlgebraicNumber) -> int:
+    """Sign of num/den just above t0, a simple root of den.
+
+    t0's interval is refined until it holds no root of num (num and den are
+    coprime, so num(t0) != 0); num*den then keeps one sign on (t0, t0.hi].
+    """
+    while real_roots(num, t0.lo, t0.hi):
+        t0 = t0.refine(t0.width / 2)
+    return num.sign_at(t0.hi) * den.sign_at(t0.hi)
 
 
 def darboux_witnesses(
@@ -285,9 +253,8 @@ def darboux_witnesses(
     t1f = _t1_approx(n, t0f)
     if t1f <= t0f + 1e-12:
         raise EmptyInterval(f"no admissible interval above t0={t0f}")
-    probe = _rational_probe(num, den, t0f, t1f)
-    epsilon = 1 if poly_eval(num, probe) * poly_eval(den, probe) > 0 else -1
-    sign_n = (-1) ** n
+    t1 = Fraction(t1f)
+    epsilon = _sign_above(num, den, t0)
 
     out: list[DarbouxWitness] = []
     misses = 0
@@ -297,7 +264,7 @@ def darboux_witnesses(
         if misses > 200:
             raise NoRoot(f"no admissible level crossings found above t0={t0f}")
         target = num - (epsilon * c_k) * den
-        qval = _root_in_interval(target, t0, t0f, t1f)
+        qval = _root_in_interval(target, t0, t1)
         if qval is None:
             misses += 1
             continue

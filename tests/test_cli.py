@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from forbiddenq import cli
-from forbiddenq.exact import AlgebraicNumber
+from forbiddenq import cli, continuants, families
+from forbiddenq.exact import AlgebraicNumber, NoSignChange
 from forbiddenq.loops import verify_witness
 
 
@@ -197,3 +197,47 @@ def test_console_entry_point():
 
 def test_unknown_flag_is_invalid_input(capsys):
     assert cli.main(["chain", "--bogus", "1"]) == 1
+
+
+def test_isolation_fault_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoSignChange("forced isolation fault")
+
+    monkeypatch.setattr(continuants, "isolate_root", fail)
+    assert cli.main(["uset", "--n", "4"]) == 2
+    assert capsys.readouterr().err.startswith("fault: forced isolation fault")
+
+
+def test_internal_arithmetic_error_exits_2(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ArithmeticError("witness verification failed")
+
+    monkeypatch.setattr(families, "pell_witnesses", fail)
+    assert cli.main(["pell", "--count", "3"]) == 2
+    assert capsys.readouterr().err.startswith("fault: witness verification failed")
+    # division by zero stays in the invalid-input class
+    monkeypatch.setattr(families, "pell_witnesses", lambda *a, **k: 1 // 0)
+    assert cli.main(["pell", "--count", "3"]) == 1
+
+
+def test_closed_pipe_exits_quietly():
+    # the JSON (about 140 kB) overfills the pipe, so the write must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forbiddenq.cli", "pell", "--count", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"[\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == ""
+
+
+def test_cli_import_leaves_numpy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, forbiddenq.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

@@ -15,7 +15,7 @@ from forbiddenq.continuants import (
     ratio_in_q,
     u_set,
 )
-from forbiddenq.exact import IntPoly, poly_eval
+from forbiddenq.exact import IntPoly
 from forbiddenq.loops import STATUS_PATH, evaluate_path
 
 
@@ -124,13 +124,13 @@ def test_ratio_matches_path_evaluation():
         checked = 0
         while checked < 50:
             q = Fraction(rng.randint(1, 120), rng.randint(1, 40))
-            if q >= 4 or poly_eval(den, q) == 0:
+            if q >= 4 or den.eval(q) == 0:
                 continue
             m = tuple((-1) ** i for i in range(n)) + (0,)
             ev = evaluate_path(q, m)
             if ev.status != STATUS_PATH:
                 continue
-            ratio = poly_eval(num, q) / poly_eval(den, q)
+            ratio = num.eval(q) / den.eval(q)
             assert ratio == ev.prefix_c[-1] + (-1) ** n
             checked += 1
 
@@ -175,5 +175,5 @@ def test_u_sets_pairwise_disjoint():
 def test_u_set_certificates_reevaluate():
     for n in range(1, 11):
         for a in u_set(n):
-            lo, hi = poly_eval(a.defining, a.lo), poly_eval(a.defining, a.hi)
+            lo, hi = a.defining.eval(a.lo), a.defining.eval(a.hi)
             assert lo != 0 and hi != 0 and (lo > 0) != (hi > 0)

@@ -11,7 +11,7 @@ from forbiddenq.exact import (
     isolate_root,
     merge_parity,
     parity_split,
-    poly_eval,
+    real_roots,
 )
 
 
@@ -32,9 +32,9 @@ def test_intpoly_canonical():
 
 
 def test_poly_eval_examples():
-    assert poly_eval(IntPoly([1]), Fraction(7, 3)) == 1
-    assert poly_eval(IntPoly([1, -3, 1]), Fraction(3)) == 1
-    assert poly_eval(IntPoly([1, 0, -1]), Fraction(1)) == 0
+    assert IntPoly([1]).eval(Fraction(7, 3)) == 1
+    assert IntPoly([1, -3, 1]).eval(Fraction(3)) == 1
+    assert IntPoly([1, 0, -1]).eval(Fraction(1)) == 0
 
 
 def test_poly_eval_respects_ring_ops():
@@ -42,8 +42,8 @@ def test_poly_eval_respects_ring_ops():
     for _ in range(200):
         p, r = rand_poly(rng), rand_poly(rng)
         x = rand_frac(rng)
-        assert poly_eval(p + r, x) == poly_eval(p, x) + poly_eval(r, x)
-        assert poly_eval(p * r, x) == poly_eval(p, x) * poly_eval(r, x)
+        assert (p + r).eval(x) == p.eval(x) + r.eval(x)
+        assert (p * r).eval(x) == p.eval(x) * r.eval(x)
 
 
 def test_parity_split_examples():
@@ -68,7 +68,7 @@ def test_parity_split_identity_pointwise():
         p = rand_poly(rng)
         even, odd = parity_split(p)
         x = rand_frac(rng)
-        assert poly_eval(p, x) == poly_eval(even, x * x) + x * poly_eval(odd, x * x)
+        assert p.eval(x) == even.eval(x * x) + x * odd.eval(x * x)
 
 
 def test_isolate_root_golden_ratio_like():
@@ -121,8 +121,8 @@ def test_sign_change_certificate_reevaluates():
         (IntPoly([-1, 0, 0, 1]), Fraction(0), Fraction(2)),
     ]:
         alg = isolate_root(p, lo, hi, Fraction(1, 10**15))
-        vlo = poly_eval(alg.defining, alg.lo)
-        vhi = poly_eval(alg.defining, alg.hi)
+        vlo = alg.defining.eval(alg.lo)
+        vhi = alg.defining.eval(alg.hi)
         assert (vlo > 0) != (vhi > 0) and vlo != 0 and vhi != 0
 
 
@@ -147,3 +147,69 @@ def test_refine_and_compare():
     assert alg.compare_rational(Fraction(2618033, 10**6)) > 0
     one = isolate_root(IntPoly([1, 0, -1]), Fraction(1, 2), 2)
     assert one.compare_rational(1) == 0
+
+
+def test_isolate_root_refuses_three_roots_behind_one_sign_change():
+    # (q - 1)(q - 2)(q - 3) changes sign on (0, 4) but has three roots there
+    p = IntPoly([-6, 11, -6, 1])
+    assert p.sign_at(0) * p.sign_at(4) < 0
+    with pytest.raises(NoSignChange):
+        isolate_root(p, 0, 4)
+    assert isolate_root(p, Fraction(5, 2), 4 - Fraction(1, 3)).compare_rational(3) == 0
+
+
+def test_isolate_root_midpoint_hits_the_root():
+    # the first midpoint of (0, 2) is the root of q - 1 itself
+    eps = Fraction(1, 10**6)
+    alg = isolate_root(IntPoly([-1, 1]), 0, 2, eps)
+    assert alg.lo < 1 < alg.hi and alg.width <= eps
+
+
+def test_sign_at_matches_exact_value():
+    rng = random.Random(303)
+    for _ in range(300):
+        p, x = rand_poly(rng, max_deg=9), rand_frac(rng)
+        v = p.eval(x)
+        assert p.sign_at(x) == (v > 0) - (v < 0)
+
+
+def test_real_roots_returns_exact_hits_as_fractions():
+    # (q - 1)(q - 2)(q**2 - 3) on [0, 4]: 2 and 1 are bisection midpoints
+    p = IntPoly([-1, 1]) * IntPoly([-2, 1]) * IntPoly([-3, 0, 1])
+    roots = real_roots(p, 0, 4)
+    assert [type(r) for r in roots] == [Fraction, AlgebraicNumber, Fraction]
+    assert roots[0] == 1 and roots[2] == 2
+    assert roots[1].compare_rational(Fraction(1732050, 10**6)) > 0
+    assert roots[1].compare_rational(Fraction(1732051, 10**6)) < 0
+    # closed interval: roots at either end are reported
+    ends = real_roots(p, 1, 2)
+    assert ends[0] == 1 and ends[2] == 2 and len(ends) == 3
+    assert real_roots(p, Fraction(5, 2), 5) == []
+
+
+def test_real_roots_intervals_are_disjoint_sign_changes():
+    rng = random.Random(304)
+    for _ in range(200):
+        p = rand_poly(rng, max_deg=8)
+        if p.is_zero:
+            continue
+        prev = Fraction(-30)
+        for r in real_roots(p, -30, 30):
+            if isinstance(r, Fraction):
+                assert p.sign_at(r) == 0 and r >= prev
+                prev = r
+            else:
+                assert r.lo >= prev and r.lo < r.hi
+                assert r.defining.sign_at(r.lo) * r.defining.sign_at(r.hi) < 0
+                prev = r.hi
+
+
+def test_real_roots_repeated_root_counts_once():
+    # (q - 1)**2 (q + 2)**3 has two distinct roots
+    p = IntPoly([-1, 1]) * IntPoly([-1, 1]) * IntPoly([2, 1]) * IntPoly([2, 1]) * IntPoly([2, 1])
+    assert real_roots(p, -2, 1) == [-2, 1]
+    roots = real_roots(p, -3, 3)
+    assert len(roots) == 2
+    assert all(r.defining == IntPoly([-2, 1, 1]) for r in roots if isinstance(r, AlgebraicNumber))
+    with pytest.raises(ValueError):
+        real_roots(IntPoly(), 0, 1)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from forbiddenq.exact import AlgebraicNumber, IntPoly, poly_eval
+from forbiddenq.exact import AlgebraicNumber, IntPoly
 from forbiddenq.families import (
     DarbouxWitness,
     NegativeDiscriminant,

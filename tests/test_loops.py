@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from forbiddenq.continuants import g_poly
-from forbiddenq.exact import parity_split, poly_eval
+from forbiddenq.exact import parity_split
 from forbiddenq.loops import (
     STATUS_BROKEN,
     STATUS_LOOP,
@@ -273,9 +273,9 @@ def test_alternating_weight_matches_parity_parts():
                 continue
             w2 = weight_squared(q, m)
             if k % 2 == 0:
-                assert w2 == poly_eval(even, q) ** 2
+                assert w2 == even.eval(q) ** 2
             else:
-                assert w2 == q * poly_eval(odd, q) ** 2
+                assert w2 == q * odd.eval(q) ** 2
             checked += 1
 
 
