@@ -157,20 +157,17 @@ def reduced_fractions(lo: Fraction, hi: Fraction, max_den: int) -> list[tuple[in
 
 
 def _scan_candidate(task):
-    a, b, depth, window, budget = task
-    res = loops.search_nonunit_loop(
-        Fraction(a, b),
-        loops.SearchConfig(max_depth=depth, window=window, node_budget=budget),
-    )
-    return a, b, res
+    a, b, cfg = task
+    return a, b, loops.search_nonunit_loop(Fraction(a, b), cfg)
 
 
 def cmd_scan(args) -> int:
     lo, hi = (parse_rational(t) for t in args.range.split(","))
     if not 0 < lo < hi:
         raise ValueError(f"bad range [{lo}, {hi}]: need 0 < lo < hi")
+    cfg = _search_config(args)
     cands = reduced_fractions(lo, hi, args.max_den)
-    tasks = [(a, b, args.depth, args.window, args.budget) for a, b in cands]
+    tasks = [(a, b, cfg) for a, b in cands]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_scan_candidate, tasks, chunksize=8))
@@ -203,18 +200,21 @@ def cmd_scan(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["a", "b", "q_float", "found", "loop", "w2_num", "w2_den", "nodes",
-         "budget_exhausted"]
+         "budget_exhausted", "provenance", "other_loop"]
     )
     for a, b, res in results:
         w = res.witness
         if w is not None and isinstance(w.weight_squared, Fraction):
             loop_s = ";".join(str(x) for x in w.loop)
             w2n, w2d = str(w.weight_squared.numerator), str(w.weight_squared.denominator)
+            prov = w.provenance
+            other_s = ";".join(str(x) for x in w.other_loop or ())
         else:
-            loop_s, w2n, w2d = "", "", ""
+            loop_s, w2n, w2d, prov, other_s = "", "", "", "", ""
         writer.writerow(
             [a, b, repr(a / b), "true" if w is not None else "false", loop_s,
-             w2n, w2d, res.nodes, "true" if res.budget_exhausted else "false"]
+             w2n, w2d, res.nodes, "true" if res.budget_exhausted else "false",
+             prov, other_s]
         )
     sys.stdout.write(buf.getvalue())
     return 0

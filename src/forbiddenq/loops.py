@@ -15,7 +15,7 @@ here is exact; floats appear only in reported approximations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -28,6 +28,9 @@ STATUS_BROKEN = "broken"
 # certification tolerances for witnesses at algebraic q
 ALG_INTERVAL_WIDTH = Fraction(1, 10**20)
 ALG_FINAL_C_TOL = Fraction(1, 10**12)
+
+# hard guard on SearchConfig.max_depth: the search recurses once per level
+MAX_SEARCH_DEPTH = 256
 
 
 class NonPositiveQ(ValueError):
@@ -129,6 +132,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_depth < 1 or self.window < 1 or self.node_budget < 1:
             raise ValueError("max_depth, window and node_budget must be >= 1")
+        if self.max_depth > MAX_SEARCH_DEPTH:
+            raise ValueError(
+                f"max_depth={self.max_depth} exceeds the guard {MAX_SEARCH_DEPTH}"
+            )
 
 
 @dataclass
@@ -357,49 +364,10 @@ class _BudgetHit(Exception):
     pass
 
 
-def _verified_loop_witness(
-    q: Fraction, loop: tuple[int, ...], w2: Fraction, provenance: str
-) -> LoopWitness:
-    ev = evaluate_path(q, loop)
-    ok = ev.status == STATUS_LOOP and weight_squared(q, loop) == w2 and w2 != 1
-    return LoopWitness(q=q, loop=loop, weight_squared=w2, provenance=provenance,
-                       verified=ok)
-
-
-def _verified_duplicate_witness(
-    q: Fraction,
-    first: tuple[int, ...],
-    w2_first: Fraction,
-    second: tuple[int, ...],
-    w2_second: Fraction,
-    c_value: Fraction,
-) -> LoopWitness:
-    ev1 = evaluate_path(q, first)
-    ev2 = evaluate_path(q, second)
-    ok = (
-        ev1.status == STATUS_PATH
-        and ev2.status == STATUS_PATH
-        and ev1.prefix_c[-1] == ev2.prefix_c[-1] == c_value
-        and weight_squared(q, first) == w2_first
-        and weight_squared(q, second) == w2_second
-        and w2_first != w2_second
-    )
-    return LoopWitness(
-        q=q,
-        loop=first,
-        weight_squared=w2_first,
-        provenance="duplicate-c",
-        verified=ok,
-        other_loop=second,
-        other_weight_squared=w2_second,
-        c_value=c_value,
-    )
-
-
 def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> SearchResult:
     """Bounded depth-first search for a certificate that q is forbidden.
 
-    Nodes are exact prefix values c; edges append an integer m taken from a
+    States are exact prefix values c; edges append an integer m taken from a
     window of half-width ``cfg.window`` around round(-1/(q c)), the choice
     that steers the next value toward zero.  Two certificates can surface:
 
@@ -415,7 +383,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     proper loops, which the alternating-chain condition covers.  The window
     heuristic is incomplete either way: an empty result is not a proof that
     every loop at q has unit weight.  Every surfaced witness is re-verified
-    from scratch before being returned.
+    from scratch by :func:`verify_witness` before being returned.
+
+    A node is a child (or a first entry) counted against ``cfg.node_budget``.
+    The parent settles each counted child itself: a closing loop is tested,
+    a chain cut drops the child, and a child at the maximal length only has
+    its value looked up among the c-values seen so far.  Only the remaining
+    interior children are descended into, and ``memo`` holds those interior
+    states only; a leaf entry could stop nothing but another leaf whose
+    lookup finds the same weight again.
     """
     q = Fraction(q)
     if q <= 0:
@@ -427,6 +403,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     cq = chain_length(q) if prune else 0
     max_len = cfg.max_depth
     max_k = max_len - 1
+    budget = cfg.node_budget
 
     offsets = [0]
     for d in range(1, cfg.window + 1):
@@ -436,13 +413,22 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     memo: dict[tuple[int, int, int, int], int] = {}
     by_c: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
     found: list[LoopWitness] = []
-    state = {"nodes": 0}
-    path: list[int] = []
+    nodes = 0
 
-    def visit(cn: int, cd: int, wn: int, wd: int, last_violation: int) -> None:
-        length = len(path)
-        if prune and last_violation + 1 + cq > max_k:
-            return
+    def duplicate(prev, second: tuple[int, ...], cn, cd, wn, wd) -> None:
+        found.append(
+            LoopWitness(
+                q=q, loop=prev[2], weight_squared=Fraction(prev[0], prev[1]),
+                provenance="duplicate-c", verified=False, other_loop=second,
+                other_weight_squared=Fraction(wn, wd), c_value=Fraction(cn, cd),
+            )
+        )
+
+    def visit(here: tuple[int, ...], cn: int, cd: int, wn: int, wd: int,
+              last_violation: int) -> None:
+        # an interior state: len(here) < max_len and not chain-cut
+        nonlocal nodes
+        length = len(here)
         key = (cn, cd, wn, wd)
         seen = memo.get(key)
         if seen is not None and seen <= length:
@@ -451,70 +437,88 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         ckey = (cn, cd)
         prev = by_c.get(ckey)
         if prev is None:
-            by_c[ckey] = (wn, wd, tuple(path))
-        elif (prev[0], prev[1]) != (wn, wd):
-            found.append(
-                _verified_duplicate_witness(
-                    q, prev[2], Fraction(prev[0], prev[1]),
-                    tuple(path), Fraction(wn, wd), Fraction(cn, cd),
-                )
-            )
+            by_c[ckey] = (wn, wd, here)
+        elif prev[0] != wn or prev[1] != wd:
+            duplicate(prev, here, cn, cd, wn, wd)
             return
-        if length >= max_len:
-            return
-        center = round(Fraction(-qd * cd, qn * cn))
+        # the child value m + 1/(q c) is (m a + b)/a with a = qn cn, b = qd cd;
+        # signs are moved into b so that the denominator a stays positive
         a = qn * cn
         b = qd * cd
+        if a < 0:
+            a, b = -a, -b
+        # round(-b/a) with halves to even, as Fraction.__round__
+        center, r = divmod(-b, a)
+        if 2 * r > a or (2 * r == a and center & 1):
+            center += 1
         wn2 = wn * qn * cn * cn
         wd2 = wd * qd * cd * cd
         g2 = math.gcd(wn2, wd2)
         wn2 //= g2
         wd2 //= g2
+        # a child with |c| > 1 moves the last violation to index `length`
+        cut_big = prune and length + 1 + cq > max_k
+        leaf = length + 1 >= max_len
         for off in offsets:
             mj = center + off
             if mj == 0 and prune:
                 continue
-            state["nodes"] += 1
-            if state["nodes"] > cfg.node_budget:
+            nodes += 1
+            if nodes > budget:
                 raise _BudgetHit
             num = mj * a + b
             if num == 0:
-                w2loop = Fraction(wn2, wd2)
-                if w2loop != 1:
+                if wn2 != wd2:
                     found.append(
-                        _verified_loop_witness(q, tuple(path) + (mj,), w2loop, "search")
+                        LoopWitness(q=q, loop=here + (mj,),
+                                    weight_squared=Fraction(wn2, wd2),
+                                    provenance="search", verified=False)
                     )
                     return
-            else:
-                g = math.gcd(num, a)
-                n2, d2 = num // g, a // g
-                if d2 < 0:
-                    n2, d2 = -n2, -d2
-                viol = length if abs(n2) > d2 else last_violation
-                path.append(mj)
-                visit(n2, d2, wn2, wd2, viol)
-                path.pop()
-                if found:
+                continue
+            g = math.gcd(num, a)
+            n2 = num // g
+            d2 = a // g
+            if cut_big and abs(n2) > d2:
+                continue
+            if leaf:
+                ckey = (n2, d2)
+                prev = by_c.get(ckey)
+                if prev is None:
+                    by_c[ckey] = (wn2, wd2, here + (mj,))
+                elif prev[0] != wn2 or prev[1] != wd2:
+                    duplicate(prev, here + (mj,), n2, d2, wn2, wd2)
                     return
+                continue
+            visit(here + (mj,), n2, d2, wn2, wd2,
+                  length if abs(n2) > d2 else last_violation)
+            if found:
+                return
 
     exhausted = False
     try:
         for m0 in range(1, cfg.window + 1):
-            state["nodes"] += 1
-            if state["nodes"] > cfg.node_budget:
+            nodes += 1
+            if nodes > budget:
                 raise _BudgetHit
-            path[:] = [m0]
-            visit(m0, 1, 1, 1, 0 if m0 > 1 else -1)
+            # a length-1 root is a leaf: each m0 is a new c-value of weight 1
+            root_viol = 0 if m0 > 1 else -1
+            if max_len < 2 or (prune and root_viol + 1 + cq > max_k):
+                continue
+            visit((m0,), m0, 1, 1, 1, root_viol)
             if found:
                 break
     except _BudgetHit:
         exhausted = True
-    path[:] = []
 
-    witness = found[0] if found else None
-    if witness is not None and not witness.verified:
-        raise ArithmeticError(f"internal verification failure for {witness.loop} at q={q}")
-    return SearchResult(witness=witness, nodes=state["nodes"], budget_exhausted=exhausted)
+    witness = None
+    if found:
+        witness = replace(found[0], verified=verify_witness(found[0]))
+        if not witness.verified:
+            raise ArithmeticError(
+                f"internal verification failure for {witness.loop} at q={q}"
+            )
+    return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 
 def verify_witness(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from forbiddenq import cli, continuants, families
+from forbiddenq import cli, continuants, families, loops
 from forbiddenq.exact import AlgebraicNumber, NoSignChange
 from forbiddenq.loops import verify_witness
 
@@ -147,13 +147,46 @@ def test_scan_csv(capsys):
                     "--depth", "5", "--window", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "a,b,q_float,found,loop,w2_num,w2_den,nodes,budget_exhausted"
+    assert lines[0] == ("a,b,q_float,found,loop,w2_num,w2_den,nodes,budget_exhausted,"
+                        "provenance,other_loop")
     rows = {tuple(l.split(",")[:2]): l for l in lines[1:]}
     assert rows[("5", "2")].split(",")[3] == "true"
     assert rows[("8", "3")].split(",")[3] == "true"
     # sorted by (denominator, numerator)
     keys = [tuple(int(x) for x in l.split(",")[:2]) for l in lines[1:]]
     assert keys == sorted(keys, key=lambda ab: (ab[1], ab[0]))
+
+
+def test_scan_csv_shows_duplicate_c_pair(capsys):
+    code, out = run(capsys, "scan", "--range", "3.33,3.34", "--max-den", "3",
+                    "--depth", "10", "--window", "3")
+    assert code == 0
+    header, row = out.strip().splitlines()
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert (cols["a"], cols["b"], cols["found"]) == ("10", "3", "true")
+    assert cols["provenance"] == "duplicate-c"
+    assert cols["loop"] == "1;-1"
+    assert cols["other_loop"] == "1;-2;1;-1;1;-1;1;-1;17;-4"
+    # two paths to one value with different weights: the pair certifies
+    q, other = Fraction(10, 3), (1, -2, 1, -1, 1, -1, 1, -1, 17, -4)
+    ends = {loops.evaluate_path(q, m).prefix_c[-1] for m in [(1, -1), other]}
+    assert len(ends) == 1
+    w2 = Fraction(int(cols["w2_num"]), int(cols["w2_den"]))
+    assert w2 == loops.weight_squared(q, (1, -1)) != loops.weight_squared(q, other)
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "--q", "9/2", "--depth", "3000", "--window", "1"],
+    ["scan", "--range", "4,5", "--max-den", "3", "--depth", "3000", "--window", "1"],
+])
+def test_search_depth_above_guard_is_invalid_input(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", *command],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: max_depth=3000 exceeds the guard")
+    assert "Traceback" not in proc.stderr
 
 
 def test_scan_low_range_finds_darboux_and_reciprocal(capsys):

@@ -6,6 +6,7 @@ import pytest
 from forbiddenq.continuants import g_poly
 from forbiddenq.exact import parity_split
 from forbiddenq.loops import (
+    MAX_SEARCH_DEPTH,
     STATUS_BROKEN,
     STATUS_LOOP,
     STATUS_PATH,
@@ -225,6 +226,62 @@ def test_search_guards():
 def test_search_budget_flag():
     res = search_nonunit_loop(4, SearchConfig(max_depth=6, window=4, node_budget=50))
     assert res.witness is None and res.budget_exhausted and res.nodes == 51
+
+
+def test_search_depth_guard():
+    assert SearchConfig(max_depth=MAX_SEARCH_DEPTH).max_depth == MAX_SEARCH_DEPTH
+    with pytest.raises(ValueError, match="guard"):
+        SearchConfig(max_depth=MAX_SEARCH_DEPTH + 1)
+    # the deepest allowed walk stays well inside the interpreter stack
+    cfg = SearchConfig(max_depth=MAX_SEARCH_DEPTH, window=1, node_budget=20_000)
+    res = search_nonunit_loop(Fraction(9, 2), cfg)
+    assert res.witness is None and res.budget_exhausted
+
+
+# (q, max_depth, window, node_budget) -> (nodes, budget_exhausted, provenance,
+# loop), pinned from the search before children were settled in the parent:
+# node accounting and the walk order must not move
+GOLDEN_SEARCHES = [
+    # (1,2): budget exhausted, duplicate-c and loop finds at depth 6
+    (("9/7", 6, 4, 20_000), (20_001, True, None, None)),
+    (("7/5", 6, 4, 5_000),
+     (2_853, False, "duplicate-c", (1, -1, 2, 2, -1, -3))),
+    (("11/9", 6, 4, 50_000),
+     (5_384, False, "duplicate-c", (1, -1, 5, -2, 2, 3))),
+    (("13/8", 6, 4, 20_000), (816, False, "search", (1, -1, 1, 1, 24))),
+    (("1", 5, 3, 10_000), (2_649, False, None, None)),
+    # (2,3): finds and exhaustion under chain pruning
+    (("7/3", 5, 4, 200_000),
+     (415, False, "duplicate-c", (1, -1, 1, -2, 2))),
+    (("19/7", 9, 3, 30_000),
+     (7, False, "search", (1, -1, 1, -1, 3, 2, 14))),
+    (("29/11", 9, 3, 30_000), (30_001, True, None, None)),
+    # (3,4): every first entry chain-cut at the root; C(79/20) = 26
+    (("79/20", 6, 4, 50_000), (4, False, None, None)),
+    (("7/2", 6, 4, 50_000), (4, False, None, None)),
+    (("10/3", 10, 3, 200_000), (2_983, False, "duplicate-c", (1, -1))),
+    # loops closed by a child at the maximal length
+    (("5/4", 3, 4, 200_000), (3, False, "search", (1, -1, 4))),
+    (("1/4", 2, 4, 1_000), (2, False, "search", (1, -4))),
+    # max_depth 1: only the first entries, each a leaf
+    (("5/4", 1, 4, 100), (4, False, None, None)),
+    (("3", 1, 2, 100), (2, False, None, None)),
+    # q > 4: no pruning, the window runs dry
+    (("9/2", 5, 2, 2_000), (1_167, False, None, None)),
+]
+
+
+@pytest.mark.parametrize("case,expected", GOLDEN_SEARCHES)
+def test_search_golden_table(case, expected):
+    q, depth, window, budget = case
+    res = search_nonunit_loop(
+        Fraction(q), SearchConfig(max_depth=depth, window=window, node_budget=budget)
+    )
+    w = res.witness
+    got = (res.nodes, res.budget_exhausted, w and w.provenance, w and w.loop)
+    assert got == expected
+    if w is not None:
+        assert w.verified and verify_witness(w)
 
 
 def test_negation_symmetry():
