@@ -146,13 +146,12 @@ def cmd_search(args) -> int:
 
 
 def reduced_fractions(lo: Fraction, hi: Fraction, max_den: int) -> list[tuple[int, int]]:
-    """Reduced fractions a/b in [lo, hi] with b <= max_den, sorted by (b, a)."""
+    """Reduced fractions a/b in [lo, hi] with b <= max_den, generated in (b, a) order."""
     out = []
     for b in range(1, max_den + 1):
         for a in range(max(1, math.ceil(lo * b)), math.floor(hi * b) + 1):
             if math.gcd(a, b) == 1:
                 out.append((a, b))
-    out.sort(key=lambda ab: (ab[1], ab[0]))
     return out
 
 
@@ -168,12 +167,12 @@ def cmd_scan(args) -> int:
     cfg = _search_config(args)
     cands = reduced_fractions(lo, hi, args.max_den)
     tasks = [(a, b, cfg) for a, b in cands]
+    # pool.map keeps task order, so rows stay in (b, a) order either way
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_scan_candidate, tasks, chunksize=8))
     else:
         results = [_scan_candidate(t) for t in tasks]
-    results.sort(key=lambda r: (r[1], r[0]))
 
     if args.json:
         report = {

@@ -132,7 +132,7 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     return num, den
 
 
-def u_set(n: int, eps: Fraction = Fraction(1, 10**12)) -> list[AlgebraicNumber]:
+def u_set(n: int) -> list[AlgebraicNumber]:
     """Certified squared roots of ``g_poly(n)`` with index coprime to n+1.
 
     Each element is 4*cos(pi*j/(n+1))**2 for some 1 <= j <= n with
@@ -141,7 +141,8 @@ def u_set(n: int, eps: Fraction = Fraction(1, 10**12)) -> list[AlgebraicNumber]:
     g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
     each j = 1..ceil(n/2), decreasing in j, so the i-th root in increasing
     order has j = ceil(n/2) - i; the roots are isolated exactly and the index
-    of each is pure integer bookkeeping.  Sorted increasing.
+    of each is pure integer bookkeeping.  Each interval has width <= 1e-12.
+    Sorted increasing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -154,7 +155,7 @@ def u_set(n: int, eps: Fraction = Fraction(1, 10**12)) -> list[AlgebraicNumber]:
     ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
     cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
     return [
-        isolate_root(den, cuts[i], cuts[i + 1], eps)
+        isolate_root(den, cuts[i], cuts[i + 1], Fraction(1, 10**12))
         for i in range(half)
         if math.gcd(half - i, n + 1) == 1
     ]

@@ -31,12 +31,9 @@ from .loops import (
     ALG_INTERVAL_WIDTH,
     FormulaWeight,
     LoopWitness,
-    evaluate_path,
     lemma_weight_squared,
     shifted_alternating_loop,
     verify_witness,
-    weight_squared,
-    STATUS_LOOP,
 )
 
 
@@ -98,8 +95,9 @@ def pell_witnesses(count: int, reciprocal: bool = False) -> list[PellWitness]:
     Index k runs 2, 3, 4, ... over (a, b) = (F_{k+2}, F_k); indices with
     F_k = 1 are skipped (they violate b**2 > 1).  With ``reciprocal`` the
     pair is swapped to (F_k, F_{k+2}), giving values that accumulate at
-    (3 - sqrt(5))/2 instead of (3 + sqrt(5))/2.  Every witness is re-verified
-    in exact arithmetic before being returned.
+    (3 - sqrt(5))/2 instead of (3 + sqrt(5))/2.  Every witness carries the
+    weight 1/b**4, which :func:`verify_witness` proves exact, and the lemma's
+    value is cross-checked against it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -120,23 +118,20 @@ def pell_witnesses(count: int, reciprocal: bool = False) -> list[PellWitness]:
         last = -(2 * b * b - a * b) // nf
         loop = (1, -1, 1, -1, last)
         q = Fraction(a, b)
-        w2 = weight_squared(q, loop)
-        if (
-            evaluate_path(q, loop).status != STATUS_LOOP
-            or w2 != Fraction(1, b**4)
-            or w2 != lemma_weight_squared(4, last - 1, q)
-        ):
+        wit = LoopWitness(q=q, loop=loop, weight_squared=Fraction(1, b**4),
+                          provenance="pell", verified=False)
+        wit = replace(wit, verified=verify_witness(wit))
+        if not wit.verified or wit.weight_squared != lemma_weight_squared(4, last - 1, q):
             raise ArithmeticError(f"witness verification failed at (a, b)=({a}, {b})")
-        wit = LoopWitness(q=q, loop=loop, weight_squared=w2, provenance="pell",
-                          verified=True)
         out.append(PellWitness(k=k, a=a, b=b, q=q, witness=wit))
         k += 1
     return out
 
 
-def golden_targets(eps: Fraction = Fraction(1, 10**40)) -> tuple[AlgebraicNumber, AlgebraicNumber]:
-    """Certified enclosures of (3 - sqrt(5))/2 and (3 + sqrt(5))/2."""
+def golden_targets() -> tuple[AlgebraicNumber, AlgebraicNumber]:
+    """Certified enclosures of (3 - sqrt(5))/2 and (3 + sqrt(5))/2, width <= 1e-40."""
     p = IntPoly([1, -3, 1])
+    eps = Fraction(1, 10**40)
     return isolate_root(p, 0, 1, eps), isolate_root(p, 2, 3, eps)
 
 
@@ -269,22 +264,17 @@ def darboux_witnesses(
             misses += 1
             continue
         shift = -epsilon * c_k
-        loop = shifted_alternating_loop(n, shift)
+        w2: Union[Fraction, FormulaWeight]
         if isinstance(qval, Fraction):
-            w2 = weight_squared(qval, loop)
-            if w2 != lemma_weight_squared(n, shift, qval):
-                raise ArithmeticError(f"weight mismatch at q={qval}")
-            draft = LoopWitness(q=qval, loop=loop, weight_squared=w2,
-                                provenance="darboux", verified=True)
-            wit = replace(draft, verified=verify_witness(draft))
+            # verify_witness proves the lemma's value is the exact weight
+            w2 = lemma_weight_squared(n, shift, qval)
         else:
             qval = qval.refine(ALG_INTERVAL_WIDTH)
             mid = (qval.lo + qval.hi) / 2
-            w2f = float(lemma_weight_squared(n, shift, mid))
-            fw = FormulaWeight(n=n, c=shift, approx=w2f)
-            draft = LoopWitness(q=qval, loop=loop, weight_squared=fw,
-                                provenance="darboux", verified=True)
-            wit = replace(draft, verified=verify_witness(draft))
+            w2 = FormulaWeight(n=n, c=shift, approx=float(lemma_weight_squared(n, shift, mid)))
+        wit = LoopWitness(q=qval, loop=shifted_alternating_loop(n, shift),
+                          weight_squared=w2, provenance="darboux", verified=False)
+        wit = replace(wit, verified=verify_witness(wit))
         if not wit.verified:
             raise ArithmeticError(f"witness verification failed at level {c_k}")
         out.append(

@@ -99,10 +99,12 @@ class LoopWitness:
     """A certificate that some q is forbidden (or a candidate for one).
 
     For provenance "search", "pell" and "darboux" the certificate is a loop
-    with non-unit squared weight; ``verified`` is True once the loop status
-    and the weight have been re-checked from scratch (exactly for rational
-    q, to interval tolerances for algebraic q).  Loops of unit weight keep
-    ``verified = False``: they are valid loops but certify nothing.
+    with non-unit squared weight.  Every producer builds its witness with
+    ``verified = False`` and takes the flag from :func:`verify_witness`
+    alone, which re-checks the loop and the weight from scratch (exactly for
+    rational q, to interval tolerances for algebraic q).  Loops of unit
+    weight keep ``verified = False``: they are valid loops but certify
+    nothing.
 
     Provenance "duplicate-c" certifies instead by exhibiting two paths with
     equal final value and different weights; the second path and its weight
@@ -122,12 +124,11 @@ class LoopWitness:
 
 @dataclass
 class SearchConfig:
-    """Bounds and switches for :func:`search_nonunit_loop`."""
+    """Bounds for :func:`search_nonunit_loop`."""
 
     max_depth: int = 5
     window: int = 4
     node_budget: int = 200_000
-    use_chain_pruning: bool = True
 
     def __post_init__(self):
         if self.max_depth < 1 or self.window < 1 or self.node_budget < 1:
@@ -170,7 +171,12 @@ def weight_squared(q: RationalLike, m: Sequence[int]) -> Fraction:
     ev = evaluate_path(q, m)
     if ev.status == STATUS_BROKEN:
         raise BrokenPath(f"{tuple(m)} is not a path at q={q}")
-    w2 = q ** (len(m) - 1)
+    return _weight(q, ev)
+
+
+def _weight(q: Fraction, ev: PathEval) -> Fraction:
+    """Squared weight from the prefix values of a path or loop at q."""
+    w2 = q ** (len(ev.prefix_c) - 1)
     for c in ev.prefix_c[:-1]:
         w2 *= c * c
     return w2
@@ -310,14 +316,9 @@ def brute_enumerate_loops(
 
     witnesses = []
     for loop, w2 in out:
-        verified = w2 != 1
-        if verified:
-            ev = evaluate_path(q, loop)
-            verified = ev.status == STATUS_LOOP and weight_squared(q, loop) == w2
-        witnesses.append(
-            LoopWitness(q=q, loop=loop, weight_squared=w2, provenance="search",
-                        verified=verified)
-        )
+        w = LoopWitness(q=q, loop=loop, weight_squared=w2, provenance="search",
+                        verified=False)
+        witnesses.append(replace(w, verified=verify_witness(w)))
     return witnesses
 
 
@@ -377,13 +378,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
       weight to be a function of the final value, so this also certifies).
 
     First entries are searched positive only; negating a sequence preserves
-    weights.  For 2 < q < 4 with ``use_chain_pruning`` the walk is restricted
-    to non-zero entries and branches too shallow to fit the required
-    alternating chain of length chain_length(q) are cut; this is sound for
-    proper loops, which the alternating-chain condition covers.  The window
-    heuristic is incomplete either way: an empty result is not a proof that
-    every loop at q has unit weight.  Every surfaced witness is re-verified
-    from scratch by :func:`verify_witness` before being returned.
+    weights.  For 2 < q < 4 the walk is always restricted to non-zero
+    entries and branches too shallow to fit the required alternating chain
+    of length chain_length(q) are cut; this is sound for proper loops, which
+    the alternating-chain condition covers.  The window heuristic is
+    incomplete: an empty result is not a proof that every loop at q has unit
+    weight.  Every surfaced witness is re-verified from scratch by
+    :func:`verify_witness` before being returned.
 
     A node is a child (or a first entry) counted against ``cfg.node_budget``.
     The parent settles each counted child itself: a closing loop is tested,
@@ -399,14 +400,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     if cfg is None:
         cfg = SearchConfig()
     qn, qd = q.numerator, q.denominator
-    prune = cfg.use_chain_pruning and 2 < q < 4
+    prune = 2 < q < 4
     cq = chain_length(q) if prune else 0
     max_len = cfg.max_depth
     max_k = max_len - 1
     budget = cfg.node_budget
 
+    # a parent counts at most `budget` children, so a wider window adds none
     offsets = [0]
-    for d in range(1, cfg.window + 1):
+    for d in range(1, min(cfg.window, budget) + 1):
         offsets.append(-d)
         offsets.append(d)
 
@@ -521,53 +523,42 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 
-def verify_witness(
-    w: LoopWitness,
-    alg_width: Fraction = ALG_INTERVAL_WIDTH,
-    final_c_tol: Fraction = ALG_FINAL_C_TOL,
-) -> bool:
-    """Re-verify a witness from scratch.
+def verify_witness(w: LoopWitness) -> bool:
+    """Re-verify a witness from scratch; the only source of ``verified``.
 
     Rational q: the loop must evaluate to status loop with exactly the stored
-    squared weight, different from 1 (duplicate-c pairs re-check their two
-    paths instead).  Algebraic q: the isolating interval is refined to width
-    <= ``alg_width``, the final prefix value at the interval midpoint must be
-    below ``final_c_tol`` in absolute value, and the exact weight enclosure
+    squared weight, different from 1; a duplicate-c pair instead needs two
+    paths ending at the stored non-zero ``c_value`` with exactly their stored,
+    different weights.  Each path is evaluated once.  Algebraic q: the
+    isolating interval is refined to width <= ``ALG_INTERVAL_WIDTH``, the
+    final prefix value at the interval midpoint must be below
+    ``ALG_FINAL_C_TOL`` in absolute value, and the exact weight enclosure
     over the interval must exclude 1.
     """
-    if w.provenance == "duplicate-c":
-        if not isinstance(w.q, Fraction):
-            return False
-        if w.other_loop is None or w.other_weight_squared is None or w.c_value is None:
-            return False
-        try:
-            ev1 = evaluate_path(w.q, w.loop)
-            ev2 = evaluate_path(w.q, w.other_loop)
-        except ValueError:
-            return False
-        return (
-            ev1.status == STATUS_PATH
-            and ev2.status == STATUS_PATH
-            and ev1.prefix_c[-1] == ev2.prefix_c[-1] == w.c_value
-            and weight_squared(w.q, w.loop) == w.weight_squared
-            and weight_squared(w.q, w.other_loop) == w.other_weight_squared
-            and w.weight_squared != w.other_weight_squared
-        )
-
     if isinstance(w.q, Fraction):
-        if not isinstance(w.weight_squared, Fraction):
-            return False
-        try:
-            ev = evaluate_path(w.q, w.loop)
-        except ValueError:
-            return False
-        return (
-            ev.status == STATUS_LOOP
-            and weight_squared(w.q, w.loop) == w.weight_squared
-            and w.weight_squared != 1
-        )
+        if w.provenance == "duplicate-c":
+            # `not w.c_value`: a missing or zero value, so two loops, not paths
+            if (w.other_loop is None or not w.c_value
+                    or w.weight_squared == w.other_weight_squared):
+                return False
+            checks = ((w.loop, w.weight_squared, w.c_value),
+                      (w.other_loop, w.other_weight_squared, w.c_value))
+        else:
+            if w.weight_squared == 1:
+                return False
+            checks = ((w.loop, w.weight_squared, 0),)
+        for path, w2, end in checks:
+            if not isinstance(w2, Fraction):
+                return False
+            try:
+                ev = evaluate_path(w.q, path)
+            except ValueError:
+                return False
+            if ev.status == STATUS_BROKEN or ev.prefix_c[-1] != end or _weight(w.q, ev) != w2:
+                return False
+        return True
 
-    if not isinstance(w.weight_squared, FormulaWeight):
+    if w.provenance == "duplicate-c" or not isinstance(w.weight_squared, FormulaWeight):
         return False
     fw = w.weight_squared
     n = len(w.loop) - 1
@@ -576,7 +567,7 @@ def verify_witness(
         return False
     if w.loop[-1] != sign + fw.c:
         return False
-    alg = w.q.refine(alg_width)
+    alg = w.q.refine(ALG_INTERVAL_WIDTH)
     mid = (alg.lo + alg.hi) / 2
     try:
         ev = evaluate_path(mid, w.loop)
@@ -584,7 +575,7 @@ def verify_witness(
         return False
     if ev.status == STATUS_BROKEN:
         return False
-    if abs(ev.prefix_c[-1]) >= final_c_tol:
+    if abs(ev.prefix_c[-1]) >= ALG_FINAL_C_TOL:
         return False
     try:
         lo_b, hi_b = fw.bounds(alg.lo, alg.hi)

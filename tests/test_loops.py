@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from forbiddenq.loops import (
     BrokenPath,
     BudgetExceeded,
     DegenerateC,
+    FormulaWeight,
     NonPositiveQ,
     OutOfRange,
     SearchConfig,
@@ -351,10 +353,90 @@ def test_duplicate_c_witness_verifies():
 
 
 def test_verify_witness_rejects_tampering():
-    from dataclasses import replace
-
     res = search_nonunit_loop(Fraction(5, 4), SearchConfig(max_depth=4, window=4))
     w = res.witness
     assert verify_witness(w)
     assert not verify_witness(replace(w, weight_squared=Fraction(1, 17)))
     assert not verify_witness(replace(w, loop=(1, -1, 5)))
+
+
+def _bump_last(seq):
+    return seq[:-1] + (seq[-1] + 1,)
+
+
+def _rational_witness():
+    return search_nonunit_loop(Fraction(5, 4), SearchConfig(max_depth=4)).witness
+
+
+def _duplicate_c_witness():
+    # golden table: 7/3 at depth 5, window 4 ends on a duplicate-c pair
+    w = search_nonunit_loop(Fraction(7, 3), SearchConfig(max_depth=5, window=4)).witness
+    assert w.provenance == "duplicate-c"
+    return w
+
+
+def _algebraic_darboux_witness():
+    from forbiddenq.families import darboux_witnesses
+
+    w = darboux_witnesses(4, 1, 2)[1].witness
+    assert isinstance(w.weight_squared, FormulaWeight)
+    return w
+
+
+TAMPERINGS = {
+    "duplicate-c wrong c_value": (
+        _duplicate_c_witness, lambda w: replace(w, c_value=w.c_value + 1)),
+    "duplicate-c edited other_loop": (
+        _duplicate_c_witness, lambda w: replace(w, other_loop=_bump_last(w.other_loop))),
+    "duplicate-c equal weights": (
+        _duplicate_c_witness,
+        lambda w: replace(w, other_weight_squared=w.weight_squared)),
+    "duplicate-c missing other_loop": (
+        _duplicate_c_witness, lambda w: replace(w, other_loop=None)),
+    "darboux edited last entry": (
+        _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
+    "darboux loop and c edited together": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, loop=_bump_last(w.loop),
+                          weight_squared=replace(w.weight_squared,
+                                                 c=w.weight_squared.c + 1))),
+    "darboux FormulaWeight.c off": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, weight_squared=replace(w.weight_squared,
+                                                    c=w.weight_squared.c + 1))),
+    "darboux FormulaWeight.n off": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, weight_squared=replace(w.weight_squared,
+                                                    n=w.weight_squared.n + 1))),
+    "rational unit weight": (
+        _rational_witness, lambda w: replace(w, weight_squared=Fraction(1))),
+    # two loops (c = 0) of different weights are not a duplicate-c pair of paths
+    "duplicate-c pair of loops": (
+        _rational_witness,
+        lambda w: replace(w, provenance="duplicate-c", other_loop=(0,),
+                          other_weight_squared=Fraction(1), c_value=Fraction(0))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAMPERINGS))
+def test_verify_witness_rejects_tampered_branches(name):
+    make, tamper = TAMPERINGS[name]
+    w = make()
+    assert w.verified and verify_witness(w)
+    assert not verify_witness(tamper(w))
+
+
+def test_huge_window_allocates_within_budget():
+    import tracemalloc
+
+    q = Fraction(5, 2)
+    expected = search_nonunit_loop(q, SearchConfig(max_depth=3, window=10, node_budget=10))
+    assert expected.budget_exhausted and expected.nodes == 11
+    tracemalloc.start()
+    try:
+        res = search_nonunit_loop(q, SearchConfig(max_depth=3, window=10**6, node_budget=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == expected
+    assert peak < 2**20
