@@ -82,9 +82,17 @@ def witness_to_dict(w: loops.LoopWitness) -> dict:
     return d
 
 
+def _entries_from_json(value) -> tuple[int, ...]:
+    """A certificate's ``loop`` or ``other_loop``: a non-empty list of JSON integers."""
+    if (not isinstance(value, list) or not value
+            or not all(type(x) is int for x in value)):
+        raise ValueError(f"a loop must be a non-empty list of integers, got {value!r}")
+    return tuple(value)
+
+
 def witness_from_dict(d: dict) -> loops.LoopWitness:
     q = q_from_dict(d["q"])
-    loop = tuple(int(x) for x in d["loop"])
+    loop = _entries_from_json(d["loop"])
     wd = d["weight_squared"]
     w2: Union[Fraction, loops.FormulaWeight]
     if "formula" in wd:
@@ -95,7 +103,7 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
     kwargs = {}
     if d["provenance"] == "duplicate-c":
         kwargs = {
-            "other_loop": tuple(int(x) for x in d["other_loop"]),
+            "other_loop": _entries_from_json(d["other_loop"]),
             "other_weight_squared": Fraction(
                 int(d["other_weight_squared"]["num"]),
                 int(d["other_weight_squared"]["den"]),
@@ -278,6 +286,13 @@ def cmd_cos2(args) -> int:
     return 0
 
 
+def _add_search_bounds(sp: argparse.ArgumentParser) -> None:
+    defaults = loops.SearchConfig()
+    sp.add_argument("--depth", type=int, default=defaults.max_depth)
+    sp.add_argument("--window", type=int, default=defaults.window)
+    sp.add_argument("--budget", type=int, default=defaults.node_budget)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="forbiddenq",
@@ -293,17 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search", help="search for a non-unit-weight loop at q")
     sp.add_argument("--q", required=True)
-    sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--window", type=int, default=4)
-    sp.add_argument("--budget", type=int, default=200_000)
+    _add_search_bounds(sp)
     sp.set_defaults(func=cmd_search)
 
     sp = sub.add_parser("scan", help="search every reduced fraction in a range")
     sp.add_argument("--range", required=True, help="lo,hi")
     sp.add_argument("--max-den", type=int, required=True, dest="max_den")
-    sp.add_argument("--depth", type=int, default=5)
-    sp.add_argument("--window", type=int, default=4)
-    sp.add_argument("--budget", type=int, default=200_000)
+    _add_search_bounds(sp)
     sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--json", action="store_true", help="JSON report instead of CSV")
     sp.set_defaults(func=cmd_scan)

@@ -151,9 +151,9 @@ def evaluate_path(q: RationalLike, m: Sequence[int]) -> PathEval:
     q = Fraction(q)
     if q <= 0:
         raise NonPositiveQ(f"q must be positive, got {q}")
-    m = tuple(int(x) for x in m)
-    if not m:
-        raise ValueError("sequence must be non-empty")
+    m = tuple(m)
+    if not m or not all(isinstance(x, int) for x in m):
+        raise ValueError(f"sequence must be non-empty and of integers, got {m}")
     c = Fraction(m[0])
     prefix = [c]
     for j in range(1, len(m)):
@@ -285,9 +285,9 @@ def brute_enumerate_loops(
     hits: list[tuple[tuple[int, ...], Fraction]] = [((0,), Fraction(1))]
     path: list[int] = []
 
-    def dfs(cn: int, cd: int, pn: int, pd: int) -> None:
-        # c = cn/cd is the last prefix value (non-zero), p = pn/pd the
-        # product of all prefix values so far, c included
+    def dfs(cn: int, cd: int) -> None:
+        # c = cn/cd is the last prefix value, unreduced: each cd is qn times
+        # the previous cn, so the prefix product telescopes to cn/qn**(length-1)
         length = len(path)
         a = qn * cn
         b = qd * cd
@@ -295,16 +295,15 @@ def brute_enumerate_loops(
         for mj in entries:
             num = mj * a + b
             if num == 0:
-                w2 = Fraction((qn**length) * pn * pn, (qd**length) * pd * pd)
-                hits.append((tuple(path) + (mj,), w2))
+                hits.append((tuple(path) + (mj,), Fraction(a * a, (qn * qd) ** length)))
             elif extend:
                 path.append(mj)
-                dfs(num, a, pn * num, pd * a)
+                dfs(num, a)
                 path.pop()
 
     for m0 in range(1, coeff_bound + 1):
         path[:] = [m0]
-        dfs(m0, 1, m0, 1)
+        dfs(m0, 1)
     path[:] = []
 
     out: list[tuple[tuple[int, ...], Fraction]] = []
@@ -365,6 +364,11 @@ class _BudgetHit(Exception):
     pass
 
 
+class _Found(Exception):
+    def __init__(self, witness: LoopWitness):
+        self.witness = witness
+
+
 def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> SearchResult:
     """Bounded depth-first search for a certificate that q is forbidden.
 
@@ -390,9 +394,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     The parent settles each counted child itself: a closing loop is tested,
     a chain cut drops the child, and a child at the maximal length only has
     its value looked up among the c-values seen so far.  Only the remaining
-    interior children are descended into, and ``memo`` holds those interior
-    states only; a leaf entry could stop nothing but another leaf whose
-    lookup finds the same weight again.
+    interior children are descended into.  One table ``seen`` maps each
+    c-value to its first weight, first path and shortest expanded length
+    (the maximal length for a leaf): a different weight ends the walk as a
+    duplicate-c pair, so the weight is fixed by c, and a state is skipped
+    when its c was expanded at a length no greater than its own.
     """
     q = Fraction(q)
     if q <= 0:
@@ -412,13 +418,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         offsets.append(-d)
         offsets.append(d)
 
-    memo: dict[tuple[int, int, int, int], int] = {}
-    by_c: dict[tuple[int, int], tuple[int, int, tuple[int, ...]]] = {}
-    found: list[LoopWitness] = []
+    seen: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
     nodes = 0
 
-    def duplicate(prev, second: tuple[int, ...], cn, cd, wn, wd) -> None:
-        found.append(
+    def duplicate(prev, second: tuple[int, ...], cn, cd, wn, wd) -> _Found:
+        return _Found(
             LoopWitness(
                 q=q, loop=prev[2], weight_squared=Fraction(prev[0], prev[1]),
                 provenance="duplicate-c", verified=False, other_loop=second,
@@ -426,23 +430,20 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             )
         )
 
-    def visit(here: tuple[int, ...], cn: int, cd: int, wn: int, wd: int,
-              last_violation: int) -> None:
+    def visit(here: tuple[int, ...], cn: int, cd: int, wn: int, wd: int) -> None:
         # an interior state: len(here) < max_len and not chain-cut
         nonlocal nodes
         length = len(here)
-        key = (cn, cd, wn, wd)
-        seen = memo.get(key)
-        if seen is not None and seen <= length:
-            return
-        memo[key] = length
         ckey = (cn, cd)
-        prev = by_c.get(ckey)
+        prev = seen.get(ckey)
         if prev is None:
-            by_c[ckey] = (wn, wd, here)
+            seen[ckey] = (wn, wd, here, length)
         elif prev[0] != wn or prev[1] != wd:
-            duplicate(prev, here, cn, cd, wn, wd)
+            raise duplicate(prev, here, cn, cd, wn, wd)
+        elif prev[3] <= length:
             return
+        else:
+            seen[ckey] = (wn, wd, prev[2], length)
         # the child value m + 1/(q c) is (m a + b)/a with a = qn cn, b = qd cd;
         # signs are moved into b so that the denominator a stays positive
         a = qn * cn
@@ -471,12 +472,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             num = mj * a + b
             if num == 0:
                 if wn2 != wd2:
-                    found.append(
+                    raise _Found(
                         LoopWitness(q=q, loop=here + (mj,),
                                     weight_squared=Fraction(wn2, wd2),
                                     provenance="search", verified=False)
                     )
-                    return
                 continue
             g = math.gcd(num, a)
             n2 = num // g
@@ -484,42 +484,36 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             if cut_big and abs(n2) > d2:
                 continue
             if leaf:
+                # inline: a call per leaf costs measurable time in (1,2)
                 ckey = (n2, d2)
-                prev = by_c.get(ckey)
+                prev = seen.get(ckey)
                 if prev is None:
-                    by_c[ckey] = (wn2, wd2, here + (mj,))
+                    seen[ckey] = (wn2, wd2, here + (mj,), max_len)
                 elif prev[0] != wn2 or prev[1] != wd2:
-                    duplicate(prev, here + (mj,), n2, d2, wn2, wd2)
-                    return
+                    raise duplicate(prev, here + (mj,), n2, d2, wn2, wd2)
                 continue
-            visit(here + (mj,), n2, d2, wn2, wd2,
-                  length if abs(n2) > d2 else last_violation)
-            if found:
-                return
+            visit(here + (mj,), n2, d2, wn2, wd2)
 
+    witness = None
     exhausted = False
     try:
         for m0 in range(1, cfg.window + 1):
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            # a length-1 root is a leaf: each m0 is a new c-value of weight 1
-            root_viol = 0 if m0 > 1 else -1
-            if max_len < 2 or (prune and root_viol + 1 + cq > max_k):
+            # a length-1 root is a leaf: each m0 is a new c-value of weight 1;
+            # a root with |m0| > 1 is a chain violation at index 0
+            if max_len < 2 or (prune and (m0 > 1) + cq > max_k):
                 continue
-            visit((m0,), m0, 1, 1, 1, root_viol)
-            if found:
-                break
+            visit((m0,), m0, 1, 1, 1)
     except _BudgetHit:
         exhausted = True
-
-    witness = None
-    if found:
-        witness = replace(found[0], verified=verify_witness(found[0]))
-        if not witness.verified:
-            raise ArithmeticError(
-                f"internal verification failure for {witness.loop} at q={q}"
-            )
+    except _Found as hit:
+        witness = replace(hit.witness, verified=verify_witness(hit.witness))
+    if witness is not None and not witness.verified:
+        raise ArithmeticError(
+            f"internal verification failure for {witness.loop} at q={q}"
+        )
     return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 

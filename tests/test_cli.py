@@ -106,6 +106,32 @@ def test_witness_json_round_trip_duplicate_c(capsys):
     assert verify_witness(w)
 
 
+def test_search_and_scan_default_bounds():
+    parser = cli.build_parser()
+    for argv in (["search", "--q", "1"], ["scan", "--range", "1,2", "--max-den", "3"]):
+        args = parser.parse_args(argv)
+        assert (args.depth, args.window, args.budget) == (5, 4, 200_000)
+
+
+def test_witness_from_dict_refuses_non_integer_entries(capsys):
+    code, out = run(capsys, "search", "--q", "7/5", "--depth", "6", "--window", "4")
+    wd = json.loads(out)["witness"]
+    for key in ("loop", "other_loop"):
+        for bad in (4.5, 4.0, "4", True, None):
+            d = json.loads(json.dumps(wd))
+            d[key][-1] = bad
+            with pytest.raises(ValueError):
+                cli.witness_from_dict(d)
+
+
+def test_witness_from_dict_refuses_empty_algebraic_loop(capsys):
+    code, out = run(capsys, "darboux", "--n", "4", "--u-index", "1", "--count", "2")
+    wd = [d for d in json.loads(out) if d["q"]["type"] == "algebraic"][0]["witness"]
+    wd["loop"] = []
+    with pytest.raises(ValueError):
+        cli.witness_from_dict(wd)
+
+
 def test_pell_command(capsys):
     code, out = run(capsys, "pell", "--count", "3")
     assert code == 0

@@ -57,6 +57,9 @@ def test_evaluate_path_guards():
         evaluate_path(0, (1,))
     with pytest.raises(ValueError):
         evaluate_path(1, ())
+    for bad in ((1, -1, 4.5), (1, -1, Fraction(9, 2)), (1.0,), ("1",)):
+        with pytest.raises(ValueError):
+            evaluate_path(Fraction(5, 4), bad)
 
 
 def test_weight_squared_examples():
@@ -270,6 +273,18 @@ GOLDEN_SEARCHES = [
     (("3", 1, 2, 100), (2, False, None, None)),
     # q > 4: no pruning, the window runs dry
     (("9/2", 5, 2, 2_000), (1_167, False, None, None)),
+    # each branch of the `seen` table: a duplicate-c pair whose first path
+    # was a leaf; two leaves meeting; a leaf meeting a value first seen at an
+    # interior state; two interior states meeting; an exhausted walk that
+    # skips repeated states and re-expands a value after a leaf entry and at
+    # a shorter length; and a pair whose first path stays stored when its
+    # value is re-expanded at a shorter length
+    (("5/2", 4, 3, 5_000), (21, False, "duplicate-c", (1, -1, 1, -2))),
+    (("5/3", 4, 3, 5_000), (144, False, "duplicate-c", (1, -1, 1, 1))),
+    (("11/16", 6, 4, 50_000), (56, False, "duplicate-c", (1, -1))),
+    (("12/17", 9, 3, 30_000), (6, False, "duplicate-c", (1, -1))),
+    (("1", 4, 3, 5_000), (682, False, None, None)),
+    (("13/22", 5, 4, 10_000), (2_558, False, "duplicate-c", (1, -2, 6, 0, -1))),
 ]
 
 
@@ -364,6 +379,11 @@ def _bump_last(seq):
     return seq[:-1] + (seq[-1] + 1,)
 
 
+def _fractional_last(seq):
+    # int() truncates x +- 1/2 back to x, so only a type check can tell them apart
+    return seq[:-1] + (seq[-1] + (0.5 if seq[-1] > 0 else -0.5),)
+
+
 def _rational_witness():
     return search_nonunit_loop(Fraction(5, 4), SearchConfig(max_depth=4)).witness
 
@@ -408,6 +428,11 @@ TAMPERINGS = {
         _algebraic_darboux_witness,
         lambda w: replace(w, weight_squared=replace(w.weight_squared,
                                                     n=w.weight_squared.n + 1))),
+    "rational non-integer entry": (
+        _rational_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
+    "duplicate-c non-integer entry": (
+        _duplicate_c_witness,
+        lambda w: replace(w, other_loop=_fractional_last(w.other_loop))),
     "rational unit weight": (
         _rational_witness, lambda w: replace(w, weight_squared=Fraction(1))),
     # two loops (c = 0) of different weights are not a duplicate-c pair of paths

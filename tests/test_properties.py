@@ -10,7 +10,13 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from forbiddenq import cli
-from forbiddenq.loops import SearchConfig, brute_enumerate_loops, search_nonunit_loop, verify_witness
+from forbiddenq.loops import (
+    SearchConfig,
+    brute_enumerate_loops,
+    search_nonunit_loop,
+    verify_witness,
+    weight_squared,
+)
 
 
 @st.composite
@@ -39,4 +45,5 @@ def test_search_witness_verifies_after_json_round_trip(q, depth, window, budget)
 @given(q=q_in_0_4(max_den=12), depth=st.integers(0, 4), bound=st.integers(0, 3))
 def test_brute_enumeration_verifies_exactly_non_unit_loops(q, depth, bound):
     for w in brute_enumerate_loops(q, depth, bound):
+        assert w.weight_squared == weight_squared(q, w.loop)
         assert w.verified == (w.weight_squared != 1)
