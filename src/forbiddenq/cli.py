@@ -17,6 +17,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -55,8 +56,10 @@ def q_to_dict(q: Union[Fraction, AlgebraicNumber]) -> dict:
 
 def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
     if d["type"] == "rational":
-        return Fraction(int(d["num"]), int(d["den"]))
-    poly = IntPoly([int(c) for c in d["poly"]])
+        return _fraction_from_json(d)
+    if not isinstance(d["poly"], list):
+        raise ValueError(f"poly must be a list of integers, got {d['poly']!r}")
+    poly = IntPoly([_int_from_json(c) for c in d["poly"]])
     lo, hi = Fraction(d["interval"][0]), Fraction(d["interval"][1])
     return AlgebraicNumber(poly, lo, hi, float(d["approx"]))
 
@@ -90,6 +93,20 @@ def _entries_from_json(value) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _int_from_json(value) -> int:
+    """A certificate integer: a JSON integer or a decimal-integer string."""
+    if type(value) is int:
+        return value
+    if isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
+
+
+def _fraction_from_json(d: dict) -> Fraction:
+    """The rational ``{"num": ..., "den": ...}`` of a certificate, exactly."""
+    return Fraction(_int_from_json(d["num"]), _int_from_json(d["den"]))
+
+
 def witness_from_dict(d: dict) -> loops.LoopWitness:
     q = q_from_dict(d["q"])
     loop = _entries_from_json(d["loop"])
@@ -99,15 +116,12 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
         n = len(loop) - 1
         w2 = loops.FormulaWeight(n=n, c=loop[-1] - (-1) ** n, approx=float(wd["approx"]))
     else:
-        w2 = Fraction(int(wd["num"]), int(wd["den"]))
+        w2 = _fraction_from_json(wd)
     kwargs = {}
     if d["provenance"] == "duplicate-c":
         kwargs = {
             "other_loop": _entries_from_json(d["other_loop"]),
-            "other_weight_squared": Fraction(
-                int(d["other_weight_squared"]["num"]),
-                int(d["other_weight_squared"]["den"]),
-            ),
+            "other_weight_squared": _fraction_from_json(d["other_weight_squared"]),
             "c_value": Fraction(d["c_value"]),
         }
     return loops.LoopWitness(

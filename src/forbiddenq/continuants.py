@@ -21,6 +21,7 @@ from typing import Sequence
 from .exact import AlgebraicNumber, IntPoly, isolate_root, parity_split, real_roots
 
 EXPLICIT_CUTOFF = 12
+U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
 
 
 class CutoffExceeded(ValueError):
@@ -132,6 +133,23 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     return num, den
 
 
+def _u_brackets(n: int, den: IntPoly) -> list[tuple[Fraction, Fraction]]:
+    """Brackets ``(cuts[i], cuts[i+1])`` of the points of ``u_set(n)``, increasing.
+
+    ``den`` is the denominator from :func:`ratio_in_q`.  Its roots in [0, 4]
+    are isolated once; each bracket runs between the cut points on either
+    side of one kept root and holds no other root of ``den``.
+    """
+    half = (n + 1) // 2
+    roots = real_roots(den, 0, 4)
+    if len(roots) != half:
+        raise ArithmeticError(f"den of order {n} has {len(roots)} roots in [0, 4], not {half}")
+    # cut points between consecutive roots; den has no root below 0 or at 4
+    ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
+    cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
+    return [(cuts[i], cuts[i + 1]) for i in range(half) if math.gcd(half - i, n + 1) == 1]
+
+
 def u_set(n: int) -> list[AlgebraicNumber]:
     """Certified squared roots of ``g_poly(n)`` with index coprime to n+1.
 
@@ -141,21 +159,10 @@ def u_set(n: int) -> list[AlgebraicNumber]:
     g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
     each j = 1..ceil(n/2), decreasing in j, so the i-th root in increasing
     order has j = ceil(n/2) - i; the roots are isolated exactly and the index
-    of each is pure integer bookkeeping.  Each interval has width <= 1e-12.
-    Sorted increasing.
+    of each is pure integer bookkeeping.  Each interval has width <= 1e-12
+    (``U_SET_WIDTH``).  Sorted increasing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _, den = ratio_in_q(n)
-    half = (n + 1) // 2
-    roots = real_roots(den, 0, 4)
-    if len(roots) != half:
-        raise ArithmeticError(f"den of order {n} has {len(roots)} roots in [0, 4], not {half}")
-    # cut points between consecutive roots; den has no root below 0 or at 4
-    ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
-    cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
-    return [
-        isolate_root(den, cuts[i], cuts[i + 1], Fraction(1, 10**12))
-        for i in range(half)
-        if math.gcd(half - i, n + 1) == 1
-    ]
+    return [isolate_root(den, lo, hi, U_SET_WIDTH) for lo, hi in _u_brackets(n, den)]

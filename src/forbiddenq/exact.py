@@ -7,7 +7,11 @@ pseudo-remainders counts roots exactly, using the sign of the integer
 ``b**d * p(a/b)`` at ``a/b``, and bisection stops when each interval holds
 one root.  So the Sturm count certifies that a root is unique in its
 interval, and the sign change at the ends, re-checkable by anyone, that it is
-there.
+there.  Each call runs one remainder sequence: the Sturm sequence of ``p``
+itself, which doubles as the square-free test, and only for ``p`` with a
+repeated root a second one, of its square-free part.  Narrowing an isolated
+root (:meth:`AlgebraicNumber.refine`) bisects in integers, with both ends
+over one power-of-two multiple of a common denominator.
 """
 
 from __future__ import annotations
@@ -115,7 +119,14 @@ class IntPoly:
         Computed as the sign of the integer ``b**d * p(a/b)``, by Horner's
         rule in the homogeneous form, so no fraction is ever reduced.
         """
-        a, b = x.numerator, x.denominator
+        return self.sign_at_ratio(x.numerator, x.denominator)
+
+    def sign_at_ratio(self, a: int, b: int) -> int:
+        """Sign of the value at ``a/b`` for integers ``a`` and ``b > 0``.
+
+        ``a/b`` need not be in lowest terms: the sign of ``b**d * p(a/b)``
+        does not depend on the representation.
+        """
         acc, scale = 0, 1
         for c in reversed(self.coeffs):
             acc = acc * a + c * scale
@@ -218,9 +229,11 @@ def _exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
 
 
 def _sturm_sequence(p: IntPoly) -> list[IntPoly]:
-    """p, p', then negated primitive pseudo-remainders down to a constant.
+    """p, p', then negated primitive pseudo-remainders down to degree <= 0.
 
-    ``p`` must be square-free, so no remainder before the constant is zero.
+    This is Euclid's remainder sequence of ``p`` and ``p'`` up to signs, so
+    for ``deg p >= 1`` it ends in a non-zero constant exactly when ``p`` is
+    square-free, and in the zero polynomial when ``p`` has a repeated root.
     """
     seq = [p, p.derivative()]
     while seq[-1].degree > 0:
@@ -240,21 +253,28 @@ def real_roots(
 ) -> list[Union[Fraction, AlgebraicNumber]]:
     """Every real root of ``p`` in the closed interval ``[lo, hi]``, increasing.
 
-    Works on the square-free part of ``p``.  By Sturm's theorem the number of
-    its roots in ``(a, b]`` is ``V(a) - V(b)``, where ``V`` counts sign
-    variations of the Sturm sequence; intervals are bisected until each
-    holds exactly one root and has no root at either end.  A root that is an
-    endpoint or a bisection midpoint is returned exactly as a ``Fraction``;
-    every other root is an :class:`AlgebraicNumber` whose open interval lies
-    inside ``(lo, hi)`` and holds no other root.
+    Works on the square-free part of ``p``.  One remainder sequence serves
+    both purposes: the Sturm sequence of ``p.primitive()`` is built directly,
+    and only when it ends in the zero polynomial (``p`` has a repeated root)
+    is it rebuilt from ``p.square_free_part()``; for square-free ``p`` the two
+    polynomials are equal.  By Sturm's theorem the number of roots in
+    ``(a, b]`` is ``V(a) - V(b)``, where ``V`` counts sign variations of the
+    Sturm sequence; intervals are bisected until each holds exactly one root
+    and has no root at either end.  A root that is an endpoint or a bisection
+    midpoint is returned exactly as a ``Fraction``; every other root is an
+    :class:`AlgebraicNumber` whose open interval lies inside ``(lo, hi)`` and
+    holds no other root.
     """
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
-    ps = p.square_free_part()
+    ps = p.primitive()
     seq = _sturm_sequence(ps)
+    if seq[-1].is_zero:
+        ps = p.square_free_part()
+        seq = _sturm_sequence(ps)
     at_lo = _sturm_point(seq, lo)
     out: list[Union[Fraction, AlgebraicNumber]] = [lo] if at_lo[0] == 0 else []
     todo = [(lo, at_lo, hi, _sturm_point(seq, hi))]
@@ -340,21 +360,29 @@ class AlgebraicNumber:
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect a sign-change interval of ``p`` down to width <= eps.
 
-    A midpoint where ``p`` vanishes is the root when the interval holds only
-    one; a narrow interval around it is returned, whose sign change the
-    :class:`AlgebraicNumber` constructor re-checks.
+    The bisection runs in integers: ``lo = L/D`` and ``hi = H/D`` share one
+    denominator, which doubles at each step, so the midpoint is ``(L+H)/2D``
+    with no fraction reduced, its sign comes from
+    :meth:`IntPoly.sign_at_ratio`, and the width test is
+    ``(H - L) * eps.den <= eps.num * D``.  The intervals are those of plain
+    rational bisection.  A midpoint where ``p`` vanishes is the root when the
+    interval holds only one; a narrow interval around it is returned, whose
+    sign change the :class:`AlgebraicNumber` constructor re-checks.
     """
+    en, ed = eps.numerator, eps.denominator
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
     slo = p.sign_at(lo)
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        sm = p.sign_at(mid)
+    while (b - a) * ed > en * d:
+        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
+        sm = p.sign_at_ratio(mid, d)
         if sm == 0:
-            return _bracket(mid, lo, hi, eps)
+            return _bracket(Fraction(mid, d), Fraction(a, d), Fraction(b, d), eps)
         if sm == slo:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return lo, hi
+            b = mid
+    return Fraction(a, d), Fraction(b, d)
 
 
 def isolate_root(

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
-from .continuants import ratio_in_q, u_set
+from .continuants import U_SET_WIDTH, _u_brackets, ratio_in_q
 from .loops import (
     ALG_INTERVAL_WIDTH,
     FormulaWeight,
@@ -233,17 +233,19 @@ def darboux_witnesses(
     (1, -1, ..., (-1)**(n-1), (-1)**n - eps*c_k) at q.  Levels with no root
     in the interval are skipped.  ``min_c`` below 3 explores levels outside
     the existence argument; any witness that does verify is still a genuine
-    certificate.
+    certificate.  Only the chosen point is isolated, by the same call that
+    :func:`u_set` makes for it, so ``t0`` is the interval of
+    ``u_set(n)[u_index]``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    points = u_set(n)
-    if not 0 <= u_index < len(points):
-        raise ValueError(f"u_index {u_index} out of range for {len(points)} points")
-    t0 = points[u_index]
     num, den = ratio_in_q(n)
+    brackets = _u_brackets(n, den)
+    if not 0 <= u_index < len(brackets):
+        raise ValueError(f"u_index {u_index} out of range for {len(brackets)} points")
+    t0 = isolate_root(den, *brackets[u_index], U_SET_WIDTH)
     t0f = t0.approx
     t1f = _t1_approx(n, t0f)
     if t1f <= t0f + 1e-12:

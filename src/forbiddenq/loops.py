@@ -196,9 +196,11 @@ def closed_form_c5(q: RationalLike, m: Sequence[int]) -> Fraction:
     q = Fraction(q)
     if q <= 0:
         raise NonPositiveQ(f"q must be positive, got {q}")
-    m = tuple(int(x) for x in m)
+    m = tuple(m)
     if len(m) != 5:
         raise ValueError("closed form is specific to length-5 sequences")
+    if not all(isinstance(x, int) for x in m):
+        raise ValueError(f"entries must be integers, got {m}")
     m0, m1, m2, m3, m4 = m
     if 0 in (m0, m1, m2, m3):
         raise ValueError("m_0..m_3 must be non-zero")

@@ -124,6 +124,49 @@ def test_witness_from_dict_refuses_non_integer_entries(capsys):
                 cli.witness_from_dict(d)
 
 
+def test_certificate_numbers_must_be_json_integers(capsys):
+    code, out = run(capsys, "search", "--q", "5/4")
+    wd = json.loads(out)["witness"]
+    assert verify_witness(cli.witness_from_dict(wd))
+    edited = json.loads(json.dumps(wd))
+    edited["q"]["num"], edited["weight_squared"]["num"] = 5.7, 1.9
+    with pytest.raises(ValueError):
+        cli.witness_from_dict(edited)
+    for bad in (5.0, "5.0", " 5", "5_0", "+5", "1e3", True, None, [5]):
+        for path in (("q", "num"), ("q", "den"), ("weight_squared", "num")):
+            d = json.loads(json.dumps(wd))
+            d[path[0]][path[1]] = bad
+            with pytest.raises(ValueError):
+                cli.witness_from_dict(d)
+    as_ints = json.loads(json.dumps(wd))
+    as_ints["q"]["num"], as_ints["weight_squared"]["den"] = 5, 16
+    assert cli.witness_from_dict(as_ints) == cli.witness_from_dict(wd)
+
+    alg = families.darboux_witnesses(6, 0, 2)[1].witness
+    ad = cli.witness_to_dict(alg)
+    assert ad["q"]["type"] == "algebraic"
+    assert verify_witness(cli.witness_from_dict(ad))
+    for bad in (8.5, "8.5", 8.0):
+        d = json.loads(json.dumps(ad))
+        d["q"]["poly"][0] = bad
+        with pytest.raises(ValueError):
+            cli.witness_from_dict(d)
+    d = json.loads(json.dumps(ad))
+    d["q"]["poly"] = "".join(d["q"]["poly"])
+    with pytest.raises(ValueError):
+        cli.witness_from_dict(d)
+
+
+def test_duplicate_c_other_weight_must_be_json_integers():
+    w = loops.search_nonunit_loop(Fraction(10, 3), loops.SearchConfig(10, 3)).witness
+    wd = cli.witness_to_dict(w)
+    assert wd["provenance"] == "duplicate-c"
+    assert verify_witness(cli.witness_from_dict(wd))
+    wd["other_weight_squared"]["num"] = float(wd["other_weight_squared"]["num"]) + 0.5
+    with pytest.raises(ValueError):
+        cli.witness_from_dict(wd)
+
+
 def test_witness_from_dict_refuses_empty_algebraic_loop(capsys):
     code, out = run(capsys, "darboux", "--n", "4", "--u-index", "1", "--count", "2")
     wd = [d for d in json.loads(out) if d["q"]["type"] == "algebraic"][0]["witness"]

@@ -213,3 +213,46 @@ def test_real_roots_repeated_root_counts_once():
     assert all(r.defining == IntPoly([-2, 1, 1]) for r in roots if isinstance(r, AlgebraicNumber))
     with pytest.raises(ValueError):
         real_roots(IntPoly(), 0, 1)
+
+
+def _fraction_bisection(p, lo, hi, eps):
+    """Oracle: plain rational bisection of a sign-change interval."""
+    slo = p.sign_at(lo)
+    while hi - lo > eps:
+        mid = (lo + hi) / 2
+        sm = p.sign_at(mid)
+        if sm == 0:
+            return "hit", mid
+        if sm == slo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def test_refine_matches_rational_bisection():
+    # integer bisection must give the very intervals of rational bisection,
+    # for ends on different denominators, below zero, and at every width
+    rng = random.Random(305)
+    checked = 0
+    for _ in range(400):
+        p = rand_poly(rng, max_deg=6)
+        lo, hi = sorted((rand_frac(rng), rand_frac(rng)))
+        if lo == hi or p.sign_at(lo) * p.sign_at(hi) >= 0:
+            continue
+        eps = Fraction(1, rng.choice([3, 10, 10**7, 10**20]))
+        alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
+        want = _fraction_bisection(p, lo, hi, eps)
+        if want[0] == "hit":
+            assert alg.lo < want[1] < alg.hi and alg.width <= eps
+        else:
+            assert (alg.lo, alg.hi) == want
+        checked += 1
+    assert checked > 100
+
+
+def test_sign_at_ratio_ignores_the_representation():
+    rng = random.Random(306)
+    for _ in range(200):
+        p, x, k = rand_poly(rng, max_deg=9), rand_frac(rng), rng.randint(1, 2**40)
+        assert p.sign_at_ratio(x.numerator * k, x.denominator * k) == p.sign_at(x)

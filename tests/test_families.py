@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from forbiddenq.cli import witness_to_dict
+from forbiddenq.continuants import u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly
 from forbiddenq.families import (
     DarbouxWitness,
@@ -217,3 +221,27 @@ def test_quadratic_targets_negative_discriminant():
         quadratic_targets(1, 1, -1, -1)
     with pytest.raises(ValueError):
         quadratic_targets(1, 0, 1, 1)
+
+
+# sha256 of every isolating interval and algebraic certificate below, taken
+# from the isolator that bisected in Fractions; any moved interval shows here
+U_SET_SHA256 = "ecaf4531f644b0b5b1261a68d5d077fe1450b794114328a882a6d484b4babd03"
+DARBOUX_SHA256 = "8013bd6d1188ab6af33c68e1a78f41455731c9a87c4170a26121a81a495b014a"
+
+
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_algebraic_certificates_golden():
+    points = {n: u_set(n) for n in range(1, 41)}
+    assert _sha256([[[list(r.defining.coeffs), str(r.lo), str(r.hi)] for r in points[n]]
+                    for n in range(1, 41)]) == U_SET_SHA256
+    docs = []
+    for n in range(1, 21):
+        for i, t0 in enumerate(points[n]):
+            got = darboux_witnesses(n, i, 3)
+            for dw in got:
+                assert (dw.t0.defining, dw.t0.lo, dw.t0.hi) == (t0.defining, t0.lo, t0.hi)
+            docs.append([witness_to_dict(dw.witness) for dw in got])
+    assert _sha256(docs) == DARBOUX_SHA256

@@ -108,6 +108,10 @@ def test_closed_form_c5_guards():
         closed_form_c5(Q52, (1, -1, 1, -1))
     with pytest.raises(ValueError):
         closed_form_c5(Q52, (1, 0, 1, -1, 2))
+    with pytest.raises(ValueError):
+        closed_form_c5(Q52, (1, -1, 1, -1, -2.5))
+    with pytest.raises(ValueError):
+        closed_form_c5(Q52, (1.0, -1, 1, -1, -2))
 
 
 def test_lemma_weight_squared_examples():
