@@ -17,6 +17,7 @@ from .continuants import (
     g_identity_check,
     g_poly,
     g_roots,
+    prefix_pairs,
     ratio_in_q,
     u_set,
 )

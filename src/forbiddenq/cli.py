@@ -60,8 +60,11 @@ def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
     if not isinstance(d["poly"], list):
         raise ValueError(f"poly must be a list of integers, got {d['poly']!r}")
     poly = IntPoly([_int_from_json(c) for c in d["poly"]])
-    lo, hi = Fraction(d["interval"][0]), Fraction(d["interval"][1])
-    return AlgebraicNumber(poly, lo, hi, float(d["approx"]))
+    interval, approx = d["interval"], float(d["approx"])
+    if not isinstance(interval, list) or len(interval) != 2 or not math.isfinite(approx):
+        raise ValueError(f"need a two-entry interval and a finite approx, got "
+                         f"{interval!r} and {approx}")
+    return AlgebraicNumber(poly, Fraction(interval[0]), Fraction(interval[1]), approx)
 
 
 def w2_to_dict(w2: Union[Fraction, loops.FormulaWeight]) -> dict:
@@ -186,12 +189,14 @@ def cmd_scan(args) -> int:
     lo, hi = (parse_rational(t) for t in args.range.split(","))
     if not 0 < lo < hi:
         raise ValueError(f"bad range [{lo}, {hi}]: need 0 < lo < hi")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _search_config(args)
     cands = reduced_fractions(lo, hi, args.max_den)
     tasks = [(a, b, cfg) for a, b in cands]
     # pool.map keeps task order, so rows stay in (b, a) order either way
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_scan_candidate, tasks, chunksize=8))
     else:
         results = [_scan_candidate(t) for t in tasks]

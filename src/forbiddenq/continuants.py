@@ -1,8 +1,11 @@
-"""Continuant polynomial families for integer coefficient sequences.
+"""Continuants: the one prefix recurrence, and polynomial families built on it.
 
-``f_poly`` builds, by the three-term recurrence, the polynomial whose ratios
-reproduce the prefix values of the continued-fraction evaluator in
-:mod:`forbiddenq.loops`.  ``f_explicit`` rebuilds the same polynomial by
+``prefix_pairs`` is the continued-fraction recurrence c -> m + 1/(q c) of
+:mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
+every exact evaluation in the package runs through it except the search's
+inlined, reduced step.  ``f_poly`` builds, by the three-term recurrence, the
+polynomial whose ratios reproduce the prefix values of the continued-fraction
+evaluator in :mod:`forbiddenq.loops`.  ``f_explicit`` rebuilds the same polynomial by
 direct subset enumeration and serves as an independent oracle.
 
 The alternating-sign specialization ``g_poly(n)`` behaves like a rescaled
@@ -16,9 +19,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root, parity_split, real_roots
+from .exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 
 EXPLICIT_CUTOFF = 12
 U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
@@ -26,6 +29,25 @@ U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
 
 class CutoffExceeded(ValueError):
     """Subset enumeration refused: the sequence is longer than the cutoff."""
+
+
+def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
+    """Pairs (N_j, D_j) with c_j = N_j / D_j, the prefix values of ``m`` at q = qn/qd.
+
+    Starts from (m_0, 1) and applies the continuant matrix step
+    (N, D) <- (m_j * (qn * N) + qd * D, qn * N), reducing nothing.  So
+    D_{j+1} = qn * N_j, a zero N_j breaks the sequence at j + 1 (D_{j+1} = 0;
+    the caller stops there), and the prefix product telescopes: the squared
+    weight q**k * prod_{j<k} c_j**2 of (m_0..m_k) is D_k**2 / (qn*qd)**k.
+    The same code runs over :class:`IntPoly` with qn = x and qd = IntPoly([1]).
+    ``m`` may be any iterable, infinite ones included.
+    """
+    it = iter(m)
+    num, den = next(it), 1
+    yield num, den
+    for mj in it:
+        num, den = mj * (qn * num) + qd * den, qn * num
+        yield num, den
 
 
 def f_poly(m: Sequence[int]) -> IntPoly:
@@ -114,23 +136,17 @@ def g_identity_check(n: int) -> bool:
 def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     """Numerator and denominator in q of g_{n+1}(x) / (x g_n(x)) with q = x**2.
 
-    g_n has the parity of n, so for even n the ratio is odd-part(g_{n+1})
-    over even-part(g_n), and for odd n it is even-part(g_{n+1}) over
-    q * odd-part(g_n).  The pair is reduced by common integer content only.
+    This is the final prefix value of the alternating path
+    (1, -1, ..., (-1)**n) as a function of q: the last pair of
+    :func:`prefix_pairs` over IntPoly, with the common power of q and the
+    common integer content divided out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    even_hi, odd_hi = parity_split(g_poly(n + 1))
-    even_lo, odd_lo = parity_split(g_poly(n))
-    if n % 2 == 0:
-        num, den = odd_hi, even_lo
-    else:
-        num, den = even_hi, IntPoly([0, 1]) * odd_lo
-    c = math.gcd(num.content(), den.content())
-    if c > 1:
-        num = IntPoly([x // c for x in num.coeffs])
-        den = IntPoly([x // c for x in den.coeffs])
-    return num, den
+    *_, pair = prefix_pairs([(-1) ** i for i in range(n + 1)], IntPoly([0, 1]), IntPoly([1]))
+    low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in pair)
+    g = math.gcd(*(p.content() for p in pair))
+    return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
 
 
 def _u_brackets(n: int, den: IntPoly) -> list[tuple[Fraction, Fraction]]:

@@ -9,16 +9,20 @@ when the final value is exactly zero.  The squared weight of a path,
 
 is rational for rational q, and a loop with w2 != 1 certifies that q is
 forbidden (q cannot be the conductor of a degree-two function).  Everything
-here is exact; floats appear only in reported approximations.
+here is exact; floats appear only in reported approximations.  The recurrence
+itself is :func:`forbiddenq.continuants.prefix_pairs`; only the search
+inlines a reduced copy of its step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .continuants import prefix_pairs
 from .exact import AlgebraicNumber, RationalLike
 
 STATUS_PATH = "path"
@@ -146,40 +150,48 @@ class SearchResult:
     budget_exhausted: bool
 
 
-def evaluate_path(q: RationalLike, m: Sequence[int]) -> PathEval:
-    """Exact prefix values and path/loop/broken classification of ``m`` at q."""
+def _checked(q: RationalLike, m: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """``q`` as a positive Fraction and ``m`` as a non-empty tuple of integers."""
     q = Fraction(q)
     if q <= 0:
         raise NonPositiveQ(f"q must be positive, got {q}")
     m = tuple(m)
     if not m or not all(isinstance(x, int) for x in m):
         raise ValueError(f"sequence must be non-empty and of integers, got {m}")
-    c = Fraction(m[0])
-    prefix = [c]
-    for j in range(1, len(m)):
-        if c == 0:
+    return q, m
+
+
+def evaluate_path(q: RationalLike, m: Sequence[int]) -> PathEval:
+    """Exact prefix values and path/loop/broken classification of ``m`` at q."""
+    q, m = _checked(q, m)
+    prefix = []
+    for j, (num, den) in enumerate(prefix_pairs(m, q.numerator, q.denominator)):
+        if den == 0:
             return PathEval(tuple(prefix), STATUS_BROKEN, broken_at=j)
-        c = m[j] + 1 / (q * c)
-        prefix.append(c)
-    status = STATUS_LOOP if c == 0 else STATUS_PATH
-    return PathEval(tuple(prefix), status)
+        prefix.append(Fraction(num, den))
+    return PathEval(tuple(prefix), STATUS_LOOP if num == 0 else STATUS_PATH)
+
+
+def _final_pair(q: Fraction, m: Sequence[int]) -> Optional[tuple[int, int]]:
+    """The last pair (N_k, D_k) of ``m`` at q, or None when ``m`` is broken."""
+    for num, den in prefix_pairs(m, q.numerator, q.denominator):
+        if den == 0:
+            return None
+    return num, den
 
 
 def weight_squared(q: RationalLike, m: Sequence[int]) -> Fraction:
     """Exact squared weight q**k * prod_{j<k} c_j**2 of a path or loop."""
-    q = Fraction(q)
-    ev = evaluate_path(q, m)
-    if ev.status == STATUS_BROKEN:
-        raise BrokenPath(f"{tuple(m)} is not a path at q={q}")
-    return _weight(q, ev)
+    q, m = _checked(q, m)
+    pair = _final_pair(q, m)
+    if pair is None:
+        raise BrokenPath(f"{m} is not a path at q={q}")
+    return _weight(q.numerator, q.denominator, pair[1], len(m) - 1)
 
 
-def _weight(q: Fraction, ev: PathEval) -> Fraction:
-    """Squared weight from the prefix values of a path or loop at q."""
-    w2 = q ** (len(ev.prefix_c) - 1)
-    for c in ev.prefix_c[:-1]:
-        w2 *= c * c
-    return w2
+def _weight(qn: int, qd: int, den: int, k: int) -> Fraction:
+    """Squared weight D_k**2 / (qn*qd)**k of a length-(k+1) path at qn/qd."""
+    return Fraction(den * den, (qn * qd) ** k)
 
 
 def closed_form_c5(q: RationalLike, m: Sequence[int]) -> Fraction:
@@ -239,27 +251,24 @@ def shifted_alternating_loop(n: int, c: int) -> tuple[int, ...]:
     return tuple((-1) ** i for i in range(n)) + ((-1) ** n + int(c),)
 
 
-def chain_length(q: RationalLike) -> int:
+def chain_length(q: RationalLike, limit: Optional[int] = None) -> int:
     """Largest n with x_n >= 1/q for x_1 = 1, x_{j+1} = 1 - 1/(q x_j).
 
-    Exact rational iteration; defined for 0 < q < 4, where the map has no
-    positive fixed point and the sequence reaches 0 in finitely many steps.
-    Non-zero proper loops at q in (2, 4) must carry this many consecutive
-    alternating +-1 entries.
+    Defined for 0 < q < 4, where the map has no positive fixed point and the
+    sequence reaches 0 in finitely many steps.  While x_1..x_j >= 1/q, the
+    prefix values of the alternating path (1, -1, 1, ...) are
+    c_j = (-1)**j x_{j+1}, so the walk stops at the first pair with
+    |N| qn < |D| qd.  Non-zero proper loops at q in (2, 4) must carry this
+    many consecutive alternating +-1 entries.  With ``limit`` the walk stops
+    there: the result is min(n, limit).
     """
     q = Fraction(q)
     if q <= 0 or q >= 4:
         raise OutOfRange(f"chain length is defined for 0 < q < 4, got {q}")
-    inv = 1 / q
-    x = Fraction(1)
-    if x < inv:
-        return 0
-    n = 1
-    while True:
-        x = 1 - 1 / (q * x)
-        if x < inv:
-            return n
-        n += 1
+    qn, qd = q.numerator, q.denominator
+    for j, (num, den) in enumerate(prefix_pairs(itertools.cycle((1, -1)), qn, qd)):
+        if j == limit or abs(num) * qn < abs(den) * qd:
+            return j
 
 
 def brute_enumerate_loops(
@@ -288,8 +297,7 @@ def brute_enumerate_loops(
     path: list[int] = []
 
     def dfs(cn: int, cd: int) -> None:
-        # c = cn/cd is the last prefix value, unreduced: each cd is qn times
-        # the previous cn, so the prefix product telescopes to cn/qn**(length-1)
+        # c = cn/cd is the last prefix value, unreduced as in prefix_pairs
         length = len(path)
         a = qn * cn
         b = qd * cd
@@ -297,7 +305,7 @@ def brute_enumerate_loops(
         for mj in entries:
             num = mj * a + b
             if num == 0:
-                hits.append((tuple(path) + (mj,), Fraction(a * a, (qn * qd) ** length)))
+                hits.append((tuple(path) + (mj,), _weight(qn, qd, a, length)))
             elif extend:
                 path.append(mj)
                 dfs(num, a)
@@ -409,9 +417,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         cfg = SearchConfig()
     qn, qd = q.numerator, q.denominator
     prune = 2 < q < 4
-    cq = chain_length(q) if prune else 0
     max_len = cfg.max_depth
     max_k = max_len - 1
+    # every test below is `x + cq > max_k` with x >= 0, so cq capped at max_len
+    # decides each as the exact C(q) would
+    cq = chain_length(q, max_len) if prune else 0
     budget = cfg.node_budget
 
     # a parent counts at most `budget` children, so a wider window adds none
@@ -446,8 +456,9 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             return
         else:
             seen[ckey] = (wn, wd, prev[2], length)
-        # the child value m + 1/(q c) is (m a + b)/a with a = qn cn, b = qd cd;
-        # signs are moved into b so that the denominator a stays positive
+        # the step of continuants.prefix_pairs, inlined and reduced; verify_witness
+        # re-checks every witness.  The child value is (m a + b)/a with a = qn cn,
+        # b = qd cd; signs are moved into b so that the denominator a stays positive
         a = qn * cn
         b = qd * cd
         if a < 0:
@@ -547,10 +558,12 @@ def verify_witness(w: LoopWitness) -> bool:
             if not isinstance(w2, Fraction):
                 return False
             try:
-                ev = evaluate_path(w.q, path)
+                q, path = _checked(w.q, path)
             except ValueError:
                 return False
-            if ev.status == STATUS_BROKEN or ev.prefix_c[-1] != end or _weight(w.q, ev) != w2:
+            pair = _final_pair(q, path)
+            if (pair is None or pair[0] * end.denominator != end.numerator * pair[1]
+                    or _weight(q.numerator, q.denominator, pair[1], len(path) - 1) != w2):
                 return False
         return True
 
@@ -558,20 +571,13 @@ def verify_witness(w: LoopWitness) -> bool:
         return False
     fw = w.weight_squared
     n = len(w.loop) - 1
-    sign = (-1) ** n
-    if fw.n != n or w.loop[:-1] != tuple((-1) ** i for i in range(n)):
-        return False
-    if w.loop[-1] != sign + fw.c:
+    if n < 1 or fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
         return False
     alg = w.q.refine(ALG_INTERVAL_WIDTH)
     mid = (alg.lo + alg.hi) / 2
-    try:
-        ev = evaluate_path(mid, w.loop)
-    except ValueError:
-        return False
-    if ev.status == STATUS_BROKEN:
-        return False
-    if abs(ev.prefix_c[-1]) >= ALG_FINAL_C_TOL:
+    # a mid <= 0 is refused below, by the weight enclosure
+    pair = _final_pair(mid, w.loop)
+    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL:
         return False
     try:
         lo_b, hi_b = fw.bounds(alg.lo, alg.hi)

@@ -175,6 +175,34 @@ def test_witness_from_dict_refuses_empty_algebraic_loop(capsys):
         cli.witness_from_dict(wd)
 
 
+def _algebraic_darboux_dict():
+    w = families.darboux_witnesses(6, 0, 2)[1].witness
+    assert isinstance(w.q, AlgebraicNumber)
+    return cli.witness_to_dict(w)
+
+
+@pytest.mark.parametrize("loop", [[0], [1], [-2]])
+def test_algebraic_loop_shorter_than_two_is_refused_not_raised(loop):
+    wd = _algebraic_darboux_dict()
+    wd["loop"] = loop
+    assert verify_witness(cli.witness_from_dict(wd)) is False
+
+
+@pytest.mark.parametrize("field,value", [
+    ("interval", lambda iv: iv[:1]),
+    ("interval", lambda iv: iv + iv[:1]),
+    ("interval", lambda iv: iv[0]),
+    ("approx", lambda _: "inf"),
+    ("approx", lambda _: "-inf"),
+    ("approx", lambda _: "nan"),
+])
+def test_q_from_dict_refuses_malformed_algebraic_q(field, value):
+    qd = _algebraic_darboux_dict()["q"]
+    qd[field] = value(qd[field])
+    with pytest.raises(ValueError):
+        cli.q_from_dict(qd)
+
+
 def test_pell_command(capsys):
     code, out = run(capsys, "pell", "--count", "3")
     assert code == 0
@@ -287,6 +315,44 @@ def test_scan_deterministic_across_jobs(capsys):
     _, out1 = run(capsys, *args)
     _, out2 = run(capsys, *args, "--jobs", "2")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_scan_jobs_below_one_is_invalid_input(capsys, jobs):
+    code = cli.main(["scan", "--range", "2,3", "--max-den", "3", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --jobs must be >= 1")
+
+
+def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    # a stand-in executor records its size and maps serially: no process starts
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    args = ["scan", "--range", "2,3", "--max-den", "5", "--depth", "4", "--window", "2"]
+    _, serial = run(capsys, *args)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    for jobs, size in (("2", 2), ("3", 3), ("64", 3)):
+        code, out = run(capsys, *args, "--jobs", jobs)
+        assert code == 0 and out == serial
+        assert sizes.pop() == size
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run(capsys, *args, "--jobs", "8")
+    assert sizes == [1]
 
 
 def test_console_entry_point():

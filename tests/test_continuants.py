@@ -12,10 +12,11 @@ from forbiddenq.continuants import (
     g_identity_check,
     g_poly,
     g_roots,
+    prefix_pairs,
     ratio_in_q,
     u_set,
 )
-from forbiddenq.exact import IntPoly
+from forbiddenq.exact import IntPoly, parity_split
 from forbiddenq.loops import STATUS_PATH, evaluate_path
 
 
@@ -113,6 +114,47 @@ def test_ratio_in_q_examples():
     assert ratio_in_q(1) == (IntPoly([1, -1]), IntPoly([0, 1]))
     assert ratio_in_q(2) == (IntPoly([2, -1]), IntPoly([1, -1]))
     assert ratio_in_q(4) == (IntPoly([3, -4, 1]), IntPoly([1, -3, 1]))
+
+
+def _ratio_by_parity_split(n):
+    # an independent derivation: g_n has the parity of n, so the ratio is
+    # odd(g_{n+1}) / even(g_n) for even n and even(g_{n+1}) / (q odd(g_n)) for odd n
+    even_hi, odd_hi = parity_split(g_poly(n + 1))
+    even_lo, odd_lo = parity_split(g_poly(n))
+    if n % 2 == 0:
+        num, den = odd_hi, even_lo
+    else:
+        num, den = even_hi, IntPoly([0, 1]) * odd_lo
+    c = math.gcd(num.content(), den.content())
+    return IntPoly([x // c for x in num.coeffs]), IntPoly([x // c for x in den.coeffs])
+
+
+@pytest.mark.parametrize("n", range(1, 61))
+def test_ratio_in_q_equals_parity_split_oracle(n):
+    assert ratio_in_q(n) == _ratio_by_parity_split(n)
+
+
+def test_prefix_pairs_over_intpoly_match_integer_pairs():
+    # N_j, D_j are homogeneous of degree j in (qn, qd), so the integer pair at
+    # q = a/b is b**j times the polynomial pair evaluated at a/b
+    rng = random.Random(23)
+    x, one = IntPoly([0, 1]), IntPoly([1])
+    for _ in range(200):
+        m = [rng.randint(-3, 3) for _ in range(rng.randint(1, 9))]
+        a, b = rng.randint(1, 50), rng.randint(1, 20)
+        q = Fraction(a, b)
+        pairs = zip(prefix_pairs(m, x, one), prefix_pairs(m, a, b))
+        for j, ((pn, pd), (n, d)) in enumerate(pairs):
+            pn, pd = (p if isinstance(p, IntPoly) else IntPoly([p]) for p in (pn, pd))
+            assert b**j * pn.eval(q) == n and b**j * pd.eval(q) == d
+            if d != 0:
+                assert pn.eval(q) / pd.eval(q) == Fraction(n, d)
+
+
+def test_prefix_pairs_reduce_nothing():
+    assert list(prefix_pairs((1, -1, 1, -1, -2), 5, 2)) == [
+        (1, 1), (-3, 5), (-5, -15), (-5, -25), (0, -25)]
+    assert list(prefix_pairs((0, 3, 1), 5, 2)) == [(0, 1), (2, 0), (10, 10)]
 
 
 def test_ratio_matches_path_evaluation():

@@ -1,4 +1,7 @@
+import hashlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -147,6 +150,72 @@ def test_chain_length_examples():
     assert chain_length(Q52) == 2
     # frozen regression constant from the exact iteration
     assert chain_length(Fraction(39, 10)) == 17
+
+
+def test_chain_length_limit_caps_the_walk():
+    rng = random.Random(5)
+    for _ in range(300):
+        q = Fraction(rng.randint(1, 399), rng.randint(1, 100))
+        if q >= 4:
+            continue
+        full = chain_length(q)
+        for limit in (0, 1, full - 1, full, full + 1, 300):
+            assert chain_length(q, limit) == min(full, max(limit, 0))
+    # C(3.9999999) = 19867, but the capped walk stops after 9 steps
+    assert chain_length(Fraction("3.9999999"), 9) == 9
+
+
+def test_search_near_four_stops_at_the_root_cut():
+    # every root is cut, since C(q) is huge; the search asks for C(q) only up
+    # to its depth, so it answers at once instead of walking the whole chain
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", "search", "--q", "3.999999999999",
+         "--depth", "5"],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0
+    assert '"nodes": 4' in proc.stdout
+
+
+def _sweep_digest() -> str:
+    rng = random.Random(2024)
+    lines = []
+    for _ in range(3000):
+        q = Fraction(rng.randint(1, 60), rng.randint(1, 25))
+        m = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 8)))
+        ev = evaluate_path(q, m)
+        try:
+            w2 = str(weight_squared(q, m))
+        except BrokenPath:
+            w2 = "broken"
+        prefix = ",".join(map(str, ev.prefix_c))
+        lines.append(f"{q} {m} {prefix} {ev.status} {ev.broken_at} {w2}")
+    for _ in range(500):
+        q = Fraction(rng.randint(1, 399), rng.randint(1, 100))
+        lines.append(f"{q} {chain_length(q) if q < 4 else '-'}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_evaluation_sweep_matches_pinned_values():
+    # prefix values, statuses, weights and C(q) of a seeded sweep, pinned
+    assert _sweep_digest() == "551874dc8ecef80860b7d9a13c5a5b66d4d112091cc23f697c3d7e1c82e20e35"
+
+
+def test_weight_squared_is_the_prefix_product():
+    # the telescoped D_k**2 / (qn qd)**k against the definition q**k prod c_j**2
+    rng = random.Random(31)
+    checked = 0
+    while checked < 500:
+        q = Fraction(rng.randint(1, 60), rng.randint(1, 25))
+        m = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 8)))
+        ev = evaluate_path(q, m)
+        if ev.status == STATUS_BROKEN:
+            continue
+        product = q ** (len(m) - 1)
+        for c in ev.prefix_c[:-1]:
+            product *= c * c
+        assert weight_squared(q, m) == product
+        checked += 1
 
 
 def test_chain_length_out_of_range():
