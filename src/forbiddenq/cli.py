@@ -61,9 +61,9 @@ def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
         raise ValueError(f"poly must be a list of integers, got {d['poly']!r}")
     poly = IntPoly([_int_from_json(c) for c in d["poly"]])
     interval, approx = d["interval"], float(d["approx"])
-    if not isinstance(interval, list) or len(interval) != 2 or not math.isfinite(approx):
-        raise ValueError(f"need a two-entry interval and a finite approx, got "
-                         f"{interval!r} and {approx}")
+    if not isinstance(interval, list) or len(interval) != 2:
+        raise ValueError(f"need a two-entry interval, got {interval!r}")
+    # the constructor refuses any approx but the float of the interval midpoint
     return AlgebraicNumber(poly, Fraction(interval[0]), Fraction(interval[1]), approx)
 
 
@@ -127,12 +127,14 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
             "other_weight_squared": _fraction_from_json(d["other_weight_squared"]),
             "c_value": Fraction(d["c_value"]),
         }
+    if not isinstance(d["verified"], bool):
+        raise ValueError(f"verified must be a JSON boolean, got {d['verified']!r}")
     return loops.LoopWitness(
         q=q,
         loop=loop,
         weight_squared=w2,
         provenance=d["provenance"],
-        verified=bool(d["verified"]),
+        verified=d["verified"],
         **kwargs,
     )
 
@@ -281,7 +283,10 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    print(loops.chain_length(parse_rational(args.q)))
+    n = loops.chain_length(parse_rational(args.q), loops.MAX_CHAIN_LENGTH + 1)
+    if n > loops.MAX_CHAIN_LENGTH:
+        raise loops.BudgetExceeded(f"chain length exceeds the guard {loops.MAX_CHAIN_LENGTH}")
+    print(n)
     return 0
 
 

@@ -8,10 +8,11 @@ pseudo-remainders counts roots exactly, using the sign of the integer
 one root.  So the Sturm count certifies that a root is unique in its
 interval, and the sign change at the ends, re-checkable by anyone, that it is
 there.  Each call runs one remainder sequence: the Sturm sequence of ``p``
-itself, which doubles as the square-free test, and only for ``p`` with a
-repeated root a second one, of its square-free part.  Narrowing an isolated
-root (:meth:`AlgebraicNumber.refine`) bisects in integers, with both ends
-over one power-of-two multiple of a common denominator.
+itself, which doubles as the square-free test and yields gcd(p, p'), and only
+for ``p`` with a repeated root a second one, of its square-free part.
+Narrowing an isolated root (:meth:`AlgebraicNumber.refine`) bisects in
+integers, with both ends over one power-of-two multiple of a common
+denominator.
 """
 
 from __future__ import annotations
@@ -148,10 +149,7 @@ class IntPoly:
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, c)
-        return g
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide out the integer content (sign is preserved)."""
@@ -161,14 +159,14 @@ class IntPoly:
         return IntPoly([c // g for c in self.coeffs])
 
     def square_free_part(self) -> "IntPoly":
-        """Primitive quotient by gcd(p, p'); same roots, all simple."""
+        """Primitive quotient by gcd(p, p'); same roots, all simple.
+
+        gcd(p, p') is read off the Sturm sequence of ``p`` by
+        :func:`_square_free`; no second remainder sequence is run.
+        """
         if self.degree <= 1:
             return self.primitive()
-        g, r = self, self.derivative()
-        while not r.is_zero:  # Euclid's algorithm on primitive pseudo-remainders
-            g, r = r, _pseudo_remainder(g, r).primitive()
-        g = g.primitive()
-        return _exact_div(self, -g if g.leading < 0 else g).primitive()
+        return _square_free(self, _sturm_sequence(self))
 
 
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -241,6 +239,18 @@ def _sturm_sequence(p: IntPoly) -> list[IntPoly]:
     return seq
 
 
+def _square_free(p: IntPoly, seq: list[IntPoly]) -> IntPoly:
+    """Primitive quotient of ``p`` by gcd(p, p'), given ``seq = _sturm_sequence(p)``.
+
+    The Sturm sequence is the remainder sequence of ``p`` and ``p'`` up to
+    signs and positive factors, so gcd(p, p') is its last non-zero entry: the
+    entry before a terminal zero, or a constant when ``p`` is square-free
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*).
+    """
+    g = (seq[-2] if seq[-1].is_zero else seq[-1]).primitive()
+    return _exact_div(p, -g if g.leading < 0 else g).primitive()
+
+
 def _sturm_point(seq: list[IntPoly], x: Fraction) -> tuple[int, int]:
     """(sign of ``seq[0]`` at x, sign variations of the sequence at x)."""
     signs = [q.sign_at(x) for q in seq]
@@ -253,14 +263,14 @@ def real_roots(
 ) -> list[Union[Fraction, AlgebraicNumber]]:
     """Every real root of ``p`` in the closed interval ``[lo, hi]``, increasing.
 
-    Works on the square-free part of ``p``.  One remainder sequence serves
-    both purposes: the Sturm sequence of ``p.primitive()`` is built directly,
-    and only when it ends in the zero polynomial (``p`` has a repeated root)
-    is it rebuilt from ``p.square_free_part()``; for square-free ``p`` the two
-    polynomials are equal.  By Sturm's theorem the number of roots in
-    ``(a, b]`` is ``V(a) - V(b)``, where ``V`` counts sign variations of the
-    Sturm sequence; intervals are bisected until each holds exactly one root
-    and has no root at either end.  A root that is an endpoint or a bisection
+    Works on the square-free part of ``p``.  The Sturm sequence of
+    ``p.primitive()`` is built directly; only when it ends in the zero
+    polynomial (``p`` has a repeated root) is the square-free part taken, with
+    gcd(p, p') read off that same sequence, and the Sturm sequence rebuilt from
+    it.  For square-free ``p`` the two polynomials are equal.  By Sturm's
+    theorem the number of roots in ``(a, b]`` is ``V(a) - V(b)``, where ``V``
+    counts sign variations of the Sturm sequence; intervals are bisected until
+    each holds exactly one root and has no root at either end.  A root that is an endpoint or a bisection
     midpoint is returned exactly as a ``Fraction``; every other root is an
     :class:`AlgebraicNumber` whose open interval lies inside ``(lo, hi)`` and
     holds no other root.
@@ -273,7 +283,7 @@ def real_roots(
     ps = p.primitive()
     seq = _sturm_sequence(ps)
     if seq[-1].is_zero:
-        ps = p.square_free_part()
+        ps = _square_free(ps, seq)
         seq = _sturm_sequence(ps)
     at_lo = _sturm_point(seq, lo)
     out: list[Union[Fraction, AlgebraicNumber]] = [lo] if at_lo[0] == 0 else []
@@ -304,12 +314,15 @@ def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fr
 class AlgebraicNumber:
     """A real algebraic number: a root of ``defining`` in the open ``(lo, hi)``.
 
-    Intervals built by :func:`real_roots` and :func:`isolate_root` hold
-    exactly one root of ``defining``, certified by a Sturm count, and have no
-    root at either end.  The constructor re-checks only the sign change at
-    the endpoints, which proves an odd number of roots inside, so a value
-    read back from outside (a JSON certificate) is a root but not known to be
-    the only one.  ``approx`` is the float midpoint of the interval.
+    Intervals built by :func:`real_roots`, :func:`isolate_root` and
+    :meth:`refine` hold exactly one root of ``defining``, a simple one,
+    certified by a Sturm count, and have no root at either end.  The
+    constructor re-checks only the sign change at the endpoints, which proves
+    an odd number of roots inside, so a value read back from outside (a JSON
+    certificate) is a root but not known to be the only one.  ``approx`` is a
+    defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
+    exactly, and a midpoint too large for a float is refused with
+    ``ValueError``.
     """
 
     defining: IntPoly
@@ -322,11 +335,12 @@ class AlgebraicNumber:
             raise ValueError("empty isolating interval")
         if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
             raise NoSignChange("isolating interval lost its sign-change certificate")
-        # the float midpoint can land one ulp outside a bracket narrower than
-        # double precision; allow exactly that much slack
-        pad = Fraction(math.ulp(abs(self.approx) or 1.0))
-        if not (self.lo - pad <= Fraction(self.approx) <= self.hi + pad):
-            raise ValueError("approx is not inside the isolating interval")
+        try:
+            mid = float((self.lo + self.hi) / 2)
+        except OverflowError:
+            raise ValueError("the interval midpoint is too large for a float") from None
+        if self.approx != mid:
+            raise ValueError("approx is not the float of the interval midpoint")
 
     @property
     def width(self) -> Fraction:
@@ -344,17 +358,20 @@ class AlgebraicNumber:
         return AlgebraicNumber(self.defining, lo, hi, float((lo + hi) / 2))
 
     def compare_rational(self, r: RationalLike) -> int:
-        """-1, 0 or 1 as this value is below, equal to, or above ``r``."""
+        """-1, 0 or 1 as this value is below, equal to, or above ``r``.
+
+        Exact for an interval that holds one simple root, as every interval
+        built here does: inside it, ``defining`` has the sign it has at ``lo``
+        below the root and the opposite sign above it, so one sign at ``r``
+        decides.  An interval read back from outside is only known to hold an
+        odd number of roots, and is not compared.
+        """
         r = Fraction(r)
-        cur = self
-        while True:
-            if r <= cur.lo:
-                return 1
-            if r >= cur.hi:
-                return -1
-            if cur.defining.sign_at(r) == 0:
-                return 0
-            cur = cur.refine(cur.width / 4)
+        if r <= self.lo:
+            return 1
+        if r >= self.hi:
+            return -1
+        return self.defining.sign_at(r) * self.defining.sign_at(self.lo)
 
 
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:

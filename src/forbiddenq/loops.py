@@ -36,6 +36,10 @@ ALG_FINAL_C_TOL = Fraction(1, 10**12)
 # hard guard on SearchConfig.max_depth: the search recurses once per level
 MAX_SEARCH_DEPTH = 256
 
+# hard guard on the chain length `forbiddenq chain` walks to: the walk takes
+# about pi/sqrt(4 - q) steps on integers that grow at each step
+MAX_CHAIN_LENGTH = 2**14
+
 
 class NonPositiveQ(ValueError):
     """q must be a positive rational."""
@@ -224,21 +228,28 @@ def closed_form_c5(q: RationalLike, m: Sequence[int]) -> Fraction:
     return m4 + Fraction(num, den)
 
 
+def _check_order_and_shift(n: int, c: int) -> None:
+    """Refuse an order ``n`` or shift ``c`` that is not an int, or ``n < 1``."""
+    if not isinstance(n, int) or not isinstance(c, int):
+        raise ValueError(f"n and c must be integers, got n={n!r}, c={c!r}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
     """Squared weight 1/|1 + c q (c + (-1)**n)| of a shifted alternating loop.
 
     Applies to loops (1, -1, ..., (-1)**(n-1), (-1)**n + c).  The shifts
     c = 0 and c = (-1)**(n+1) are refused: those loops always have unit
     weight.  For every other integer shift c*(c + (-1)**n) >= 2, so the
-    value is < 1 whenever the sequence is a loop at q.
+    value is < 1 whenever the sequence is a loop at q.  A non-integer ``n``
+    or ``c`` is refused, not truncated.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_order_and_shift(n, c)
     q = Fraction(q)
     if q <= 0:
         raise NonPositiveQ(f"q must be positive, got {q}")
     sign = (-1) ** n
-    c = int(c)
     if c == 0 or c == -sign:
         raise DegenerateC(f"shift c={c} is a unit-weight case for n={n}")
     return 1 / abs(1 + c * q * (c + sign))
@@ -246,9 +257,8 @@ def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
 
 def shifted_alternating_loop(n: int, c: int) -> tuple[int, ...]:
     """The sequence (1, -1, ..., (-1)**(n-1), (-1)**n + c)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple((-1) ** i for i in range(n)) + ((-1) ** n + int(c),)
+    _check_order_and_shift(n, c)
+    return tuple((-1) ** i for i in range(n)) + ((-1) ** n + c,)
 
 
 def chain_length(q: RationalLike, limit: Optional[int] = None) -> int:
@@ -539,8 +549,10 @@ def verify_witness(w: LoopWitness) -> bool:
     different weights.  Each path is evaluated once.  Algebraic q: the
     isolating interval is refined to width <= ``ALG_INTERVAL_WIDTH``, the
     final prefix value at the interval midpoint must be below
-    ``ALG_FINAL_C_TOL`` in absolute value, and the exact weight enclosure
-    over the interval must exclude 1.
+    ``ALG_FINAL_C_TOL`` in absolute value, the exact weight enclosure over
+    the interval must exclude 1, and the weight's ``approx`` must equal
+    exactly the float of the weight at that midpoint; a NaN or infinite
+    ``approx`` is refused, not raised on.
     """
     if isinstance(w.q, Fraction):
         if w.provenance == "duplicate-c":
@@ -571,18 +583,16 @@ def verify_witness(w: LoopWitness) -> bool:
         return False
     fw = w.weight_squared
     n = len(w.loop) - 1
-    if n < 1 or fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
-        return False
     alg = w.q.refine(ALG_INTERVAL_WIDTH)
-    mid = (alg.lo + alg.hi) / 2
-    # a mid <= 0 is refused below, by the weight enclosure
-    pair = _final_pair(mid, w.loop)
-    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL:
-        return False
     try:
+        # ValueError: n < 1, a non-integer n or c, a unit-weight shift, or q <= 0
+        if fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
+            return False
         lo_b, hi_b = fw.bounds(alg.lo, alg.hi)
-    except (DegenerateC, NonPositiveQ):
+    except ValueError:
         return False
-    if lo_b <= 1 <= hi_b:
+    mid = (alg.lo + alg.hi) / 2
+    pair = _final_pair(mid, w.loop)
+    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL or lo_b <= 1 <= hi_b:
         return False
-    return abs(Fraction(fw.approx) - fw.value_at(mid)) < Fraction(1, 10**9)
+    return fw.approx == float(fw.value_at(mid))

@@ -124,6 +124,18 @@ def test_witness_from_dict_refuses_non_integer_entries(capsys):
                 cli.witness_from_dict(d)
 
 
+def test_witness_from_dict_refuses_a_non_boolean_verified(capsys):
+    code, out = run(capsys, "search", "--q", "5/4")
+    wd = json.loads(out)["witness"]
+    for bad in ("false", "true", "", 0, 1, None):
+        d = json.loads(json.dumps(wd))
+        d["verified"] = bad
+        with pytest.raises(ValueError):
+            cli.witness_from_dict(d)
+    wd["verified"] = False
+    assert cli.witness_from_dict(wd).verified is False
+
+
 def test_certificate_numbers_must_be_json_integers(capsys):
     code, out = run(capsys, "search", "--q", "5/4")
     wd = json.loads(out)["witness"]
@@ -188,6 +200,13 @@ def test_algebraic_loop_shorter_than_two_is_refused_not_raised(loop):
     assert verify_witness(cli.witness_from_dict(wd)) is False
 
 
+@pytest.mark.parametrize("approx", ['"nan"', '"inf"', '"-inf"', "1e400"])
+def test_non_finite_weight_approx_is_refused_not_raised(approx):
+    wd = _algebraic_darboux_dict()
+    wd["weight_squared"]["approx"] = json.loads(approx)
+    assert verify_witness(cli.witness_from_dict(wd)) is False
+
+
 @pytest.mark.parametrize("field,value", [
     ("interval", lambda iv: iv[:1]),
     ("interval", lambda iv: iv + iv[:1]),
@@ -219,6 +238,26 @@ def test_chain_command(capsys):
     assert code == 0 and out.strip() == "4"
     code, _ = run(capsys, "chain", "--q", "9/2")
     assert code == 1
+
+
+def test_chain_at_the_guard(capsys, monkeypatch):
+    # C(3) = 4: answered at a guard of 4, a budget fault at a guard of 3
+    monkeypatch.setattr(loops, "MAX_CHAIN_LENGTH", 4)
+    code, out = run(capsys, "chain", "--q", "3")
+    assert code == 0 and out.strip() == "4"
+    monkeypatch.setattr(loops, "MAX_CHAIN_LENGTH", 3)
+    code, out = run(capsys, "chain", "--q", "3")
+    assert code == 2 and out == ""
+
+
+def test_chain_beyond_the_guard_is_a_budget_fault():
+    # C(3.9999999) = 19867; the walk to it grows without bound as q nears 4
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", "chain", "--q", "3.9999999"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"fault: chain length exceeds the guard {loops.MAX_CHAIN_LENGTH}\n"
 
 
 def test_gpoly_roots_uset_cos2(capsys):

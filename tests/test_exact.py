@@ -165,6 +165,36 @@ def test_isolate_root_midpoint_hits_the_root():
     assert alg.lo < 1 < alg.hi and alg.width <= eps
 
 
+@pytest.mark.parametrize("p", [IntPoly([0, -1, 1]), IntPoly([0, 1, -2, 1])])
+def test_isolate_root_returns_a_root_hit_by_bisection(p):
+    # x(x - 1) and x(x - 1)**2 on [0, 2]: the root 0 at the end makes
+    # real_roots bisect, and the first midpoint is the root 1 itself
+    alg = isolate_root(p, 0, 2)
+    assert alg.defining == IntPoly([0, -1, 1])
+    assert alg.lo < 1 < alg.hi and alg.compare_rational(1) == 0
+
+
+def test_compare_rational_inside_a_wide_interval():
+    # one sign decides every point of an interval that holds one simple root
+    alg = isolate_root(IntPoly([-2, 0, 1]), 1, 2, Fraction(1, 2))
+    assert alg.width == Fraction(1, 2)
+    for k in range(1, 64):
+        r = alg.lo + alg.width * Fraction(k, 64)
+        assert alg.compare_rational(r) == (1 if r * r < 2 else -1)
+
+
+def test_approx_is_the_float_of_the_midpoint():
+    p = IntPoly([-2, 0, 1])
+    assert AlgebraicNumber(p, Fraction(1), Fraction(3, 2), 1.25).approx == 1.25
+    for approx in (math.nextafter(1.25, 2), 1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AlgebraicNumber(p, Fraction(1), Fraction(3, 2), approx)
+    # a midpoint too large for a float is refused as input, not as an overflow
+    big = 10**400
+    with pytest.raises(ValueError):
+        AlgebraicNumber(IntPoly([-big - 1, 1]), Fraction(big), Fraction(big + 2), 1e308)
+
+
 def test_sign_at_matches_exact_value():
     rng = random.Random(303)
     for _ in range(300):

@@ -7,10 +7,11 @@ import pytest
 
 from forbiddenq.cli import witness_to_dict
 from forbiddenq.continuants import u_set
-from forbiddenq.exact import AlgebraicNumber, IntPoly
+from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
     DarbouxWitness,
     NegativeDiscriminant,
+    _root_in_interval,
     cos2_family,
     darboux_witnesses,
     fibonacci,
@@ -179,6 +180,19 @@ def test_darboux_min_c_exploration():
 def test_darboux_bad_index():
     with pytest.raises(ValueError):
         darboux_witnesses(4, 5, 1)
+
+
+def test_root_in_interval_returns_an_exact_root_above_t0():
+    # target has rational roots at t0.lo, which is not above t0 and is
+    # skipped, and at the midpoint of [t0.lo, t1], which real_roots hits exactly
+    t0 = isolate_root(IntPoly([-2, 0, 1]), 1, 2)
+    t1 = Fraction(2)
+    mid = (t0.lo + t1) / 2
+    target = (IntPoly([-t0.lo.numerator, t0.lo.denominator])
+              * IntPoly([-mid.numerator, mid.denominator]))
+    assert real_roots(target, t0.lo, t1) == [t0.lo, mid]
+    got = _root_in_interval(target, t0, t1)
+    assert type(got) is Fraction and got == mid
 
 
 def test_cos2_family_examples():

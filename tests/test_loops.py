@@ -132,6 +132,15 @@ def test_lemma_weight_squared_degenerate():
         lemma_weight_squared(4, -1, Q52)
 
 
+@pytest.mark.parametrize("n,c", [(4.0, 2), (Fraction(4), 2), (4, 4.5), (4, Fraction(9, 2))],
+                         ids=["n=4.0", "n=4/1", "c=4.5", "c=9/2"])
+def test_order_and_shift_must_be_integers(n, c):
+    with pytest.raises(ValueError):
+        lemma_weight_squared(n, c, Q52)
+    with pytest.raises(ValueError):
+        shifted_alternating_loop(n, c)
+
+
 def test_lemma_matches_weight_on_known_loops():
     cases = [
         (1, -3, Fraction(1, 4)),
@@ -501,6 +510,17 @@ TAMPERINGS = {
         _algebraic_darboux_witness,
         lambda w: replace(w, weight_squared=replace(w.weight_squared,
                                                     n=w.weight_squared.n + 1))),
+    # the witness has n = 4 and c = 4: int() truncated 4.5 and 9/2 to the
+    # shift 4, and the order 4.0 ran the weight in floats
+    "darboux FormulaWeight.c = 4.5": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, weight_squared=replace(w.weight_squared, c=4.5))),
+    "darboux FormulaWeight.c = 9/2": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, weight_squared=replace(w.weight_squared, c=Fraction(9, 2)))),
+    "darboux FormulaWeight.n = 4.0": (
+        _algebraic_darboux_witness,
+        lambda w: replace(w, weight_squared=replace(w.weight_squared, n=4.0))),
     "rational non-integer entry": (
         _rational_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
     "duplicate-c non-integer entry": (
