@@ -64,7 +64,8 @@ def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
     if not isinstance(interval, list) or len(interval) != 2:
         raise ValueError(f"need a two-entry interval, got {interval!r}")
     # the constructor refuses any approx but the float of the interval midpoint
-    return AlgebraicNumber(poly, Fraction(interval[0]), Fraction(interval[1]), approx)
+    return AlgebraicNumber(poly, _rational_from_json(interval[0]),
+                           _rational_from_json(interval[1]), approx)
 
 
 def w2_to_dict(w2: Union[Fraction, loops.FormulaWeight]) -> dict:
@@ -105,6 +106,19 @@ def _int_from_json(value) -> int:
     raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
 
 
+def _rational_from_json(value) -> Fraction:
+    """A certificate rational: a JSON integer or an "a" or "a/b" string of digits.
+
+    This is what :func:`frac_str` writes; a JSON float such as ``0.5`` or
+    ``1e400`` is refused, not read as a binary fraction or an infinity.  A
+    zero denominator raises ``ZeroDivisionError``, as in :func:`_fraction_from_json`.
+    """
+    if type(value) is int or (
+            isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value)):
+        return Fraction(value)
+    raise ValueError(f"expected an integer or an 'a/b' string, got {value!r}")
+
+
 def _fraction_from_json(d: dict) -> Fraction:
     """The rational ``{"num": ..., "den": ...}`` of a certificate, exactly."""
     return Fraction(_int_from_json(d["num"]), _int_from_json(d["den"]))
@@ -125,7 +139,7 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
         kwargs = {
             "other_loop": _entries_from_json(d["other_loop"]),
             "other_weight_squared": _fraction_from_json(d["other_weight_squared"]),
-            "c_value": Fraction(d["c_value"]),
+            "c_value": _rational_from_json(d["c_value"]),
         }
     if not isinstance(d["verified"], bool):
         raise ValueError(f"verified must be a JSON boolean, got {d['verified']!r}")
@@ -152,7 +166,7 @@ def cmd_eval(args) -> int:
         print(f"status=broken_at:{ev.broken_at}")
     else:
         print(f"status={ev.status}")
-        print(f"w2={frac_str(loops.weight_squared(q, m))}")
+        print(f"w2={frac_str(ev.weight_squared)}")
     return 0
 
 

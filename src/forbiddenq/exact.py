@@ -275,7 +275,13 @@ def real_roots(
     :class:`AlgebraicNumber` whose open interval lies inside ``(lo, hi)`` and
     holds no other root.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    return _real_roots(p, Fraction(lo), Fraction(hi))[1]
+
+
+def _real_roots(
+    p: IntPoly, lo: Fraction, hi: Fraction
+) -> tuple[IntPoly, list[Union[Fraction, AlgebraicNumber]]]:
+    """The square-free polynomial :func:`real_roots` works on, and its roots."""
     if lo >= hi:
         raise ValueError("need lo < hi")
     if p.is_zero:
@@ -301,7 +307,7 @@ def real_roots(
         at_mid = _sturm_point(seq, mid)
         todo.append((mid, at_mid, b, at_b))
         todo.append((a, at_a, mid, at_mid))
-    return out
+    return ps, out
 
 
 def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -413,18 +419,19 @@ def isolate_root(
     The root is found by :func:`real_roots`, whose Sturm count certifies that
     it is the only root of ``p`` in ``(lo, hi)``; :class:`NoSignChange` is
     raised when that count is not 1.  The defining polynomial of the result
-    is the square-free part of ``p``, so the root is simple and the returned
-    interval has strictly opposite endpoint signs.
+    is the square-free part of ``p`` that :func:`real_roots` worked on, so the
+    root is simple, the returned interval has strictly opposite endpoint
+    signs, and no second Sturm sequence is built for an exact rational root.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    inside = [r for r in real_roots(p, lo, hi)
-              if not isinstance(r, Fraction) or lo < r < hi]
+    ps, roots = _real_roots(p, lo, hi)
+    inside = [r for r in roots if not isinstance(r, Fraction) or lo < r < hi]
     if len(inside) != 1:
         raise NoSignChange(f"{len(inside)} roots of p in ({lo}, {hi}), need exactly one")
     root = inside[0]
     if isinstance(root, AlgebraicNumber):
         return root.refine(eps)
     a, b = _bracket(root, lo, hi, eps)
-    return AlgebraicNumber(p.square_free_part(), a, b, float(root))
+    return AlgebraicNumber(ps, a, b, float(root))

@@ -72,12 +72,15 @@ class PathEval:
     ``prefix_c[j]`` is c(q, (m_0..m_j)) for every index that is defined.
     ``status`` is "path", "loop", or "broken"; in the broken case
     ``broken_at`` is the first length j whose evaluation divides by zero,
-    i.e. ``prefix_c[j-1] == 0``.
+    i.e. ``prefix_c[j-1] == 0``.  ``weight_squared`` is the squared weight of
+    a path or loop, taken from the final pair of the same walk, and None when
+    the sequence is broken.
     """
 
     prefix_c: tuple[Fraction, ...]
     status: str
     broken_at: Optional[int] = None
+    weight_squared: Optional[Fraction] = None
 
 
 @dataclass(frozen=True)
@@ -166,14 +169,16 @@ def _checked(q: RationalLike, m: Sequence[int]) -> tuple[Fraction, tuple[int, ..
 
 
 def evaluate_path(q: RationalLike, m: Sequence[int]) -> PathEval:
-    """Exact prefix values and path/loop/broken classification of ``m`` at q."""
+    """Exact prefix values, classification and weight of ``m`` at q, in one walk."""
     q, m = _checked(q, m)
+    qn, qd = q.numerator, q.denominator
     prefix = []
-    for j, (num, den) in enumerate(prefix_pairs(m, q.numerator, q.denominator)):
+    for j, (num, den) in enumerate(prefix_pairs(m, qn, qd)):
         if den == 0:
             return PathEval(tuple(prefix), STATUS_BROKEN, broken_at=j)
         prefix.append(Fraction(num, den))
-    return PathEval(tuple(prefix), STATUS_LOOP if num == 0 else STATUS_PATH)
+    return PathEval(tuple(prefix), STATUS_LOOP if num == 0 else STATUS_PATH,
+                    weight_squared=_weight(qn, qd, den, len(m) - 1))
 
 
 def _final_pair(q: Fraction, m: Sequence[int]) -> Optional[tuple[int, int]]:
@@ -414,11 +419,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     The parent settles each counted child itself: a closing loop is tested,
     a chain cut drops the child, and a child at the maximal length only has
     its value looked up among the c-values seen so far.  Only the remaining
-    interior children are descended into.  One table ``seen`` maps each
-    c-value to its first weight, first path and shortest expanded length
-    (the maximal length for a leaf): a different weight ends the walk as a
-    duplicate-c pair, so the weight is fixed by c, and a state is skipped
-    when its c was expanded at a length no greater than its own.
+    interior children are descended into.  A parent reduces its step once,
+    after which every child's value is in lowest terms; only the centre child
+    can close a loop; and under a chain cut only offsets 0 and +-1 are
+    examined, while the children further out, all with |c| > 1, are counted
+    in one step.  One table ``seen`` maps each c-value to its first weight,
+    first path and shortest expanded length (the maximal length for a leaf):
+    a different weight ends the walk as a duplicate-c pair, so the weight is
+    fixed by c, and a state is skipped when its c was expanded at a length
+    no greater than its own.
     """
     q = Fraction(q)
     if q <= 0:
@@ -439,6 +448,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     for d in range(1, min(cfg.window, budget) + 1):
         offsets.append(-d)
         offsets.append(d)
+    # offsets 0 and +-1, and the number and reach of the offsets beyond them
+    near, far, reach = offsets[:3], len(offsets) - 3, len(offsets) // 2
 
     seen: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
     nodes = 0
@@ -466,13 +477,17 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             return
         else:
             seen[ckey] = (wn, wd, prev[2], length)
-        # the step of continuants.prefix_pairs, inlined and reduced; verify_witness
-        # re-checks every witness.  The child value is (m a + b)/a with a = qn cn,
-        # b = qd cd; signs are moved into b so that the denominator a stays positive
+        # the step of continuants.prefix_pairs, inlined; verify_witness re-checks
+        # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
+        # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
+        # so every child's value is already in lowest terms
         a = qn * cn
         b = qd * cd
         if a < 0:
             a, b = -a, -b
+        g = math.gcd(a, b)
+        a //= g
+        b //= g
         # round(-b/a) with halves to even, as Fraction.__round__
         center, r = divmod(-b, a)
         if 2 * r > a or (2 * r == a and center & 1):
@@ -482,10 +497,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         g2 = math.gcd(wn2, wd2)
         wn2 //= g2
         wd2 //= g2
-        # a child with |c| > 1 moves the last violation to index `length`
+        # a child with |c| > 1 moves the last violation to index `length`.  The
+        # centre child's numerator r0 = center a + b has |r0| <= a/2, so a child
+        # at offset off has |num| >= (|off| - 1/2) a: only the centre can close,
+        # and every child with |off| >= 2 has |c| > 1
         cut_big = prune and length + 1 + cq > max_k
         leaf = length + 1 >= max_len
-        for off in offsets:
+        for off in near if cut_big else offsets:
             mj = center + off
             if mj == 0 and prune:
                 continue
@@ -501,21 +519,25 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                                     provenance="search", verified=False)
                     )
                 continue
-            g = math.gcd(num, a)
-            n2 = num // g
-            d2 = a // g
-            if cut_big and abs(n2) > d2:
+            if cut_big and abs(num) > a:
                 continue
             if leaf:
                 # inline: a call per leaf costs measurable time in (1,2)
-                ckey = (n2, d2)
+                ckey = (num, a)
                 prev = seen.get(ckey)
                 if prev is None:
                     seen[ckey] = (wn2, wd2, here + (mj,), max_len)
                 elif prev[0] != wn2 or prev[1] != wd2:
-                    raise duplicate(prev, here + (mj,), n2, d2, wn2, wd2)
+                    raise duplicate(prev, here + (mj,), num, a, wn2, wd2)
                 continue
-            visit(here + (mj,), n2, d2, wn2, wd2)
+            visit(here + (mj,), num, a, wn2, wd2)
+        if cut_big:
+            # the chain-cut children at |off| >= 2, counted in one step; the
+            # skipped entry 0 is among them when 2 <= |center| <= reach
+            nodes += far - (2 <= abs(center) <= reach)
+            if nodes > budget:
+                nodes = budget + 1
+                raise _BudgetHit
 
     witness = None
     exhausted = False

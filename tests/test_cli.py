@@ -38,6 +38,20 @@ def test_eval_zero_loop(capsys):
     assert "status=loop" in out and "w2=1" in out
 
 
+def test_eval_walks_the_sequence_once(capsys, monkeypatch):
+    calls = []
+    walk = loops.prefix_pairs
+
+    def counting(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(loops, "prefix_pairs", counting)
+    code, out = run(capsys, "eval", "--q", "5/2", "--m", "1,-1,1,-1,-2")
+    assert code == 0 and out.endswith("status=loop\nw2=1/16\n")
+    assert len(calls) == 1
+
+
 def test_eval_broken(capsys):
     code, out = run(capsys, "eval", "--q", "1", "--m", "1,-1,9")
     assert code == 0
@@ -167,6 +181,34 @@ def test_certificate_numbers_must_be_json_integers(capsys):
     d["q"]["poly"] = "".join(d["q"]["poly"])
     with pytest.raises(ValueError):
         cli.witness_from_dict(d)
+
+
+def test_rational_from_json_reads_what_frac_str_writes():
+    for x in (Fraction(0), Fraction(5), Fraction(-7, 3), Fraction(10**30 + 1, 10**29)):
+        assert cli._rational_from_json(cli.frac_str(x)) == x
+    assert cli._rational_from_json(-4) == -4
+    with pytest.raises(ZeroDivisionError):
+        cli._rational_from_json("1/0")
+
+
+@pytest.mark.parametrize("bad", ["1e400", "0.5", '"0.5"', '"1e400"', '" 1/2"',
+                                 '"1/2.0"', '"+1/2"', "true", "null", "[1, 2]"])
+def test_certificate_rationals_are_not_read_as_floats(bad):
+    # a JSON float end or c-value is refused as input: 1e400 is not an
+    # OverflowError (exit 2), and 0.5 is not read as 1/2
+    value = json.loads(bad)
+    ad = _algebraic_darboux_dict()
+    for i in (0, 1):
+        d = json.loads(json.dumps(ad))
+        d["q"]["interval"][i] = value
+        with pytest.raises(ValueError):
+            cli.witness_from_dict(d)
+    w = loops.search_nonunit_loop(Fraction(10, 3), loops.SearchConfig(10, 3)).witness
+    wd = cli.witness_to_dict(w)
+    assert verify_witness(cli.witness_from_dict(wd))
+    wd["c_value"] = value
+    with pytest.raises(ValueError):
+        cli.witness_from_dict(wd)
 
 
 def test_duplicate_c_other_weight_must_be_json_integers():

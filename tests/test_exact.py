@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from forbiddenq import exact
 from forbiddenq.exact import (
     AlgebraicNumber,
     IntPoly,
@@ -172,6 +173,19 @@ def test_isolate_root_returns_a_root_hit_by_bisection(p):
     alg = isolate_root(p, 0, 2)
     assert alg.defining == IntPoly([0, -1, 1])
     assert alg.lo < 1 < alg.hi and alg.compare_rational(1) == 0
+
+
+@pytest.mark.parametrize("p,runs", [(IntPoly([0, 1, -2, 1]), 2), (IntPoly([0, -1, 1]), 1)])
+def test_isolate_root_reuses_the_square_free_part(monkeypatch, p, runs):
+    # a root hit by bisection takes its defining polynomial from real_roots:
+    # one Sturm sequence for a square-free p, and one more for the
+    # square-free part of x(x - 1)**2
+    calls = []
+    build = exact._sturm_sequence
+    monkeypatch.setattr(exact, "_sturm_sequence", lambda s: calls.append(s) or build(s))
+    alg = isolate_root(p, 0, 2)
+    assert alg.defining == IntPoly([0, -1, 1]) and alg.compare_rational(1) == 0
+    assert len(calls) == runs
 
 
 def test_compare_rational_inside_a_wide_interval():

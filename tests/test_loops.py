@@ -210,6 +210,18 @@ def test_evaluation_sweep_matches_pinned_values():
     assert _sweep_digest() == "551874dc8ecef80860b7d9a13c5a5b66d4d112091cc23f697c3d7e1c82e20e35"
 
 
+def test_evaluate_path_weight_matches_weight_squared():
+    rng = random.Random(41)
+    for _ in range(500):
+        q = Fraction(rng.randint(1, 60), rng.randint(1, 25))
+        m = tuple(rng.randint(-4, 4) for _ in range(rng.randint(1, 8)))
+        ev = evaluate_path(q, m)
+        if ev.status == STATUS_BROKEN:
+            assert ev.weight_squared is None
+        else:
+            assert ev.weight_squared == weight_squared(q, m)
+
+
 def test_weight_squared_is_the_prefix_product():
     # the telescoped D_k**2 / (qn qd)**k against the definition q**k prod c_j**2
     rng = random.Random(31)
@@ -367,6 +379,13 @@ GOLDEN_SEARCHES = [
     (("12/17", 9, 3, 30_000), (6, False, "duplicate-c", (1, -1))),
     (("1", 4, 3, 5_000), (682, False, None, None)),
     (("13/22", 5, 4, 10_000), (2_558, False, "duplicate-c", (1, -2, 6, 0, -1))),
+    # chain-cut siblings at offsets |off| >= 2, counted in one step: the
+    # budget runs out among them; the skipped entry 0 falls among them; both;
+    # and window 1, where offsets 0 and +-1 are all the offsets there are
+    (("7/3", 6, 4, 2_000), (2_001, True, None, None)),
+    (("7/2", 9, 3, 3_000), (783, False, None, None)),
+    (("3", 8, 2, 500), (501, True, None, None)),
+    (("33/70", 9, 1, 901), (30, False, "duplicate-c", (1, -2, -18))),
 ]
 
 
@@ -381,6 +400,27 @@ def test_search_golden_table(case, expected):
     assert got == expected
     if w is not None:
         assert w.verified and verify_witness(w)
+
+
+def _search_grid_digest() -> str:
+    qs = sorted({Fraction(p, d) for d in range(1, 12) for p in range(1, 4 * d + 3)})
+    configs = [(3, 1, 50), (5, 1, 300), (9, 1, 901), (4, 2, 100), (8, 2, 500),
+               (6, 3, 400), (9, 3, 3_000), (6, 4, 1_000), (7, 4, 150),
+               (12, 2, 2_000), (10, 4, 700)]
+    h = hashlib.sha256()
+    for q in qs:
+        for depth, window, budget in configs:
+            cfg = SearchConfig(max_depth=depth, window=window, node_budget=budget)
+            h.update(repr(search_nonunit_loop(q, cfg)).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_search_grid_matches_pinned_results():
+    # every SearchResult, witness included, for q = p/d with d <= 11 up to
+    # 4 + 2/d, at windows 1-4 and budgets that run out in about a quarter of
+    # the searches; pinned from the search that tested each child in turn
+    assert _search_grid_digest() == (
+        "4326ed02e147e8847ec0476a0192bafd09d24b0c1352bf76da4fa768af184469")
 
 
 def test_negation_symmetry():
