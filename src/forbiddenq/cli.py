@@ -207,6 +207,8 @@ def cmd_scan(args) -> int:
         raise ValueError(f"bad range [{lo}, {hi}]: need 0 < lo < hi")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    if args.max_den < 1:
+        raise ValueError(f"--max-den must be >= 1, got {args.max_den}")
     cfg = _search_config(args)
     cands = reduced_fractions(lo, hi, args.max_den)
     tasks = [(a, b, cfg) for a, b in cands]

@@ -8,9 +8,14 @@ Two constructions emit verified non-unit-weight loops:
   (1, -1, 1, -1, -(2b**2 - ab)/(b**2 - 3ab + a**2)) of squared weight 1/b**4;
 
 * integer-level crossings of the continuant ratio just above each point of
-  ``u_set(n)`` give values accumulating at that point from the right,
-  emitted exactly when the level polynomial has a rational root in the
-  admissible interval and as certified algebraic numbers otherwise.
+  ``u_set(n)`` give values accumulating at that point from the right, each
+  with the loop (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)), emitted
+  exactly when the level polynomial has a rational root in the admissible
+  interval and as certified algebraic numbers otherwise.
+
+Their sign is (-1)**(n+1) by the lemma in :func:`darboux_witnesses`: with
+x_1 = 1 and x_{j+1} = 1 - 1/(q x_j), so that c_j = (-1)**j x_{j+1}, every
+x_j with j >= 2 increases in q wherever it is defined.
 
 A float-only enumerator of the classical dense family (4/n) cos(pi l/(2k+1))**2
 and the quadratic-target calculator for general length-5 loops round out the
@@ -148,30 +153,18 @@ class DarbouxWitness:
     t1_approx: float
 
 
-def _coprime_square_floats(k: int) -> list[float]:
-    return [
-        4.0 * math.cos(math.pi * j / (k + 1)) ** 2
-        for j in range(1, k + 1)
-        if math.gcd(j, k + 1) == 1
-    ]
-
-
 def _t1_approx(n: int, t0f: float) -> float:
     """Right endpoint: nearest obstruction above t0, capped at 4.
 
     Obstructions are the accumulation sets of the other relevant orders
-    (1..n-1 and n+1) and the roots of the ratio denominator, i.e. every
-    squared root of g_n.
+    (1..n-1 and n+1), i.e. 4*cos(pi*j/m)**2 with j coprime to m for
+    m = 2..n and n+2, and the roots of the ratio denominator, i.e. every
+    squared root of g_n: m = n+1 with 2j <= m.
     """
-    cands = [4.0]
-    for k in itertools.chain(range(1, n), (n + 1,)):
-        cands.extend(v for v in _coprime_square_floats(k) if v > t0f + 1e-9)
-    cands.extend(
-        v
-        for j in range(1, (n + 1) // 2 + 1)
-        if (v := 4.0 * math.cos(math.pi * j / (n + 1)) ** 2) > t0f + 1e-9
-    )
-    return min(cands)
+    return min((v for m in range(2, n + 3) for j in range(1, m)
+                if (2 * j <= m if m == n + 1 else math.gcd(j, m) == 1)
+                and (v := 4.0 * math.cos(math.pi * j / m) ** 2) > t0f + 1e-9),
+               default=4.0)
 
 
 def _exact_if_rational(r: AlgebraicNumber) -> Union[Fraction, AlgebraicNumber]:
@@ -193,32 +186,22 @@ def _root_in_interval(
     """Smallest root of ``target`` in (t0, t1), exact when rational.
 
     Returns None when no root lies in the interval.  The roots are isolated
-    exactly from t0's left end up to t1; a root that shares t0's interval is
-    placed above or below t0 by refining both until their intervals part.
-    They do part: at t0, a root of den, ``target`` = num - eps*c*den equals
-    num, which is non-zero there because num and den are coprime.
+    exactly from t0's left end up to t1; a root whose interval holds t0 is
+    bisected alone until t0 falls outside it, each end placed against t0 by
+    :meth:`AlgebraicNumber.compare_rational`.  That ends: at t0, a root of
+    den, ``target`` = num - eps*c*den equals num, which is non-zero there
+    because num and den are coprime, so the root is not t0.
     """
     for r in real_roots(target, t0.lo, t1):
         if isinstance(r, Fraction):
             if r < t1 and t0.compare_rational(r) < 0:
                 return r
             continue
-        while r.lo < t0.hi and t0.lo < r.hi:
-            r, t0 = r.refine(r.width / 2), t0.refine(t0.width / 2)
-        if r.lo >= t0.hi:
+        while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
+            r = r.refine(r.width / 2)
+        if t0.compare_rational(r.lo) <= 0:
             return _exact_if_rational(r)
     return None
-
-
-def _sign_above(num: IntPoly, den: IntPoly, t0: AlgebraicNumber) -> int:
-    """Sign of num/den just above t0, a simple root of den.
-
-    t0's interval is refined until it holds no root of num (num and den are
-    coprime, so num(t0) != 0); num*den then keeps one sign on (t0, t0.hi].
-    """
-    while real_roots(num, t0.lo, t0.hi):
-        t0 = t0.refine(t0.width / 2)
-    return num.sign_at(t0.hi) * den.sign_at(t0.hi)
 
 
 def darboux_witnesses(
@@ -227,15 +210,23 @@ def darboux_witnesses(
     """Verified witnesses accumulating at ``u_set(n)[u_index]`` from above.
 
     With (num, den) = ratio_in_q(n), t0 the chosen accumulation point and
-    eps the constant sign of num/den on (t0, t1), each integer level
-    c_k = min_c, min_c + 1, ... is solved via num(q) - eps*c_k*den(q) = 0
-    inside (t0, t1); a root gives the loop
-    (1, -1, ..., (-1)**(n-1), (-1)**n - eps*c_k) at q.  Levels with no root
-    in the interval are skipped.  ``min_c`` below 3 explores levels outside
-    the existence argument; any witness that does verify is still a genuine
-    certificate.  Only the chosen point is isolated, by the same call that
-    :func:`u_set` makes for it, so ``t0`` is the interval of
-    ``u_set(n)[u_index]``.
+    eps = (-1)**(n+1), each integer level c_k = min_c, min_c + 1, ... is
+    solved via num(q) - eps*c_k*den(q) = 0 inside (t0, t1); a root gives the
+    loop (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)) at q.  Levels with
+    no root in the interval are skipped.
+
+    eps is the sign of num/den just above t0, by a monotonicity lemma.  Let
+    x_1 = 1 and x_{j+1} = 1 - 1/(q x_j), so that the alternating prefix
+    values are c_j = (-1)**j x_{j+1}.  Then x_{j+1}' = (q x_j)'/(q x_j)**2,
+    (q x_j)' = 1 + x_{j-1}'/x_{j-1}**2 and (q x_1)' = 1, so x_j' > 0 for
+    every j >= 2 wherever x_j is defined.  No x_j with j < n vanishes at t0,
+    whose index is coprime to n + 1, so x_n rises through zero there and
+    num/den = c_n runs to eps * infinity just above t0 (for n = 1, t0 = 0
+    and c_1 = -1 + 1/q); eps * c_n decreases on (t0, next root of den).
+    ``min_c`` below 3 explores levels outside the existence argument; any
+    witness that does verify is still a genuine certificate.  Only the
+    chosen point is isolated, by the same call that :func:`u_set` makes for
+    it, so ``t0`` is the interval of ``u_set(n)[u_index]``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,7 +242,7 @@ def darboux_witnesses(
     if t1f <= t0f + 1e-12:
         raise EmptyInterval(f"no admissible interval above t0={t0f}")
     t1 = Fraction(t1f)
-    epsilon = _sign_above(num, den, t0)
+    epsilon = (-1) ** (n + 1)
 
     out: list[DarbouxWitness] = []
     misses = 0

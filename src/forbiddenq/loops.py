@@ -365,14 +365,16 @@ def check_chain_proposition(q: RationalLike, witnesses: Sequence[LoopWitness]) -
             continue
         if 0 in loop:
             raise ValueError(f"{loop} is not a proper loop")
-        ev = evaluate_path(q, loop)
-        if ev.status != STATUS_LOOP:
+        _, loop = _checked(q, loop)
+        last_violation = -1
+        for j, (num, den) in enumerate(prefix_pairs(loop, q.numerator, q.denominator)):
+            if den == 0:
+                break
+            if abs(num) > abs(den):  # |c_j| > 1
+                last_violation = j
+        if den == 0 or num != 0:
             raise ValueError(f"{loop} is not a loop at q={q}")
         k = len(loop) - 1
-        last_violation = -1
-        for j, c in enumerate(ev.prefix_c):
-            if abs(c) > 1:
-                last_violation = j
         ell = last_violation + 1
         if k < ell + cq:
             return False

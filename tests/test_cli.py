@@ -406,6 +406,14 @@ def test_scan_jobs_below_one_is_invalid_input(capsys, jobs):
     assert captured.err.startswith("error: --jobs must be >= 1")
 
 
+@pytest.mark.parametrize("max_den", ["0", "-5"])
+def test_scan_max_den_below_one_is_invalid_input(capsys, max_den):
+    code = cli.main(["scan", "--range", "2,3", "--max-den", max_den])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --max-den must be >= 1")
+
+
 def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
     # a stand-in executor records its size and maps serially: no process starts
     sizes = []

@@ -1,17 +1,20 @@
 import hashlib
+import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from forbiddenq.cli import witness_to_dict
-from forbiddenq.continuants import u_set
+from forbiddenq.continuants import ratio_in_q, u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
     DarbouxWitness,
     NegativeDiscriminant,
     _root_in_interval,
+    _t1_approx,
     cos2_family,
     darboux_witnesses,
     fibonacci,
@@ -259,3 +262,66 @@ def test_algebraic_certificates_golden():
                 assert (dw.t0.defining, dw.t0.lo, dw.t0.hi) == (t0.defining, t0.lo, t0.hi)
             docs.append([witness_to_dict(dw.witness) for dw in got])
     assert _sha256(docs) == DARBOUX_SHA256
+
+
+def _sign_above(num: IntPoly, den: IntPoly, t0: AlgebraicNumber) -> int:
+    """Sign of num/den just above t0, a simple root of den, by refinement.
+
+    t0's interval is refined until it holds no root of num (num and den are
+    coprime, so num(t0) != 0); num*den then keeps one sign on (t0, t0.hi].
+    """
+    while real_roots(num, t0.lo, t0.hi):
+        t0 = t0.refine(t0.width / 2)
+    return num.sign_at(t0.hi) * den.sign_at(t0.hi)
+
+
+def test_sign_above_t0_is_the_lemma_sign():
+    # x_j = (-1)**(j-1) c_{j-1} increases in q, so c_n runs to
+    # (-1)**(n+1) * infinity just above every point of u_set(n)
+    for n in range(1, 61):
+        num, den = ratio_in_q(n)
+        for i, t0 in enumerate(u_set(n)):
+            assert _sign_above(num, den, t0) == (-1) ** (n + 1), (n, i)
+            if n <= 12:
+                assert darboux_witnesses(n, i, 1)[0].epsilon == (-1) ** (n + 1)
+
+
+def _t1_approx_two_lists(n: int, t0f: float) -> float:
+    """The obstruction minimum gathered from the orders and den's roots apart."""
+    def coprime_square_floats(k):
+        return [4.0 * math.cos(math.pi * j / (k + 1)) ** 2
+                for j in range(1, k + 1) if math.gcd(j, k + 1) == 1]
+
+    cands = [4.0]
+    for k in itertools.chain(range(1, n), (n + 1,)):
+        cands.extend(v for v in coprime_square_floats(k) if v > t0f + 1e-9)
+    cands.extend(
+        v
+        for j in range(1, (n + 1) // 2 + 1)
+        if (v := 4.0 * math.cos(math.pi * j / (n + 1)) ** 2) > t0f + 1e-9
+    )
+    return min(cands)
+
+
+def test_t1_approx_matches_the_two_list_enumeration():
+    for n in range(1, 61):
+        for t0 in u_set(n):
+            assert _t1_approx(n, t0.approx) == _t1_approx_two_lists(n, t0.approx), (n, t0)
+
+
+@pytest.mark.parametrize("n, u_index, count", [(4, 1, 3), (7, 1, 3), (12, 2, 3)])
+def test_darboux_refines_t0_once_in_isolate_root(monkeypatch, n, u_index, count):
+    # t0 never moves: each level root is placed against it by exact
+    # comparison, and its sign above t0 needs no refinement
+    refine = AlgebraicNumber.refine
+    callers = []
+
+    def counting_refine(self, eps):
+        callers.append((self.defining, sys._getframe(1).f_code.co_name))
+        return refine(self, eps)
+
+    monkeypatch.setattr(AlgebraicNumber, "refine", counting_refine)
+    ws = darboux_witnesses(n, u_index, count)
+    assert len(ws) == count
+    t0_poly = ws[0].t0.defining
+    assert [name for poly, name in callers if poly == t0_poly] == ["isolate_root"]

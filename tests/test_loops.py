@@ -301,6 +301,25 @@ def test_check_chain_proposition_rejects_non_loops():
         check_chain_proposition(Fraction(1, 2), [])
 
 
+def test_check_chain_proposition_walks_the_pairs_without_a_weight(monkeypatch):
+    import forbiddenq.loops as loops_mod
+    from forbiddenq.loops import LoopWitness
+
+    ws = brute_enumerate_loops(3, 5, 3)
+
+    def refuse(*args):
+        raise AssertionError("check_chain_proposition computed a weight")
+
+    monkeypatch.setattr(loops_mod, "_weight", refuse)
+    monkeypatch.setattr(loops_mod, "evaluate_path", refuse)
+    assert check_chain_proposition(3, ws)
+    # c_4 = 0 before the last entry: the pair after it has den == 0
+    broken = LoopWitness(q=Q52, loop=LOOP52 + (1,), weight_squared=Fraction(1),
+                         provenance="search", verified=False)
+    with pytest.raises(ValueError, match="is not a loop"):
+        check_chain_proposition(Q52, [broken])
+
+
 def test_search_examples():
     res = search_nonunit_loop(Q52, SearchConfig(max_depth=5, window=3))
     assert res.witness is not None and res.witness.weight_squared != 1
