@@ -46,9 +46,7 @@ from .loops import (
 )
 from .families import (
     DarbouxWitness,
-    EmptyInterval,
     NegativeDiscriminant,
-    NoRoot,
     PellWitness,
     cos2_family,
     darboux_witnesses,

@@ -31,7 +31,11 @@ EXIT_BROKEN_PIPE = 128 + 13  # the shell status of a writer killed by SIGPIPE
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a finite decimal, exactly."""
+    """Parse "a/b" or a finite decimal, exactly; |exponent| > 4300 is refused."""
+    # Fraction would first build 10**exp; 4300 is CPython's int-string digit limit
+    _, e, exp = text.strip().lower().partition("e")
+    if e and abs(int(exp)) > 4300:
+        raise ValueError(f"decimal exponent {exp} is beyond 4300 in magnitude")
     return Fraction(text.strip())
 
 

@@ -149,12 +149,13 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
 
 
-def _u_brackets(n: int, den: IntPoly) -> list[tuple[Fraction, Fraction]]:
-    """Brackets ``(cuts[i], cuts[i+1])`` of the points of ``u_set(n)``, increasing.
+def _u_brackets(n: int, den: IntPoly) -> list[tuple[int, Fraction, Fraction]]:
+    """Triples ``(j, cuts[i], cuts[i+1])`` for the points of ``u_set(n)``, increasing.
 
     ``den`` is the denominator from :func:`ratio_in_q`.  Its roots in [0, 4]
     are isolated once; each bracket runs between the cut points on either
-    side of one kept root and holds no other root of ``den``.
+    side of one kept root, 4*cos(pi*j/(n+1))**2, and holds no other root of
+    ``den``.
     """
     half = (n + 1) // 2
     roots = real_roots(den, 0, 4)
@@ -163,7 +164,8 @@ def _u_brackets(n: int, den: IntPoly) -> list[tuple[Fraction, Fraction]]:
     # cut points between consecutive roots; den has no root below 0 or at 4
     ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
     cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
-    return [(cuts[i], cuts[i + 1]) for i in range(half) if math.gcd(half - i, n + 1) == 1]
+    return [(half - i, cuts[i], cuts[i + 1])
+            for i in range(half) if math.gcd(half - i, n + 1) == 1]
 
 
 def u_set(n: int) -> list[AlgebraicNumber]:
@@ -181,4 +183,4 @@ def u_set(n: int) -> list[AlgebraicNumber]:
     if n < 1:
         raise ValueError("n must be >= 1")
     _, den = ratio_in_q(n)
-    return [isolate_root(den, lo, hi, U_SET_WIDTH) for lo, hi in _u_brackets(n, den)]
+    return [isolate_root(den, lo, hi, U_SET_WIDTH) for _, lo, hi in _u_brackets(n, den)]

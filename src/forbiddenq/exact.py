@@ -322,7 +322,8 @@ class AlgebraicNumber:
 
     Intervals built by :func:`real_roots`, :func:`isolate_root` and
     :meth:`refine` hold exactly one root of ``defining``, a simple one,
-    certified by a Sturm count, and have no root at either end.  The
+    certified by a Sturm count (a Darboux level's by the families' lemma),
+    and have no root at either end.  The
     constructor re-checks only the sign change at the endpoints, which proves
     an odd number of roots inside, so a value read back from outside (a JSON
     certificate) is a root but not known to be the only one.  ``approx`` is a

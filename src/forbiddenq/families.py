@@ -15,7 +15,9 @@ Two constructions emit verified non-unit-weight loops:
 
 Their sign is (-1)**(n+1) by the lemma in :func:`darboux_witnesses`: with
 x_1 = 1 and x_{j+1} = 1 - 1/(q x_j), so that c_j = (-1)**j x_{j+1}, every
-x_j with j >= 2 increases in q wherever it is defined.
+x_j with j >= 2 increases in q wherever it is defined, so with t1 at a Farey
+neighbour below the next pole, level c crosses once in (t0, t1) exactly when
+c > (-1)**(n+1) * c_n(t1), at the one sign change on [t0.lo, t1].
 
 A float-only enumerator of the classical dense family (4/n) cos(pi l/(2k+1))**2
 and the quadratic-target calculator for general length-5 loops round out the
@@ -24,14 +26,13 @@ module.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
-from .continuants import U_SET_WIDTH, _u_brackets, ratio_in_q
+from .exact import AlgebraicNumber, IntPoly, isolate_root
+from .continuants import U_SET_WIDTH, _u_brackets, prefix_pairs, ratio_in_q
 from .loops import (
     ALG_INTERVAL_WIDTH,
     FormulaWeight,
@@ -40,14 +41,6 @@ from .loops import (
     shifted_alternating_loop,
     verify_witness,
 )
-
-
-class EmptyInterval(ValueError):
-    """No admissible right endpoint above the accumulation point."""
-
-
-class NoRoot(ValueError):
-    """No admissible level crossing was found."""
 
 
 class NegativeDiscriminant(ValueError):
@@ -153,18 +146,23 @@ class DarbouxWitness:
     t1_approx: float
 
 
-def _t1_approx(n: int, t0f: float) -> float:
-    """Right endpoint: nearest obstruction above t0, capped at 4.
+def _t1_approx(n: int, j0: int) -> float:
+    """Nearest obstruction above t0 = 4*cos(pi*j0/(n+1))**2, as a float.
 
-    Obstructions are the accumulation sets of the other relevant orders
-    (1..n-1 and n+1), i.e. 4*cos(pi*j/m)**2 with j coprime to m for
-    m = 2..n and n+2, and the roots of the ratio denominator, i.e. every
-    squared root of g_n: m = n+1 with 2j <= m.
+    The obstructions (the accumulation sets of orders 1..n-1 and n+1, and the
+    roots of den) are 4*cos(pi*x)**2 over reduced x in (0, 1) with denominator
+    <= n + 2.  That falls as x rises to 1/2 and is symmetric about it, so the
+    nearest one comes from the left neighbour p/q of j0/(n+1) in the Farey
+    sequence of order n + 2 (Hardy and Wright, ch. III): j0*q - (n+1)*p = 1,
+    q <= n + 2 largest.  It lies strictly between (j0-1)/(n+1) and j0/(n+1),
+    so t1 is below the next root of den.  The float is the least over the
+    ways the obstruction list writes p/q: p/q, (q-p)/q, and k*p/(n+1) when
+    k*q = n+1.
     """
-    return min((v for m in range(2, n + 3) for j in range(1, m)
-                if (2 * j <= m if m == n + 1 else math.gcd(j, m) == 1)
-                and (v := 4.0 * math.cos(math.pi * j / m) ** 2) > t0f + 1e-9),
-               default=4.0)
+    q = pow(j0, -1, n + 1) + (n + 1 if j0 == 1 else 0)
+    p, k = (j0 * q - 1) // (n + 1), (n + 1) // q
+    forms = [(p, q), (q - p, q)] + ([(k * p, n + 1)] if k * q == n + 1 else [])
+    return min(4.0 * math.cos(math.pi * j / m) ** 2 for j, m in forms)
 
 
 def _exact_if_rational(r: AlgebraicNumber) -> Union[Fraction, AlgebraicNumber]:
@@ -182,26 +180,23 @@ def _exact_if_rational(r: AlgebraicNumber) -> Union[Fraction, AlgebraicNumber]:
 
 def _root_in_interval(
     target: IntPoly, t0: AlgebraicNumber, t1: Fraction
-) -> Optional[Union[Fraction, AlgebraicNumber]]:
-    """Smallest root of ``target`` in (t0, t1), exact when rational.
+) -> Union[Fraction, AlgebraicNumber]:
+    """The root of ``target`` in (t0, t1), exact when rational.
 
-    Returns None when no root lies in the interval.  The roots are isolated
-    exactly from t0's left end up to t1; a root whose interval holds t0 is
-    bisected alone until t0 falls outside it, each end placed against t0 by
+    By the lemma in :func:`darboux_witnesses`, ``target`` has one simple root
+    in (t0, t1) and, as eps*c_n falls to -infinity just below t0, none in
+    [t0.lo, t0]: it changes sign once on [t0.lo, t1].  That interval is
+    bisected until t0 falls outside it, each end placed against t0 by
     :meth:`AlgebraicNumber.compare_rational`.  That ends: at t0, a root of
-    den, ``target`` = num - eps*c*den equals num, which is non-zero there
-    because num and den are coprime, so the root is not t0.
+    den, ``target`` = num - eps*c*den equals num, non-zero as num and den are
+    coprime.  A sign change below t0 breaks the premise: ArithmeticError.
     """
-    for r in real_roots(target, t0.lo, t1):
-        if isinstance(r, Fraction):
-            if r < t1 and t0.compare_rational(r) < 0:
-                return r
-            continue
-        while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
-            r = r.refine(r.width / 2)
-        if t0.compare_rational(r.lo) <= 0:
-            return _exact_if_rational(r)
-    return None
+    r = AlgebraicNumber(target.primitive(), t0.lo, t1, float((t0.lo + t1) / 2))
+    while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
+        r = r.refine(r.width / 2)
+    if t0.compare_rational(r.lo) > 0:
+        raise ArithmeticError("the level polynomial changes sign below t0")
+    return _exact_if_rational(r)
 
 
 def darboux_witnesses(
@@ -210,10 +205,10 @@ def darboux_witnesses(
     """Verified witnesses accumulating at ``u_set(n)[u_index]`` from above.
 
     With (num, den) = ratio_in_q(n), t0 the chosen accumulation point and
-    eps = (-1)**(n+1), each integer level c_k = min_c, min_c + 1, ... is
-    solved via num(q) - eps*c_k*den(q) = 0 inside (t0, t1); a root gives the
-    loop (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)) at q.  Levels with
-    no root in the interval are skipped.
+    eps = (-1)**(n+1), the levels c_k = first, first + 1, ... with
+    first = max(min_c, 1, floor(eps * c_n(t1)) + 1) are solved via
+    num(q) - eps*c_k*den(q) = 0 inside (t0, t1); the root gives the loop
+    (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)) at q.
 
     eps is the sign of num/den just above t0, by a monotonicity lemma.  Let
     x_1 = 1 and x_{j+1} = 1 - 1/(q x_j), so that the alternating prefix
@@ -223,6 +218,10 @@ def darboux_witnesses(
     whose index is coprime to n + 1, so x_n rises through zero there and
     num/den = c_n runs to eps * infinity just above t0 (for n = 1, t0 = 0
     and c_1 = -1 + 1/q); eps * c_n decreases on (t0, next root of den).
+    t1 (:func:`_t1_approx`) is below that root, so eps * c_n maps (t0, t1)
+    onto (eps * c_n(t1), infinity) one to one: level c has one root there
+    exactly when c > eps * c_n(t1).  c_n(t1) is the last pair of one
+    :func:`prefix_pairs` walk of the alternating loop at t1.
     ``min_c`` below 3 explores levels outside the existence argument; any
     witness that does verify is still a genuine certificate.  Only the
     chosen point is isolated, by the same call that :func:`u_set` makes for
@@ -236,26 +235,17 @@ def darboux_witnesses(
     brackets = _u_brackets(n, den)
     if not 0 <= u_index < len(brackets):
         raise ValueError(f"u_index {u_index} out of range for {len(brackets)} points")
-    t0 = isolate_root(den, *brackets[u_index], U_SET_WIDTH)
-    t0f = t0.approx
-    t1f = _t1_approx(n, t0f)
-    if t1f <= t0f + 1e-12:
-        raise EmptyInterval(f"no admissible interval above t0={t0f}")
+    j0, lo, hi = brackets[u_index]
+    t0 = isolate_root(den, lo, hi, U_SET_WIDTH)
+    t1f = _t1_approx(n, j0)
     t1 = Fraction(t1f)
     epsilon = (-1) ** (n + 1)
+    *_, (cn, cd) = prefix_pairs([(-1) ** i for i in range(n + 1)], t1.numerator, t1.denominator)
+    first = max(min_c, 1, epsilon * cn // cd + 1)
 
     out: list[DarbouxWitness] = []
-    misses = 0
-    for c_k in itertools.count(max(1, min_c)):
-        if len(out) >= count:
-            break
-        if misses > 200:
-            raise NoRoot(f"no admissible level crossings found above t0={t0f}")
-        target = num - (epsilon * c_k) * den
-        qval = _root_in_interval(target, t0, t1)
-        if qval is None:
-            misses += 1
-            continue
+    for c_k in range(first, first + count):
+        qval = _root_in_interval(num - (epsilon * c_k) * den, t0, t1)
         shift = -epsilon * c_k
         w2: Union[Fraction, FormulaWeight]
         if isinstance(qval, Fraction):

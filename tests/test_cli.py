@@ -24,6 +24,24 @@ def test_parse_rational():
         cli.parse_rational("0.333...")
 
 
+def test_parse_rational_reads_exponents_up_to_the_digit_limit():
+    assert cli.parse_rational("1e4300") == 10**4300
+    assert cli.parse_rational("1E-4300") == Fraction(1, 10**4300)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--q", "1e999999999", "--m", "1"),
+    ("eval", "--q", "1e-999999999", "--m", "1"),
+    ("search", "--q", "1e4301"),
+    ("chain", "--q", "1E+999999999"),
+    ("scan", "--range", "1,1e999999999"),
+])
+def test_huge_decimal_exponent_is_invalid_input(capsys, argv):
+    # Fraction would build 10**999999999 before any check could run
+    code, out = run(capsys, *argv)
+    assert code == 1 and out == ""
+
+
 def test_eval_loop(capsys):
     code, out = run(capsys, "eval", "--q", "5/2", "--m", "1,-1,1,-1,-2")
     assert code == 0

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from forbiddenq.cli import witness_to_dict
-from forbiddenq.continuants import ratio_in_q, u_set
+from forbiddenq import exact
+from forbiddenq.continuants import _u_brackets, ratio_in_q, u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
     DarbouxWitness,
@@ -186,16 +187,22 @@ def test_darboux_bad_index():
 
 
 def test_root_in_interval_returns_an_exact_root_above_t0():
-    # target has rational roots at t0.lo, which is not above t0 and is
-    # skipped, and at the midpoint of [t0.lo, t1], which real_roots hits exactly
+    # target's only root in [t0.lo, t1] is the midpoint, which the first
+    # bisection hits exactly
     t0 = isolate_root(IntPoly([-2, 0, 1]), 1, 2)
     t1 = Fraction(2)
     mid = (t0.lo + t1) / 2
-    target = (IntPoly([-t0.lo.numerator, t0.lo.denominator])
-              * IntPoly([-mid.numerator, mid.denominator]))
-    assert real_roots(target, t0.lo, t1) == [t0.lo, mid]
+    target = IntPoly([-mid.numerator, mid.denominator]) * IntPoly([1, 0, 1])
+    assert target.eval(mid) == 0 and len(real_roots(target, t0.lo, t1)) == 1
     got = _root_in_interval(target, t0, t1)
     assert type(got) is Fraction and got == mid
+
+
+def test_root_in_interval_refuses_a_sign_change_below_t0():
+    # t0 = sqrt(2) on the wide interval (1, 2); the one root, 5/4, is below it
+    t0 = AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), 1.5)
+    with pytest.raises(ArithmeticError):
+        _root_in_interval(IntPoly([-5, 4]), t0, Fraction(2))
 
 
 def test_cos2_family_examples():
@@ -305,8 +312,51 @@ def _t1_approx_two_lists(n: int, t0f: float) -> float:
 
 def test_t1_approx_matches_the_two_list_enumeration():
     for n in range(1, 61):
-        for t0 in u_set(n):
-            assert _t1_approx(n, t0.approx) == _t1_approx_two_lists(n, t0.approx), (n, t0)
+        for (j0, _, _), t0 in zip(_u_brackets(n, ratio_in_q(n)[1]), u_set(n)):
+            assert _t1_approx(n, j0) == _t1_approx_two_lists(n, t0.approx), (n, t0)
+
+
+def _roots_above(target: IntPoly, t0: AlgebraicNumber, t1: Fraction) -> int:
+    """Roots of ``target`` in (t0, t1), counted by ``real_roots`` as reference."""
+    assert real_roots(target, t0.lo, t0.hi) == []
+    return sum(1 for r in real_roots(target, t0.hi, t1) if r != t1)
+
+
+def test_lemma_premise_and_first_level_criterion():
+    # den has no root in [t0.hi, t1], and level c crosses once in (t0, t1)
+    # exactly when c >= first, the first level darboux_witnesses emits
+    cut_below_t1 = set()
+    for n in range(1, 25):
+        num, den = ratio_in_q(n)
+        eps = (-1) ** (n + 1)
+        for i, (_, _, cut) in enumerate(_u_brackets(n, den)):
+            dw = darboux_witnesses(n, i, 1, min_c=1)[0]
+            t0, t1 = dw.t0, Fraction(dw.t1_approx)
+            assert real_roots(den, t0.hi, t1) == [], (n, i)
+            for c in range(1, dw.c_k + 2):
+                want = 1 if c >= dw.c_k else 0
+                assert _roots_above(num - (eps * c) * den, t0, t1) == want, (n, i, c)
+            if cut < t1:
+                cut_below_t1.add((n, i))
+    # the bracket's upper cut lies below t1 here, so t1 is not clipped to it
+    assert {(10, 3), (16, 6)} <= cut_below_t1
+
+
+@pytest.mark.parametrize("n, u_index", [(4, 1), (16, 6), (60, 3)])
+def test_darboux_builds_sturm_sequences_of_den_only(monkeypatch, n, u_index):
+    # each level root is the one sign change the lemma gives, so no level
+    # polynomial gets a Sturm sequence
+    sturm = exact._sturm_sequence
+    seen = []
+
+    def recording_sturm(p):
+        seen.append(p)
+        return sturm(p)
+
+    monkeypatch.setattr(exact, "_sturm_sequence", recording_sturm)
+    darboux_witnesses(n, u_index, 3)
+    _, den = ratio_in_q(n)
+    assert seen and all(p == den for p in seen)
 
 
 @pytest.mark.parametrize("n, u_index, count", [(4, 1, 3), (7, 1, 3), (12, 2, 3)])
