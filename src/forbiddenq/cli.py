@@ -6,7 +6,8 @@ Exit codes: 0 success (including "nothing found"), 1 invalid input,
 any ``ArithmeticError`` but division by zero), 141 when the reader of stdout
 closed it early.  Rationals are accepted as "a/b" or as finite decimals, both
 converted exactly.  All big integers in JSON output are rendered as decimal
-strings.
+strings; one longer than the interpreter's int-to-str limit is a budget
+fault, with nothing printed.
 """
 
 from __future__ import annotations
@@ -31,28 +32,49 @@ EXIT_BROKEN_PIPE = 128 + 13  # the shell status of a writer killed by SIGPIPE
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "a/b" or a finite decimal, exactly; |exponent| > 4300 is refused."""
+    """Parse "a/b" or a finite decimal, exactly; |exponent| > 4300 is refused.
+
+    So is a numerator or denominator, written or computed, of more digits
+    than the interpreter's int-to-str limit (``sys.get_int_max_str_digits()``;
+    no check where it is 0 or absent): no result could print it.
+    """
+    text = text.strip()
     # Fraction would first build 10**exp; 4300 is CPython's int-string digit limit
-    _, e, exp = text.strip().lower().partition("e")
+    mantissa, e, exp = text.lower().partition("e")
     if e and abs(int(exp)) > 4300:
         raise ValueError(f"decimal exponent {exp} is beyond 4300 in magnitude")
-    return Fraction(text.strip())
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"a numerator or denominator of more than {limit} digits is refused"
+    # Fraction would raise the interpreter's own error on a written one
+    if limit and max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) > limit:
+        raise ValueError(too_long)
+    x = Fraction(text)
+    if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
+        raise ValueError(too_long)
+    return x
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
 
 
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
+def frac_str(x: Union[int, Fraction]) -> str:
+    """``x`` as "a" or "a/b"; more digits than the interpreter prints is a budget fault."""
+    try:
+        return str(x)
+    except ValueError:  # str of an int raises it only beyond the digit limit
+        raise loops.BudgetExceeded(
+            f"a result has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def q_to_dict(q: Union[Fraction, AlgebraicNumber]) -> dict:
     if isinstance(q, Fraction):
-        return {"type": "rational", "num": str(q.numerator), "den": str(q.denominator)}
+        return {"type": "rational", "num": frac_str(q.numerator),
+                "den": frac_str(q.denominator)}
     return {
         "type": "algebraic",
-        "poly": [str(c) for c in q.defining.coeffs],
+        "poly": [frac_str(c) for c in q.defining.coeffs],
         "interval": [frac_str(q.lo), frac_str(q.hi)],
         "approx": q.approx,
     }
@@ -74,7 +96,7 @@ def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
 
 def w2_to_dict(w2: Union[Fraction, loops.FormulaWeight]) -> dict:
     if isinstance(w2, Fraction):
-        return {"num": str(w2.numerator), "den": str(w2.denominator)}
+        return {"num": frac_str(w2.numerator), "den": frac_str(w2.denominator)}
     return {"formula": WEIGHT_FORMULA, "approx": w2.approx}
 
 
@@ -165,12 +187,14 @@ def cmd_eval(args) -> int:
     q = parse_rational(args.q)
     m = parse_sequence(args.m)
     ev = loops.evaluate_path(q, m)
-    print("prefix_c=" + ",".join(frac_str(c) for c in ev.prefix_c))
+    # every line is rendered before any is printed
+    lines = ["prefix_c=" + ",".join(frac_str(c) for c in ev.prefix_c)]
     if ev.status == loops.STATUS_BROKEN:
-        print(f"status=broken_at:{ev.broken_at}")
+        lines.append(f"status=broken_at:{ev.broken_at}")
     else:
-        print(f"status={ev.status}")
-        print(f"w2={frac_str(ev.weight_squared)}")
+        lines.append(f"status={ev.status}")
+        lines.append(f"w2={frac_str(ev.weight_squared)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -254,7 +278,8 @@ def cmd_scan(args) -> int:
         w = res.witness
         if w is not None and isinstance(w.weight_squared, Fraction):
             loop_s = ";".join(str(x) for x in w.loop)
-            w2n, w2d = str(w.weight_squared.numerator), str(w.weight_squared.denominator)
+            w2 = w.weight_squared
+            w2n, w2d = frac_str(w2.numerator), frac_str(w2.denominator)
             prov = w.provenance
             other_s = ";".join(str(x) for x in w.other_loop or ())
         else:
@@ -274,8 +299,8 @@ def cmd_pell(args) -> int:
         out.append(
             {
                 "k": pw.k,
-                "a": str(pw.a),
-                "b": str(pw.b),
+                "a": frac_str(pw.a),
+                "b": frac_str(pw.b),
                 "q": q_to_dict(pw.q),
                 "witness": witness_to_dict(pw.witness),
             }

@@ -16,6 +16,7 @@ inlines a reduced copy of its step.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -326,10 +327,14 @@ def brute_enumerate_loops(
                 dfs(num, a)
                 path.pop()
 
-    for m0 in range(1, coeff_bound + 1):
-        path[:] = [m0]
-        dfs(m0, 1)
-    path[:] = []
+    try:
+        for m0 in range(1, coeff_bound + 1):
+            path[:] = [m0]
+            dfs(m0, 1)
+    finally:
+        # `dfs` calls itself through its closure cell; without this the cycle
+        # keeps it, `hits` and `path` alive until a collection
+        dfs = None
 
     out: list[tuple[tuple[int, ...], Fraction]] = []
     for loop, w2 in hits:
@@ -430,6 +435,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     a different weight ends the walk as a duplicate-c pair, so the weight is
     fixed by c, and a state is skipped when its c was expanded at a length
     no greater than its own.
+
+    The walk builds no reference cycles, and it runs with the cyclic garbage
+    collector paused; the caller's collector state is restored on every exit.
+    The table, bounded by ``cfg.node_budget``, is freed by reference counting
+    on return.
     """
     q = Fraction(q)
     if q <= 0:
@@ -543,6 +553,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
 
     witness = None
     exhausted = False
+    # the walk allocates only objects that reference counting frees, so the
+    # cyclic collector, which would scan the growing table again and again,
+    # is paused for it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         for m0 in range(1, cfg.window + 1):
             nodes += 1
@@ -557,6 +572,14 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         exhausted = True
     except _Found as hit:
         witness = replace(hit.witness, verified=verify_witness(hit.witness))
+    finally:
+        # `visit` calls itself through its closure cell, a cycle that would
+        # keep it and `seen` alive until a collection: free the table and
+        # break the cycle before the collector may run again
+        seen.clear()
+        visit = None
+        if collecting:
+            gc.enable()
     if witness is not None and not witness.verified:
         raise ArithmeticError(
             f"internal verification failure for {witness.loop} at q={q}"

@@ -25,8 +25,42 @@ def test_parse_rational():
 
 
 def test_parse_rational_reads_exponents_up_to_the_digit_limit():
+    # 10**4299 has 4300 digits, CPython's default int-to-str limit
+    assert cli.parse_rational("1e4299") == 10**4299
+    assert cli.parse_rational("1E-4299") == Fraction(1, 10**4299)
+    for text in ("1e4300", "1E-4300", "10e4299", "1" * 4301, "1/" + "3" * 4301):
+        with pytest.raises(ValueError, match="more than 4300 digits is refused"):
+            cli.parse_rational(text)
+
+
+@pytest.mark.parametrize("limit", [0, None])
+def test_parse_rational_without_a_digit_limit(monkeypatch, limit):
+    # a limit of 0, or an interpreter without one, prints integers of any size
+    if limit is None:
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    else:
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit)
     assert cli.parse_rational("1e4300") == 10**4300
-    assert cli.parse_rational("1E-4300") == Fraction(1, 10**4300)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--q", "1e4300", "--m", "1,-1,1"),
+    ("chain", "--q", "1e4300"),
+])
+def test_q_beyond_the_digit_limit_is_invalid_input(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (
+        "error: a numerator or denominator of more than 4300 digits is refused\n")
+
+
+def test_result_beyond_the_digit_limit_is_a_budget_fault(capsys):
+    # q = 10**2000 prints, but w2 = (q + 1)**2 (2q + 1)**2 / q**5 does not
+    code = cli.main(["eval", "--q", "1e2000", "--m", "1,1,1,1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "fault: a result has more than 4300 digits\n"
 
 
 @pytest.mark.parametrize("argv", [

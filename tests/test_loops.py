@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import subprocess
@@ -617,3 +618,68 @@ def test_huge_window_allocates_within_budget():
         tracemalloc.stop()
     assert res == expected
     assert peak < 2**20
+
+
+@pytest.fixture
+def collector_off():
+    """The cyclic collector disabled and emptied, then the caller's state back."""
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# (q, max_depth, window, node_budget) -> (budget_exhausted, provenance)
+ACYCLIC_SEARCHES = [
+    (("9/7", 6, 4, 20_000), (True, None)),            # budget exhausted in (1,2)
+    (("5/2", 5, 3, 200_000), (False, "search")),      # a loop found
+    (("5/2", 4, 3, 5_000), (False, "duplicate-c")),   # a duplicate-c pair
+    (("7/2", 9, 3, 3_000), (False, None)),            # chain-cut siblings in (3,4)
+]
+
+
+@pytest.mark.parametrize("case,expected", ACYCLIC_SEARCHES)
+def test_search_leaves_nothing_for_the_collector(collector_off, case, expected):
+    # the table is freed by reference counting on return, whatever the outcome
+    q, depth, window, budget = case
+    res = search_nonunit_loop(
+        Fraction(q), SearchConfig(max_depth=depth, window=window, node_budget=budget)
+    )
+    assert (res.budget_exhausted, res.witness and res.witness.provenance) == expected
+    assert gc.collect() == 0
+
+
+def test_brute_enumeration_leaves_nothing_for_the_collector(collector_off):
+    assert any(w.verified for w in brute_enumerate_loops(Q52, 4, 3))
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_search_restores_the_callers_collector_state(monkeypatch, enabled):
+    import forbiddenq.loops as loops_mod
+
+    caller = gc.isenabled()
+    paused = []
+
+    def refuse(w):
+        paused.append(not gc.isenabled())
+        return False
+
+    try:
+        (gc.enable if enabled else gc.disable)()
+        search_nonunit_loop(Q52, SearchConfig(max_depth=5, window=3))
+        assert gc.isenabled() is enabled
+        search_nonunit_loop(4, SearchConfig(max_depth=6, window=4, node_budget=50))
+        assert gc.isenabled() is enabled
+        # a witness that fails verification raises, and still restores it
+        monkeypatch.setattr(loops_mod, "verify_witness", refuse)
+        with pytest.raises(ArithmeticError):
+            search_nonunit_loop(Q52, SearchConfig(max_depth=5, window=3))
+        assert gc.isenabled() is enabled
+        assert paused == [True]
+    finally:
+        (gc.enable if caller else gc.disable)()
