@@ -43,19 +43,43 @@ def parse_rational(text: str) -> Fraction:
     mantissa, e, exp = text.lower().partition("e")
     if e and abs(int(exp)) > 4300:
         raise ValueError(f"decimal exponent {exp} is beyond 4300 in magnitude")
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     too_long = f"a numerator or denominator of more than {limit} digits is refused"
     # Fraction would raise the interpreter's own error on a written one
     if limit and max(sum(map(str.isdigit, part)) for part in mantissa.split("/")) > limit:
         raise ValueError(too_long)
-    x = Fraction(text)
+    try:
+        x = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"the denominator of {text!r} is zero") from None
     if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
         raise ValueError(too_long)
     return x
 
 
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit limit; 0 where it is 0 or absent."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def parse_sequence(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip() != "")
+    """Comma-separated integers, as ``int`` reads them; empty entries are skipped.
+
+    An entry of more digits than the int-to-str limit is refused, as in
+    :func:`parse_rational`.
+    """
+    limit = _digit_limit()
+    out = []
+    for tok in text.split(","):
+        if tok.strip() == "":
+            continue
+        if limit and sum(map(str.isdigit, tok)) > limit:
+            raise ValueError(f"an entry of more than {limit} digits is refused")
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"entry {tok.strip()!r} is not an integer") from None
+    return tuple(out)
 
 
 def frac_str(x: Union[int, Fraction]) -> str:
@@ -230,7 +254,10 @@ def _scan_candidate(task):
 
 
 def cmd_scan(args) -> int:
-    lo, hi = (parse_rational(t) for t in args.range.split(","))
+    ends = args.range.split(",")
+    if len(ends) != 2:
+        raise ValueError(f"--range needs lo,hi, got {args.range!r}")
+    lo, hi = (parse_rational(t) for t in ends)
     if not 0 < lo < hi:
         raise ValueError(f"bad range [{lo}, {hi}]: need 0 < lo < hi")
     if args.jobs < 1:

@@ -434,7 +434,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     first path and shortest expanded length (the maximal length for a leaf):
     a different weight ends the walk as a duplicate-c pair, so the weight is
     fixed by c, and a state is skipped when its c was expanded at a length
-    no greater than its own.
+    no greater than its own.  A parent's leaf children share one record,
+    which holds the parent's path and its reduced b: a leaf with value
+    num/a has the entry (num - b) // a, and its own path is rebuilt only
+    for a certificate.
 
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
@@ -463,13 +466,19 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     # offsets 0 and +-1, and the number and reach of the offsets beyond them
     near, far, reach = offsets[:3], len(offsets) - 3, len(offsets) // 2
 
-    seen: dict[tuple[int, int], tuple[int, int, tuple[int, ...], int]] = {}
+    # c-value -> (weight num, weight den, path, expanded length, b), where b
+    # is None for a path of its own and, in the record a parent shares with
+    # its leaf children, the parent's reduced b
+    seen: dict[tuple[int, int],
+               tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
     nodes = 0
 
     def duplicate(prev, second: tuple[int, ...], cn, cd, wn, wd) -> _Found:
+        # a leaf's own entry is (num - b) // a, exactly: its key is (m a + b, a)
+        first = prev[2] if prev[4] is None else prev[2] + ((cn - prev[4]) // cd,)
         return _Found(
             LoopWitness(
-                q=q, loop=prev[2], weight_squared=Fraction(prev[0], prev[1]),
+                q=q, loop=first, weight_squared=Fraction(prev[0], prev[1]),
                 provenance="duplicate-c", verified=False, other_loop=second,
                 other_weight_squared=Fraction(wn, wd), c_value=Fraction(cn, cd),
             )
@@ -482,13 +491,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         ckey = (cn, cd)
         prev = seen.get(ckey)
         if prev is None:
-            seen[ckey] = (wn, wd, here, length)
+            seen[ckey] = (wn, wd, here, length, None)
         elif prev[0] != wn or prev[1] != wd:
             raise duplicate(prev, here, cn, cd, wn, wd)
         elif prev[3] <= length:
             return
         else:
-            seen[ckey] = (wn, wd, prev[2], length)
+            seen[ckey] = (wn, wd, prev[2], length, prev[4])
         # the step of continuants.prefix_pairs, inlined; verify_witness re-checks
         # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
         # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
@@ -515,6 +524,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         # and every child with |off| >= 2 has |c| > 1
         cut_big = prune and length + 1 + cq > max_k
         leaf = length + 1 >= max_len
+        if leaf:
+            rec = (wn2, wd2, here, max_len, b)
         for off in near if cut_big else offsets:
             mj = center + off
             if mj == 0 and prune:
@@ -534,12 +545,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             if cut_big and abs(num) > a:
                 continue
             if leaf:
-                # inline: a call per leaf costs measurable time in (1,2)
-                ckey = (num, a)
-                prev = seen.get(ckey)
-                if prev is None:
-                    seen[ckey] = (wn2, wd2, here + (mj,), max_len)
-                elif prev[0] != wn2 or prev[1] != wd2:
+                # inline: a call per leaf costs measurable time in (1,2).
+                # `prev is rec`: the value is new and now holds the shared record
+                prev = seen.setdefault((num, a), rec)
+                if prev is not rec and (prev[0] != wn2 or prev[1] != wd2):
                     raise duplicate(prev, here + (mj,), num, a, wn2, wd2)
                 continue
             visit(here + (mj,), num, a, wn2, wd2)

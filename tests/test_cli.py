@@ -55,6 +55,25 @@ def test_q_beyond_the_digit_limit_is_invalid_input(capsys, argv):
         "error: a numerator or denominator of more than 4300 digits is refused\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("eval", "--q", "1", "--m", "1," + "1" * 4301),
+     "an entry of more than 4300 digits is refused"),
+    (("eval", "--q", "1", "--m", "1,-1,x"), "entry 'x' is not an integer"),
+    (("scan", "--range", "1", "--max-den", "3"), "--range needs lo,hi, got '1'"),
+    (("eval", "--q", "1/0", "--m", "1"), "the denominator of '1/0' is zero"),
+])
+def test_bad_input_is_named_plainly(capsys, argv, message):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_sequence_entries_are_read_as_int_reads_them():
+    assert cli.parse_sequence(" 1,,-2, +3 ,4_0,") == (1, -2, 3, 40)
+    assert cli.parse_sequence("1" * 4300) == (int("1" * 4300),)
+
+
 def test_result_beyond_the_digit_limit_is_a_budget_fault(capsys):
     # q = 10**2000 prints, but w2 = (q + 1)**2 (2q + 1)**2 / q**5 does not
     code = cli.main(["eval", "--q", "1e2000", "--m", "1,1,1,1"])

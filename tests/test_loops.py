@@ -406,7 +406,21 @@ GOLDEN_SEARCHES = [
     (("7/2", 9, 3, 3_000), (783, False, None, None)),
     (("3", 8, 2, 500), (501, True, None, None)),
     (("33/70", 9, 1, 901), (30, False, "duplicate-c", (1, -2, -18))),
+    # a leaf's path is rebuilt from the record its parent shares with its leaf
+    # children: a pair whose first path is a leaf, met by another leaf and by
+    # an interior state; and a leaf-registered value re-expanded at a shorter
+    # length before its pair, so the record carries the parent's b along
+    (("11/4", 6, 4, 50_000), (355, False, "duplicate-c", (1, -1, 1, -1, 2, 1))),
+    (("7/3", 6, 4, 50_000), (2_536, False, "duplicate-c", (1, -1, 2, -1, 1, -2))),
+    (("25/14", 6, 2, 5_000), (2_725, False, "duplicate-c", (1, -1, 0, 1, 1, 0))),
 ]
+
+# the second path of a duplicate-c row above, where it is pinned
+GOLDEN_OTHER_LOOPS = {
+    ("11/4", 6, 4, 50_000): (2, -2, 1, -1, 1, -1),
+    ("7/3", 6, 4, 50_000): (2, -3, 2, -1),
+    ("25/14", 6, 2, 5_000): (2, -1, 1, -2, -1, -7),
+}
 
 
 @pytest.mark.parametrize("case,expected", GOLDEN_SEARCHES)
@@ -418,6 +432,8 @@ def test_search_golden_table(case, expected):
     w = res.witness
     got = (res.nodes, res.budget_exhausted, w and w.provenance, w and w.loop)
     assert got == expected
+    if case in GOLDEN_OTHER_LOOPS:
+        assert w.other_loop == GOLDEN_OTHER_LOOPS[case]
     if w is not None:
         assert w.verified and verify_witness(w)
 
