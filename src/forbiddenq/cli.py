@@ -41,8 +41,17 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     # Fraction would first build 10**exp; 4300 is CPython's int-string digit limit
     mantissa, e, exp = text.lower().partition("e")
-    if e and abs(int(exp)) > 4300:
-        raise ValueError(f"decimal exponent {exp} is beyond 4300 in magnitude")
+    if e:
+        try:
+            big = abs(int(exp)) > 4300
+        except ValueError:
+            # int() refuses a written integer only beyond the int-to-str limit
+            if not re.fullmatch(r"[+-]?\d+", exp):
+                raise ValueError(
+                    f"the decimal exponent of {text!r} is not an integer") from None
+            big = True
+        if big:
+            raise ValueError(f"decimal exponent {exp} is beyond 4300 in magnitude")
     limit = _digit_limit()
     too_long = f"a numerator or denominator of more than {limit} digits is refused"
     # Fraction would raise the interpreter's own error on a written one

@@ -429,15 +429,19 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     interior children are descended into.  A parent reduces its step once,
     after which every child's value is in lowest terms; only the centre child
     can close a loop; and under a chain cut only offsets 0 and +-1 are
-    examined, while the children further out, all with |c| > 1, are counted
-    in one step.  One table ``seen`` maps each c-value to its first weight,
-    first path and shortest expanded length (the maximal length for a leaf):
-    a different weight ends the walk as a duplicate-c pair, so the weight is
-    fixed by c, and a state is skipped when its c was expanded at a length
-    no greater than its own.  A parent's leaf children share one record,
-    which holds the parent's path and its reduced b: a leaf with value
-    num/a has the entry (num - b) // a, and its own path is rebuilt only
-    for a certificate.
+    examined, while the children further out, all with |c| > 1, are counted in
+    one step.  No weight is reduced: a path of k + 1 entries to the reduced
+    value cn/cd has the prefix_pairs pair +-G (cn, cd), G the product of the
+    gcds its steps divided out, so its squared weight is (cd G)**2 / P**k with
+    P = qn qd; two paths to one value, k1 <= k2, have one weight iff G2 = G1
+    sqrt(P**(k2 - k1)).  One table ``seen`` maps each c-value to its first
+    path, its G and k, and its shortest expanded length (the maximal length for
+    a leaf): a different weight ends the walk as a duplicate-c pair, so the
+    weight is fixed by c, and a state is skipped when its c was expanded at a
+    length no greater than its own.  A parent's leaf children share one record,
+    which holds the parent's path and its reduced b: a leaf with value num/a
+    has the entry (num - b) // a, and its own path is rebuilt only for a
+    certificate.
 
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
@@ -466,42 +470,43 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     # offsets 0 and +-1, and the number and reach of the offsets beyond them
     near, far, reach = offsets[:3], len(offsets) - 3, len(offsets) // 2
 
-    # c-value -> (weight num, weight den, path, expanded length, b), where b
-    # is None for a path of its own and, in the record a parent shares with
-    # its leaf children, the parent's reduced b
+    # c-value -> (G, k, path, expanded length, b): by the prefix_pairs telescoping
+    # the path's weight is (cd G)**2 / P**k; b is None for a path of its own, and
+    # the parent's reduced b in the record it shares with its leaf children
     seen: dict[tuple[int, int],
                tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
     nodes = 0
+    # rt[d] = sqrt(P**d) where that is an integer, else 0, up to the largest k < budget
+    P = qn * qd
+    rt = [1, math.isqrt(P) if math.isqrt(P) ** 2 == P else 0]
+    while len(rt) < min(max_len, budget):
+        rt.append(rt[-2] * P)
 
-    def duplicate(prev, second: tuple[int, ...], cn, cd, wn, wd) -> _Found:
+    def duplicate(prev, second: tuple[int, ...], cn, cd, G, k) -> _Found:
         # a leaf's own entry is (num - b) // a, exactly: its key is (m a + b, a)
         first = prev[2] if prev[4] is None else prev[2] + ((cn - prev[4]) // cd,)
-        return _Found(
-            LoopWitness(
-                q=q, loop=first, weight_squared=Fraction(prev[0], prev[1]),
-                provenance="duplicate-c", verified=False, other_loop=second,
-                other_weight_squared=Fraction(wn, wd), c_value=Fraction(cn, cd),
-            )
-        )
+        return _Found(LoopWitness(
+            q=q, loop=first, weight_squared=Fraction((cd * prev[0]) ** 2, P ** prev[1]),
+            provenance="duplicate-c", verified=False, other_loop=second,
+            other_weight_squared=Fraction((cd * G) ** 2, P ** k), c_value=Fraction(cn, cd)))
 
-    def visit(here: tuple[int, ...], cn: int, cd: int, wn: int, wd: int) -> None:
+    def visit(here: tuple[int, ...], cn: int, cd: int, G: int) -> None:
         # an interior state: len(here) < max_len and not chain-cut
         nonlocal nodes
         length = len(here)
-        ckey = (cn, cd)
-        prev = seen.get(ckey)
-        if prev is None:
-            seen[ckey] = (wn, wd, here, length, None)
-        elif prev[0] != wn or prev[1] != wd:
-            raise duplicate(prev, here, cn, cd, wn, wd)
-        elif prev[3] <= length:
-            return
-        else:
-            seen[ckey] = (wn, wd, prev[2], length, prev[4])
+        rec = (G, length - 1, here, length, None)
+        prev = seen.setdefault((cn, cd), rec)
+        if prev is not rec:
+            d = length - 1 - prev[1]
+            if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
+                raise duplicate(prev, here, cn, cd, G, length - 1)
+            if prev[3] <= length:
+                return
+            seen[cn, cd] = (prev[0], prev[1], prev[2], length, prev[4])
         # the step of continuants.prefix_pairs, inlined; verify_witness re-checks
         # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
         # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
-        # so every child's value is already in lowest terms
+        # so every child's value is already in lowest terms, and its G is G g
         a = qn * cn
         b = qd * cd
         if a < 0:
@@ -509,15 +514,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         g = math.gcd(a, b)
         a //= g
         b //= g
+        G *= g
         # round(-b/a) with halves to even, as Fraction.__round__
         center, r = divmod(-b, a)
         if 2 * r > a or (2 * r == a and center & 1):
             center += 1
-        wn2 = wn * qn * cn * cn
-        wd2 = wd * qd * cd * cd
-        g2 = math.gcd(wn2, wd2)
-        wn2 //= g2
-        wd2 //= g2
         # a child with |c| > 1 moves the last violation to index `length`.  The
         # centre child's numerator r0 = center a + b has |r0| <= a/2, so a child
         # at offset off has |num| >= (|off| - 1/2) a: only the centre can close,
@@ -525,7 +526,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         cut_big = prune and length + 1 + cq > max_k
         leaf = length + 1 >= max_len
         if leaf:
-            rec = (wn2, wd2, here, max_len, b)
+            rec = (G, length, here, max_len, b)
         for off in near if cut_big else offsets:
             mj = center + off
             if mj == 0 and prune:
@@ -535,23 +536,22 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 raise _BudgetHit
             num = mj * a + b
             if num == 0:
-                if wn2 != wd2:
-                    raise _Found(
-                        LoopWitness(q=q, loop=here + (mj,),
-                                    weight_squared=Fraction(wn2, wd2),
-                                    provenance="search", verified=False)
-                    )
+                if a * G != rt[length]:
+                    raise _Found(LoopWitness(
+                        q=q, loop=here + (mj,), provenance="search", verified=False,
+                        weight_squared=Fraction((a * G) ** 2, P ** length)))
                 continue
             if cut_big and abs(num) > a:
                 continue
             if leaf:
-                # inline: a call per leaf costs measurable time in (1,2).
-                # `prev is rec`: the value is new and now holds the shared record
+                # inline: a call per leaf costs measurable time in (1,2).  `prev is
+                # rec`: the value is new and holds the shared record; no k exceeds a leaf's
                 prev = seen.setdefault((num, a), rec)
-                if prev is not rec and (prev[0] != wn2 or prev[1] != wd2):
-                    raise duplicate(prev, here + (mj,), num, a, wn2, wd2)
+                if prev is not rec and (prev[0] != G if prev[1] == length
+                                        else prev[0] * rt[length - prev[1]] != G):
+                    raise duplicate(prev, here + (mj,), num, a, G, length)
                 continue
-            visit(here + (mj,), num, a, wn2, wd2)
+            visit(here + (mj,), num, a, G)
         if cut_big:
             # the chain-cut children at |off| >= 2, counted in one step; the
             # skipped entry 0 is among them when 2 <= |center| <= reach
@@ -576,7 +576,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             # a root with |m0| > 1 is a chain violation at index 0
             if max_len < 2 or (prune and (m0 > 1) + cq > max_k):
                 continue
-            visit((m0,), m0, 1, 1, 1)
+            visit((m0,), m0, 1, 1)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:

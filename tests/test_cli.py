@@ -22,6 +22,9 @@ def test_parse_rational():
     assert cli.parse_rational(" 4 ") == 4
     with pytest.raises(ValueError):
         cli.parse_rational("0.333...")
+    # an exponent int() refuses for its length, not its form
+    with pytest.raises(ValueError, match="beyond 4300 in magnitude"):
+        cli.parse_rational("1e" + "9" * 5000)
 
 
 def test_parse_rational_reads_exponents_up_to_the_digit_limit():
@@ -61,6 +64,11 @@ def test_q_beyond_the_digit_limit_is_invalid_input(capsys, argv):
     (("eval", "--q", "1", "--m", "1,-1,x"), "entry 'x' is not an integer"),
     (("scan", "--range", "1", "--max-den", "3"), "--range needs lo,hi, got '1'"),
     (("eval", "--q", "1/0", "--m", "1"), "the denominator of '1/0' is zero"),
+    (("eval", "--q", "1ex", "--m", "1"), "the decimal exponent of '1ex' is not an integer"),
+    (("eval", "--q", "1e", "--m", "1"), "the decimal exponent of '1e' is not an integer"),
+    (("eval", "--q", "1e1.5", "--m", "1"),
+     "the decimal exponent of '1e1.5' is not an integer"),
+    (("search", "--q", "1e-"), "the decimal exponent of '1e-' is not an integer"),
 ])
 def test_bad_input_is_named_plainly(capsys, argv, message):
     code = cli.main(list(argv))

@@ -1,7 +1,9 @@
 """Property tests: every search witness survives a JSON round trip and still
-verifies; brute enumeration marks exactly its non-unit loops as verified."""
+verifies; brute enumeration marks exactly its non-unit loops as verified; and
+the search's gcd product G gives every path's telescoped weight."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import given, settings, strategies as st
 
 from forbiddenq import cli
 from forbiddenq.loops import (
+    STATUS_BROKEN,
     SearchConfig,
     brute_enumerate_loops,
+    evaluate_path,
     search_nonunit_loop,
     verify_witness,
     weight_squared,
@@ -47,3 +51,27 @@ def test_brute_enumeration_verifies_exactly_non_unit_loops(q, depth, bound):
     for w in brute_enumerate_loops(q, depth, bound):
         assert w.weight_squared == weight_squared(q, w.loop)
         assert w.verified == (w.weight_squared != 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 80), d=st.integers(1, 20),
+       m=st.lists(st.integers(-5, 5).filter(bool), min_size=1, max_size=8))
+def test_gcd_product_gives_the_telescoped_weight(p, d, m):
+    # the search's step: reduce (m a + b, a) with a = qn cn > 0, b = qd cd, and
+    # carry G, the product of the gcds divided out, instead of the weight
+    q = Fraction(p, d)
+    ev = evaluate_path(q, m)
+    if ev.status == STATUS_BROKEN:
+        return
+    qn, qd = q.numerator, q.denominator
+    cn, cd, G = m[0], 1, 1
+    for mj in m[1:]:
+        a, b = qn * cn, qd * cd
+        if a < 0:
+            a, b = -a, -b
+        g = math.gcd(a, b)
+        a, b, G = a // g, b // g, G * g
+        cn, cd = mj * a + b, a
+    k = len(m) - 1
+    assert math.gcd(cn, cd) == 1 and Fraction(cn, cd) == ev.prefix_c[-1]
+    assert Fraction((cd * G) ** 2, (qn * qd) ** k) == ev.weight_squared
