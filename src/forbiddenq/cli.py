@@ -61,6 +61,9 @@ def parse_rational(text: str) -> Fraction:
         x = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"the denominator of {text!r} is zero") from None
+    except ValueError:
+        raise ValueError(
+            f"{text!r} is not a rational (a/b or a finite decimal)") from None
     if limit and max(abs(x.numerator), x.denominator) >= 10**limit:
         raise ValueError(too_long)
     return x

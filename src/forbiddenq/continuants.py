@@ -2,11 +2,13 @@
 
 ``prefix_pairs`` is the continued-fraction recurrence c -> m + 1/(q c) of
 :mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
-every exact evaluation in the package runs through it except the search's
-inlined, reduced step.  ``f_poly`` builds, by the three-term recurrence, the
-polynomial whose ratios reproduce the prefix values of the continued-fraction
-evaluator in :mod:`forbiddenq.loops`.  ``f_explicit`` rebuilds the same polynomial by
-direct subset enumeration and serves as an independent oracle.
+every exact evaluation in the package runs through it except two inlined
+copies of its step: the search's, reduced, and the unreduced one in the test
+oracle ``brute_enumerate_loops``.  ``f_poly`` builds, by the three-term
+recurrence, the polynomial whose ratios reproduce the prefix values of the
+continued-fraction evaluator in :mod:`forbiddenq.loops`.  ``f_explicit``
+rebuilds the same polynomial by direct subset enumeration and serves as an
+independent oracle.
 
 The alternating-sign specialization ``g_poly(n)`` behaves like a rescaled
 Chebyshev family: its roots are 2*cos(pi*j/(n+1)), consecutive members

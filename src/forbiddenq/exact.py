@@ -158,16 +158,6 @@ class IntPoly:
             return self
         return IntPoly([c // g for c in self.coeffs])
 
-    def square_free_part(self) -> "IntPoly":
-        """Primitive quotient by gcd(p, p'); same roots, all simple.
-
-        gcd(p, p') is read off the Sturm sequence of ``p`` by
-        :func:`_square_free`; no second remainder sequence is run.
-        """
-        if self.degree <= 1:
-            return self.primitive()
-        return _square_free(self, _sturm_sequence(self))
-
 
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Split ``p(x) = even(x**2) + x * odd(x**2)`` into its parity parts."""

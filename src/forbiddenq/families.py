@@ -165,19 +165,6 @@ def _t1_approx(n: int, j0: int) -> float:
     return min(4.0 * math.cos(math.pi * j / m) ** 2 for j, m in forms)
 
 
-def _exact_if_rational(r: AlgebraicNumber) -> Union[Fraction, AlgebraicNumber]:
-    """``r`` as a Fraction when it is rational, else ``r`` itself.
-
-    A rational root of the primitive integer polynomial ``r.defining`` is a
-    multiple of 1/L, L its leading coefficient; an interval narrower than
-    1/L holds at most one such multiple, which is then tested exactly.
-    """
-    lead = abs(r.defining.leading)
-    r = r.refine(Fraction(1, 2 * lead))
-    x = Fraction(math.floor(r.lo * lead) + 1, lead)
-    return x if r.defining.eval(x) == 0 and x < r.hi else r
-
-
 def _root_in_interval(
     target: IntPoly, t0: AlgebraicNumber, t1: Fraction
 ) -> Union[Fraction, AlgebraicNumber]:
@@ -186,17 +173,25 @@ def _root_in_interval(
     By the lemma in :func:`darboux_witnesses`, ``target`` has one simple root
     in (t0, t1) and, as eps*c_n falls to -infinity just below t0, none in
     [t0.lo, t0]: it changes sign once on [t0.lo, t1].  That interval is
-    bisected until t0 falls outside it, each end placed against t0 by
-    :meth:`AlgebraicNumber.compare_rational`.  That ends: at t0, a root of
-    den, ``target`` = num - eps*c*den equals num, non-zero as num and den are
-    coprime.  A sign change below t0 breaks the premise: ArithmeticError.
+    bisected to width min(ALG_INTERVAL_WIDTH, 1/(2L)), L the primitive
+    ``target``'s leading coefficient, and on while t0 is strictly inside, by
+    :meth:`AlgebraicNumber.compare_rational`.  Bisection intervals are nested
+    and do not depend on where a stage stops, so the two stops commute.  The
+    halving ends: at t0, a root of den, ``target`` = num - eps*c*den equals
+    num, non-zero as num and den are coprime.  A sign change below t0 breaks
+    the premise: ArithmeticError.  A rational root is a multiple of 1/L, and
+    the interval holds at most one, which is tested exactly.
     """
-    r = AlgebraicNumber(target.primitive(), t0.lo, t1, float((t0.lo + t1) / 2))
+    p = target.primitive()
+    lead = abs(p.leading)
+    r = AlgebraicNumber(p, t0.lo, t1, float((t0.lo + t1) / 2))
+    r = r.refine(min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * lead)))
     while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
         r = r.refine(r.width / 2)
     if t0.compare_rational(r.lo) > 0:
         raise ArithmeticError("the level polynomial changes sign below t0")
-    return _exact_if_rational(r)
+    x = Fraction(math.floor(r.lo * lead) + 1, lead)
+    return x if p.eval(x) == 0 and x < r.hi else r
 
 
 def darboux_witnesses(
@@ -208,7 +203,8 @@ def darboux_witnesses(
     eps = (-1)**(n+1), the levels c_k = first, first + 1, ... with
     first = max(min_c, 1, floor(eps * c_n(t1)) + 1) are solved via
     num(q) - eps*c_k*den(q) = 0 inside (t0, t1); the root gives the loop
-    (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)) at q.
+    (1, -1, ..., (-1)**(n-1), (-1)**n * (c_k + 1)) at q, found by one
+    bisection (:func:`_root_in_interval`) to the certificate width.
 
     eps is the sign of num/den just above t0, by a monotonicity lemma.  Let
     x_1 = 1 and x_{j+1} = 1 - 1/(q x_j), so that the alternating prefix
@@ -252,7 +248,6 @@ def darboux_witnesses(
             # verify_witness proves the lemma's value is the exact weight
             w2 = lemma_weight_squared(n, shift, qval)
         else:
-            qval = qval.refine(ALG_INTERVAL_WIDTH)
             mid = (qval.lo + qval.hi) / 2
             w2 = FormulaWeight(n=n, c=shift, approx=float(lemma_weight_squared(n, shift, mid)))
         wit = LoopWitness(q=qval, loop=shifted_alternating_loop(n, shift),

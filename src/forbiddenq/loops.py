@@ -10,8 +10,9 @@ when the final value is exactly zero.  The squared weight of a path,
 is rational for rational q, and a loop with w2 != 1 certifies that q is
 forbidden (q cannot be the conductor of a degree-two function).  Everything
 here is exact; floats appear only in reported approximations.  The recurrence
-itself is :func:`forbiddenq.continuants.prefix_pairs`; only the search
-inlines a reduced copy of its step.
+itself is :func:`forbiddenq.continuants.prefix_pairs`; the search inlines
+a reduced copy of its step, and :func:`brute_enumerate_loops`, a test
+oracle, an unreduced one.
 """
 
 from __future__ import annotations
@@ -158,11 +159,17 @@ class SearchResult:
     budget_exhausted: bool
 
 
-def _checked(q: RationalLike, m: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
-    """``q`` as a positive Fraction and ``m`` as a non-empty tuple of integers."""
+def _positive(q: RationalLike) -> Fraction:
+    """``q`` as a Fraction; NonPositiveQ unless it is positive."""
     q = Fraction(q)
     if q <= 0:
         raise NonPositiveQ(f"q must be positive, got {q}")
+    return q
+
+
+def _checked(q: RationalLike, m: Sequence[int]) -> tuple[Fraction, tuple[int, ...]]:
+    """``q`` as a positive Fraction and ``m`` as a non-empty tuple of integers."""
+    q = _positive(q)
     m = tuple(m)
     if not m or not all(isinstance(x, int) for x in m):
         raise ValueError(f"sequence must be non-empty and of integers, got {m}")
@@ -215,9 +222,7 @@ def closed_form_c5(q: RationalLike, m: Sequence[int]) -> Fraction:
     Both displayed polynomials are homogeneous of degree two in (a, b), so
     the value depends on q only.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    q = _positive(q)
     m = tuple(m)
     if len(m) != 5:
         raise ValueError("closed form is specific to length-5 sequences")
@@ -252,9 +257,7 @@ def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
     or ``c`` is refused, not truncated.
     """
     _check_order_and_shift(n, c)
-    q = Fraction(q)
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    q = _positive(q)
     sign = (-1) ** n
     if c == 0 or c == -sign:
         raise DegenerateC(f"shift c={c} is a unit-weight case for n={n}")
@@ -298,9 +301,7 @@ def brute_enumerate_loops(
     Exhaustive within bounds, so guarded hard: max_depth <= 8,
     coeff_bound <= 6.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    q = _positive(q)
     if not 0 <= max_depth <= 8 or not 0 <= coeff_bound <= 6:
         raise BudgetExceeded(
             f"bounds (max_depth={max_depth}, coeff_bound={coeff_bound}) exceed "
@@ -448,9 +449,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     The table, bounded by ``cfg.node_budget``, is freed by reference counting
     on return.
     """
-    q = Fraction(q)
-    if q <= 0:
-        raise NonPositiveQ(f"q must be positive, got {q}")
+    q = _positive(q)
     if cfg is None:
         cfg = SearchConfig()
     qn, qd = q.numerator, q.denominator

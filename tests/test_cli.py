@@ -69,6 +69,10 @@ def test_q_beyond_the_digit_limit_is_invalid_input(capsys, argv):
     (("eval", "--q", "1e1.5", "--m", "1"),
      "the decimal exponent of '1e1.5' is not an integer"),
     (("search", "--q", "1e-"), "the decimal exponent of '1e-' is not an integer"),
+    (("eval", "--q", "abc", "--m", "1"), "'abc' is not a rational (a/b or a finite decimal)"),
+    (("eval", "--q", "1/x", "--m", "1"), "'1/x' is not a rational (a/b or a finite decimal)"),
+    (("scan", "--range", "a,2", "--max-den", "3"),
+     "'a' is not a rational (a/b or a finite decimal)"),
 ])
 def test_bad_input_is_named_plainly(capsys, argv, message):
     code = cli.main(list(argv))

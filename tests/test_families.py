@@ -26,6 +26,7 @@ from forbiddenq.families import (
     quadratic_targets,
 )
 from forbiddenq.loops import (
+    ALG_INTERVAL_WIDTH,
     STATUS_LOOP,
     evaluate_path,
     lemma_weight_squared,
@@ -203,6 +204,53 @@ def test_root_in_interval_refuses_a_sign_change_below_t0():
     t0 = AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), 1.5)
     with pytest.raises(ArithmeticError):
         _root_in_interval(IntPoly([-5, 4]), t0, Fraction(2))
+
+
+def _root_width(target: IntPoly) -> Fraction:
+    """The width _root_in_interval narrows to: min(certificate, 1/(2L))."""
+    return min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * abs(target.primitive().leading)))
+
+
+@pytest.mark.parametrize("min_c", [1, 3])
+def test_root_in_interval_on_every_level_polynomial(min_c):
+    # one root, above t0, at most the narrower of the two widths wide
+    for n in range(1, 25):
+        num, den = ratio_in_q(n)
+        for i in range(len(_u_brackets(n, den))):
+            for dw in darboux_witnesses(n, i, 3, min_c):
+                target = num - (dw.epsilon * dw.c_k) * den
+                got = _root_in_interval(target, dw.t0, Fraction(dw.t1_approx))
+                assert got == dw.q, (n, i, dw.c_k)
+                if isinstance(got, Fraction):
+                    assert target.eval(got) == 0 and dw.t0.compare_rational(got) < 0
+                    continue
+                assert dw.t0.compare_rational(got.lo) <= 0, (n, i, dw.c_k)
+                assert got.width <= _root_width(target), (n, i, dw.c_k)
+                assert len(real_roots(target, got.lo, got.hi)) == 1, (n, i, dw.c_k)
+
+
+def test_root_in_interval_finds_a_rational_root_finer_than_the_certificate_width():
+    # L > 10**21: an interval of width ALG_INTERVAL_WIDTH holds several
+    # multiples of 1/L, and the smallest above its end is not the root
+    t0 = isolate_root(IntPoly([-2, 0, 1]), 1, 2)
+    lead = 3 * 10**21 + 1
+    a = 3 * lead // 2 + 1
+    got = _root_in_interval(IntPoly([-a, lead]), t0, Fraction(2))
+    assert type(got) is Fraction and got == Fraction(a, lead)
+
+
+def test_root_in_interval_places_a_root_closer_to_t0_than_the_width():
+    # sqrt(2 + 1/k) is about 0.35/k above t0 = sqrt(2), and the interval of
+    # width 1/(2k) around it still holds t0, so it is halved past t0
+    t0 = isolate_root(IntPoly([-2, 0, 1]), 1, 2)
+    k, t1 = 16 * 10**21, Fraction(2)
+    target = IntPoly([-(2 * k + 1), 0, k])
+    wide = AlgebraicNumber(target, t0.lo, t1, float((t0.lo + t1) / 2)).refine(_root_width(target))
+    assert t0.compare_rational(wide.lo) > 0 > t0.compare_rational(wide.hi)
+    got = _root_in_interval(target, t0, t1)
+    assert isinstance(got, AlgebraicNumber) and t0.compare_rational(got.lo) <= 0
+    assert got.width <= _root_width(target)
+    assert len(real_roots(target, got.lo, got.hi)) == 1
 
 
 def test_cos2_family_examples():
