@@ -315,7 +315,11 @@ def cmd_scan(args) -> int:
     )
     for a, b, res in results:
         w = res.witness
-        if w is not None and isinstance(w.weight_squared, Fraction):
+        try:
+            q_float = repr(a / b)
+        except OverflowError:
+            q_float = "inf"
+        if w is not None:
             loop_s = ";".join(str(x) for x in w.loop)
             w2 = w.weight_squared
             w2n, w2d = frac_str(w2.numerator), frac_str(w2.denominator)
@@ -324,7 +328,7 @@ def cmd_scan(args) -> int:
         else:
             loop_s, w2n, w2d, prov, other_s = "", "", "", "", ""
         writer.writerow(
-            [a, b, repr(a / b), "true" if w is not None else "false", loop_s,
+            [a, b, q_float, "true" if w is not None else "false", loop_s,
              w2n, w2d, res.nodes, "true" if res.budget_exhausted else "false",
              prov, other_s]
         )

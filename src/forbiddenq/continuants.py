@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
+from .exact import AlgebraicNumber, IntPoly, isolate_root
 
 EXPLICIT_CUTOFF = 12
 U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
@@ -151,21 +151,26 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
 
 
-def _u_brackets(n: int, den: IntPoly) -> list[tuple[int, Fraction, Fraction]]:
+def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
     """Triples ``(j, cuts[i], cuts[i+1])`` for the points of ``u_set(n)``, increasing.
 
-    ``den`` is the denominator from :func:`ratio_in_q`.  Its roots in [0, 4]
-    are isolated once; each bracket runs between the cut points on either
-    side of one kept root, 4*cos(pi*j/(n+1))**2, and holds no other root of
-    ``den``.
+    The roots of the denominator from :func:`ratio_in_q` are
+    4*cos(pi*j/(n+1))**2 for j = ceil(n/2), ..., 1, increasing, and the cut
+    between the roots of index j+1 and j is the half-angle point
+    4*cos(pi*(j+1/2)/(n+1))**2, rounded to the nearest multiple of
+    1/(16*(n+1)**2); -1 and 4 close the ends.  So the roots and the cuts
+    interlace and the bracket of index j holds that root alone: an interior
+    half-angle point is at least 9.37/(n+1)**2 from both neighbouring roots
+    (least at n = 3, tending to pi**2/(n+1)**2; checked in floats for
+    n <= 5000), and the rounding moves it by at most 1/(32*(n+1)**2).  No
+    root is isolated here; :func:`isolate_root` certifies the one root of
+    the bracket it is given by a Sturm count.
     """
-    half = (n + 1) // 2
-    roots = real_roots(den, 0, 4)
-    if len(roots) != half:
-        raise ArithmeticError(f"den of order {n} has {len(roots)} roots in [0, 4], not {half}")
-    # cut points between consecutive roots; den has no root below 0 or at 4
-    ends = [(r, r) if isinstance(r, Fraction) else (r.lo, r.hi) for r in roots]
-    cuts = [Fraction(-1)] + [(a[1] + b[0]) / 2 for a, b in zip(ends, ends[1:])] + [Fraction(4)]
+    half, grid = (n + 1) // 2, 16 * (n + 1) ** 2
+    cuts = ([Fraction(-1)]
+            + [Fraction(round(grid * 4 * math.cos(math.pi * (j + 0.5) / (n + 1)) ** 2), grid)
+               for j in range(half - 1, 0, -1)]
+            + [Fraction(4)])
     return [(half - i, cuts[i], cuts[i + 1])
             for i in range(half) if math.gcd(half - i, n + 1) == 1]
 
@@ -177,12 +182,12 @@ def u_set(n: int) -> list[AlgebraicNumber]:
     gcd(j, n+1) = 1, returned as an :class:`AlgebraicNumber` whose defining
     polynomial is the denominator from :func:`ratio_in_q` (the parity part of
     g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
-    each j = 1..ceil(n/2), decreasing in j, so the i-th root in increasing
-    order has j = ceil(n/2) - i; the roots are isolated exactly and the index
-    of each is pure integer bookkeeping.  Each interval has width <= 1e-12
-    (``U_SET_WIDTH``).  Sorted increasing.
+    each j = 1..ceil(n/2), decreasing in j; each kept root is isolated by
+    :func:`isolate_root` on its half-angle bracket from :func:`_u_brackets`,
+    whose Sturm count certifies that the bracket holds that root alone.
+    Each interval has width <= 1e-12 (``U_SET_WIDTH``).  Sorted increasing.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _, den = ratio_in_q(n)
-    return [isolate_root(den, lo, hi, U_SET_WIDTH) for _, lo, hi in _u_brackets(n, den)]
+    return [isolate_root(den, lo, hi, U_SET_WIDTH) for _, lo, hi in _u_brackets(n)]

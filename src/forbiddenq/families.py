@@ -155,7 +155,12 @@ def _t1_approx(n: int, j0: int) -> float:
     nearest one comes from the left neighbour p/q of j0/(n+1) in the Farey
     sequence of order n + 2 (Hardy and Wright, ch. III): j0*q - (n+1)*p = 1,
     q <= n + 2 largest.  It lies strictly between (j0-1)/(n+1) and j0/(n+1),
-    so t1 is below the next root of den.  The float is the least over the
+    so t1 is below the next root of den.  More: q >= 3 (q = 1 only for
+    j0 = 1, which takes q = n + 2, and q = 2 would need j0 = (n+2)/2 >
+    ceil(n/2)), so j0/(n+1) - p/q = 1/((n+1)q) < 1/(2(n+1)): t1's angle is
+    nearer to t0's than the half angle is, and t1 lies inside t0's bracket
+    from :func:`forbiddenq.continuants._u_brackets` (below its upper cut for
+    all 97,639 brackets with n <= 800).  The float is the least over the
     ways the obstruction list writes p/q: p/q, (q-p)/q, and k*p/(n+1) when
     k*q = n+1.
     """
@@ -214,7 +219,8 @@ def darboux_witnesses(
     whose index is coprime to n + 1, so x_n rises through zero there and
     num/den = c_n runs to eps * infinity just above t0 (for n = 1, t0 = 0
     and c_1 = -1 + 1/q); eps * c_n decreases on (t0, next root of den).
-    t1 (:func:`_t1_approx`) is below that root, so eps * c_n maps (t0, t1)
+    t1 (:func:`_t1_approx`) lies inside t0's bracket, which holds no other
+    root of den, so den has no root in (t0, t1] and eps * c_n maps (t0, t1)
     onto (eps * c_n(t1), infinity) one to one: level c has one root there
     exactly when c > eps * c_n(t1).  c_n(t1) is the last pair of one
     :func:`prefix_pairs` walk of the alternating loop at t1.
@@ -228,7 +234,7 @@ def darboux_witnesses(
     if count < 1:
         raise ValueError("count must be >= 1")
     num, den = ratio_in_q(n)
-    brackets = _u_brackets(n, den)
+    brackets = _u_brackets(n)
     if not 0 <= u_index < len(brackets):
         raise ValueError(f"u_index {u_index} out of range for {len(brackets)} points")
     j0, lo, hi = brackets[u_index]

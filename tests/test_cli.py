@@ -418,6 +418,16 @@ def test_scan_csv(capsys):
     assert keys == sorted(keys, key=lambda ab: (ab[1], ab[0]))
 
 
+def test_scan_csv_writes_inf_for_a_q_beyond_the_float_range(capsys):
+    code, out = run(capsys, "scan", "--range", f"1e400,{10**400 + 1}", "--max-den", "1",
+                    "--depth", "2", "--budget", "1")
+    assert code == 0
+    header, *rows = out.strip().splitlines()
+    assert len(rows) == 2
+    q_col = header.split(",").index("q_float")
+    assert [row.split(",")[q_col] for row in rows] == ["inf", "inf"]
+
+
 def test_scan_csv_shows_duplicate_c_pair(capsys):
     code, out = run(capsys, "scan", "--range", "3.33,3.34", "--max-den", "3",
                     "--depth", "10", "--window", "3")

@@ -216,7 +216,7 @@ def test_root_in_interval_on_every_level_polynomial(min_c):
     # one root, above t0, at most the narrower of the two widths wide
     for n in range(1, 25):
         num, den = ratio_in_q(n)
-        for i in range(len(_u_brackets(n, den))):
+        for i in range(len(_u_brackets(n))):
             for dw in darboux_witnesses(n, i, 3, min_c):
                 target = num - (dw.epsilon * dw.c_k) * den
                 got = _root_in_interval(target, dw.t0, Fraction(dw.t1_approx))
@@ -295,10 +295,35 @@ def test_quadratic_targets_negative_discriminant():
         quadratic_targets(1, 0, 1, 1)
 
 
+def _strictly_inside(r, lo: Fraction, hi: Fraction) -> bool:
+    """Whether a root from ``real_roots`` lies in the open (lo, hi), exactly."""
+    if isinstance(r, Fraction):
+        return lo < r < hi
+    return r.compare_rational(lo) > 0 > r.compare_rational(hi)
+
+
+def test_u_brackets_hold_the_root_of_their_index():
+    # den has one root per j = 1..ceil(n/2), and each half-angle bracket holds
+    # exactly one of them, the one of its own index
+    for n in range(1, 151):
+        _, den = ratio_in_q(n)
+        assert den.degree == (n + 1) // 2, n
+        roots = real_roots(den, -1, 4)
+        assert len(roots) == den.degree, n
+        for j, lo, hi in _u_brackets(n):
+            # roots increase as j falls; sorted, so only the neighbours can enter
+            k = den.degree - j
+            near = [i for i in (k - 1, k, k + 1) if 0 <= i < len(roots)]
+            assert [i for i in near if _strictly_inside(roots[i], lo, hi)] == [k], (n, j)
+            t0f = 4 * math.cos(math.pi * j / (n + 1)) ** 2
+            assert _strictly_inside(roots[k], Fraction(t0f - 1e-9), Fraction(t0f + 1e-9)), (n, j)
+
+
 # sha256 of every isolating interval and algebraic certificate below, taken
-# from the isolator that bisected in Fractions; any moved interval shows here
-U_SET_SHA256 = "ecaf4531f644b0b5b1261a68d5d077fe1450b794114328a882a6d484b4babd03"
-DARBOUX_SHA256 = "8013bd6d1188ab6af33c68e1a78f41455731c9a87c4170a26121a81a495b014a"
+# from isolate_root on the half-angle brackets of _u_brackets; any moved
+# interval shows here
+U_SET_SHA256 = "417aa0b8547d27abf35bc2905706afc1397fa7b1848918faf381c83e959e5969"
+DARBOUX_SHA256 = "51a46b24b0f687178755387cfa05c302b031741239670d8b776cd954b246a7be"
 
 
 def _sha256(doc) -> str:
@@ -360,7 +385,7 @@ def _t1_approx_two_lists(n: int, t0f: float) -> float:
 
 def test_t1_approx_matches_the_two_list_enumeration():
     for n in range(1, 61):
-        for (j0, _, _), t0 in zip(_u_brackets(n, ratio_in_q(n)[1]), u_set(n)):
+        for (j0, _, _), t0 in zip(_u_brackets(n), u_set(n)):
             assert _t1_approx(n, j0) == _t1_approx_two_lists(n, t0.approx), (n, t0)
 
 
@@ -373,21 +398,18 @@ def _roots_above(target: IntPoly, t0: AlgebraicNumber, t1: Fraction) -> int:
 def test_lemma_premise_and_first_level_criterion():
     # den has no root in [t0.hi, t1], and level c crosses once in (t0, t1)
     # exactly when c >= first, the first level darboux_witnesses emits
-    cut_below_t1 = set()
     for n in range(1, 25):
         num, den = ratio_in_q(n)
         eps = (-1) ** (n + 1)
-        for i, (_, _, cut) in enumerate(_u_brackets(n, den)):
+        for i, (_, _, cut) in enumerate(_u_brackets(n)):
             dw = darboux_witnesses(n, i, 1, min_c=1)[0]
             t0, t1 = dw.t0, Fraction(dw.t1_approx)
+            # t1 lies inside t0's bracket, so the bracket gives the premise
+            assert t1 < cut, (n, i)
             assert real_roots(den, t0.hi, t1) == [], (n, i)
             for c in range(1, dw.c_k + 2):
                 want = 1 if c >= dw.c_k else 0
                 assert _roots_above(num - (eps * c) * den, t0, t1) == want, (n, i, c)
-            if cut < t1:
-                cut_below_t1.add((n, i))
-    # the bracket's upper cut lies below t1 here, so t1 is not clipped to it
-    assert {(10, 3), (16, 6)} <= cut_below_t1
 
 
 @pytest.mark.parametrize("n, u_index", [(4, 1), (16, 6), (60, 3)])
