@@ -10,9 +10,12 @@ interval, and the sign change at the ends, re-checkable by anyone, that it is
 there.  Each call runs one remainder sequence: the Sturm sequence of ``p``
 itself, which doubles as the square-free test and yields gcd(p, p'), and only
 for ``p`` with a repeated root a second one, of its square-free part.
-Narrowing an isolated root (:meth:`AlgebraicNumber.refine`) bisects in
-integers, with both ends over one power-of-two multiple of a common
-denominator.
+Narrowing an isolated root (:meth:`AlgebraicNumber.refine`) returns the
+cell plain bisection would end on: a cell of one dyadic grid of the interval,
+the only one there with a sign change when the interval holds one root.  It
+is reached by quadratic interval refinement, secant guesses on ever finer
+grids, each certified by two integer signs, in integers over one
+power-of-two multiple of a common denominator.
 """
 
 from __future__ import annotations
@@ -117,8 +120,8 @@ class IntPoly:
     def sign_at(self, x: RationalLike) -> int:
         """Sign (-1, 0 or 1) of the value at ``x = a/b``.
 
-        Computed as the sign of the integer ``b**d * p(a/b)``, by Horner's
-        rule in the homogeneous form, so no fraction is ever reduced.
+        Computed as the sign of the integer ``b**d * p(a/b)``
+        (:meth:`value_at_ratio`), so no fraction is ever reduced.
         """
         return self.sign_at_ratio(x.numerator, x.denominator)
 
@@ -128,11 +131,21 @@ class IntPoly:
         ``a/b`` need not be in lowest terms: the sign of ``b**d * p(a/b)``
         does not depend on the representation.
         """
+        v = self.value_at_ratio(a, b)
+        return (v > 0) - (v < 0)
+
+    def value_at_ratio(self, a: int, b: int) -> int:
+        """The integer ``b**d * p(a/b)``, ``d = len(coeffs) - 1``.
+
+        Horner's rule in the homogeneous form ``sum c_i a**i b**(d-i)``: no
+        fraction is formed.  Scaling ``a`` and ``b`` by ``m`` scales the
+        value by ``m**d``.
+        """
         acc, scale = 0, 1
         for c in reversed(self.coeffs):
             acc = acc * a + c * scale
             scale *= b
-        return (acc > 0) - (acc < 0)
+        return acc
 
     def eval_float(self, x: float) -> float:
         """Float Horner evaluation.
@@ -347,8 +360,15 @@ class AlgebraicNumber:
         return self.approx
 
     def refine(self, eps: RationalLike) -> "AlgebraicNumber":
-        """Shrink the isolating interval to width <= eps by bisection."""
+        """Shrink the isolating interval to width <= eps, as bisection would.
+
+        The result is the interval that plain bisection of ``(lo, hi)`` ends
+        on, found by :func:`_bisect` in a few signs rather than one per
+        halving.  ``eps`` must be positive.
+        """
         eps = Fraction(eps)
+        if eps <= 0:
+            raise ValueError("eps must be positive")
         if self.width <= eps:
             return self
         lo, hi = _bisect(self.defining, self.lo, self.hi, eps)
@@ -372,31 +392,78 @@ class AlgebraicNumber:
 
 
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-change interval of ``p`` down to width <= eps.
+    """The interval plain bisection of a one-root interval ends on, in few signs.
 
-    The bisection runs in integers: ``lo = L/D`` and ``hi = H/D`` share one
-    denominator, which doubles at each step, so the midpoint is ``(L+H)/2D``
-    with no fraction reduced, its sign comes from
-    :meth:`IntPoly.sign_at_ratio`, and the width test is
-    ``(H - L) * eps.den <= eps.num * D``.  The intervals are those of plain
-    rational bisection.  A midpoint where ``p`` vanishes is the root when the
-    interval holds only one; a narrow interval around it is returned, whose
-    sign change the :class:`AlgebraicNumber` constructor re-checks.
+    With ``lo = A/D`` and ``hi = (A + W)/D`` over one denominator, the grid
+    of level ``l`` is the points ``(A 2**l + g W) / (D 2**l)``,
+    ``0 <= g <= 2**l``.  Bisection to width <= eps ends on a cell of level
+    ``s``, the least ``s`` with ``W / (D 2**s) <= eps``.  An interval that
+    holds one root has exactly one cell at that level whose ends have
+    strictly opposite signs, so a cell certified by its two end signs is
+    bisection's cell, however it was found.
+
+    It is found by quadratic interval refinement (J. Abbott, "Quadratic
+    interval refinement for real roots", 2006).  The state is a certified
+    cell of level ``l`` and the integer values of ``p`` at its ends over
+    the cell's denominator (:meth:`IntPoly.value_at_ratio`).  A step splits
+    the cell into ``2**t`` subcells, ``t <= s - l``, rounds the secant root
+    of the two end values to the nearest inner grid point and takes its
+    sign, then the sign of the neighbour on the side where that sign puts
+    the root.  A sign change between the two is the new cell, and ``t``
+    doubles; otherwise ``t`` halves.  At ``t = 1`` the step is one
+    bisection step and always succeeds, so the loop ends.  An end value
+    that is kept moves to the finer grid by ``<< deg*t``.
+
+    A grid point where ``p`` vanishes is the root.  Its own level is the
+    step's level less the trailing zeros of its index, and bisection meets
+    it as the midpoint of the cell one level up, returning a narrow interval
+    around it, whose sign change the :class:`AlgebraicNumber` constructor
+    re-checks; the same interval is returned here.
     """
     en, ed = eps.numerator, eps.denominator
     d = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    slo = p.sign_at(lo)
-    while (b - a) * ed > en * d:
-        mid, a, b, d = a + b, 2 * a, 2 * b, 2 * d
-        sm = p.sign_at_ratio(mid, d)
-        if sm == 0:
-            return _bracket(Fraction(mid, d), Fraction(a, d), Fraction(b, d), eps)
-        if sm == slo:
-            a = mid
+    a = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - a
+    s = (-(-w * ed // (en * d)) - 1).bit_length()  # least s with 2**s >= W eps.den / (D eps.num)
+    deg, value = p.degree, p.value_at_ratio
+    fa, fb = value(a, d), value(a + w, d)
+    level, k, t = 0, 0, 1
+    while level < s:
+        t = min(t, s - level)
+        n, base, fine = 1 << t, k << t, level + t
+        start, den = (a << fine) + base * w, d << fine
+        # the secant root, at fa / (fa - fb) of the cell, rounded to an inner grid point
+        j = min(max(((fa << (t + 1)) + fa - fb) // ((fa - fb) << 1), 1), n - 1)
+        vj = value(start + j * w, den)
+        if vj == 0:
+            return _grid_root(a, w, d, base + j, fine, eps)
+        m = j + 1 if (vj > 0) == (fa > 0) else j - 1
+        if m == 0 or m == n:  # an end of the cell, moved to the finer grid
+            vm = (fa if m == 0 else fb) << (deg * t)
         else:
-            b = mid
-    return Fraction(a, d), Fraction(b, d)
+            vm = value(start + m * w, den)
+        if vm == 0:
+            return _grid_root(a, w, d, base + m, fine, eps)
+        if (vm > 0) == (vj > 0):
+            t //= 2
+            continue
+        k, fa, fb = (base + j, vj, vm) if m > j else (base + m, vm, vj)
+        level, t = fine, 2 * t
+    x, den = (a << level) + k * w, d << level
+    return Fraction(x, den), Fraction(x + w, den)
+
+
+def _grid_root(a: int, w: int, d: int, g: int, level: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisection's interval for a root at grid point ``g`` of ``level`` in :func:`_bisect`.
+
+    Stripping the trailing zeros of ``g`` gives the point's own level and its
+    odd index there; bisection meets the point as the midpoint of the cell
+    one level up, which reaches ``w / (d 2**level)`` to either side.
+    """
+    zeros = (g & -g).bit_length() - 1
+    level -= zeros
+    num, den = (a << level) + (g >> zeros) * w, d << level
+    return _bracket(Fraction(num, den), Fraction(num - w, den), Fraction(num + w, den), eps)
 
 
 def isolate_root(

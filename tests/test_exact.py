@@ -3,8 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from forbiddenq import exact
+from forbiddenq.continuants import _u_brackets, ratio_in_q, u_set
 from forbiddenq.exact import (
     AlgebraicNumber,
     IntPoly,
@@ -137,6 +139,12 @@ def test_algebraic_number_validation():
         AlgebraicNumber(p, Fraction(2), Fraction(3), 5.0)
 
 
+@pytest.mark.parametrize("eps", [0, -1])
+def test_refine_refuses_a_width_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), 1.5).refine(eps)
+
+
 def test_refine_and_compare():
     alg = isolate_root(IntPoly([1, -3, 1]), 2, 3)
     fine = alg.refine(Fraction(1, 10**30))
@@ -266,7 +274,7 @@ def _fraction_bisection(p, lo, hi, eps):
         mid = (lo + hi) / 2
         sm = p.sign_at(mid)
         if sm == 0:
-            return "hit", mid
+            return "hit", mid, lo, hi
         if sm == slo:
             lo = mid
         else:
@@ -275,24 +283,34 @@ def _fraction_bisection(p, lo, hi, eps):
 
 
 def test_refine_matches_rational_bisection():
-    # integer bisection must give the very intervals of rational bisection,
-    # for ends on different denominators, below zero, and at every width
+    # refine must give the very intervals of rational bisection on every
+    # interval that holds one root, for ends on different denominators,
+    # below zero, and at every width
     rng = random.Random(305)
-    checked = 0
-    for _ in range(400):
-        p = rand_poly(rng, max_deg=6)
+    checked = several = 0
+    for _ in range(1000):
+        p = rand_poly(rng, max_deg=rng.choice([6, 12]))
         lo, hi = sorted((rand_frac(rng), rand_frac(rng)))
         if lo == hi or p.sign_at(lo) * p.sign_at(hi) >= 0:
             continue
         eps = Fraction(1, rng.choice([3, 10, 10**7, 10**20]))
         alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
+        if len(real_roots(p, lo, hi)) > 1:
+            # outside AlgebraicNumber's contract: a sign-change cell of
+            # bisection's last grid, perhaps around another root
+            level = next(s for s in range(200) if (hi - lo) / 2**s <= eps)
+            assert lo <= alg.lo < alg.hi <= hi and alg.width <= eps
+            assert p.sign_at(alg.lo) * p.sign_at(alg.hi) < 0
+            assert all(((x - lo) * 2**level / (hi - lo)).denominator == 1 for x in (alg.lo, alg.hi))
+            several += 1
+            continue
         want = _fraction_bisection(p, lo, hi, eps)
         if want[0] == "hit":
             assert alg.lo < want[1] < alg.hi and alg.width <= eps
         else:
             assert (alg.lo, alg.hi) == want
         checked += 1
-    assert checked > 100
+    assert checked > 100 and several > 0
 
 
 def test_sign_at_ratio_ignores_the_representation():
@@ -300,3 +318,49 @@ def test_sign_at_ratio_ignores_the_representation():
     for _ in range(200):
         p, x, k = rand_poly(rng, max_deg=9), rand_frac(rng), rng.randint(1, 2**40)
         assert p.sign_at_ratio(x.numerator * k, x.denominator * k) == p.sign_at(x)
+
+
+EPS_DEEP = [Fraction(1, 10**12), Fraction(1, 10**20), Fraction(1, 10**40)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 29), st.sampled_from(EPS_DEEP))
+@example(5, 0, EPS_DEEP[2])
+def test_isolate_root_on_u_brackets_is_bisections_cell(n, i, eps):
+    # n = 5 has one bracket, around 4cos^2(pi/6) = 3, a grid point of the
+    # bracket that plain bisection hits exactly
+    den = ratio_in_q(n)[1]
+    brackets = _u_brackets(n)
+    _, lo, hi = brackets[i % len(brackets)]
+    alg = isolate_root(den, lo, hi, eps)
+    want = _fraction_bisection(den, lo, hi, eps)
+    if want[0] == "hit":
+        assert alg.lo < want[1] < alg.hi and alg.width <= eps
+    else:
+        assert (alg.lo, alg.hi) == want
+
+
+@pytest.mark.parametrize("p", [IntPoly([-3, 8]), IntPoly([-3, 8]) * IntPoly([5, 1]), IntPoly([-5, 0, 32])])
+@pytest.mark.parametrize("eps", [Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**9)])
+def test_refine_returns_bisections_interval_for_a_root_on_the_grid(p, eps):
+    # 3/8 is a point of the dyadic grid of (0, 1): bisection meets it as the
+    # midpoint of [1/4, 1/2] and returns the narrow interval around it
+    # (x**2 = 5/32 has none, for contrast)
+    alg = AlgebraicNumber(p, Fraction(0), Fraction(1), 0.5).refine(eps)
+    want = _fraction_bisection(p, Fraction(0), Fraction(1), eps)
+    if want[0] == "hit":
+        assert want[1:] == (Fraction(3, 8), Fraction(1, 4), Fraction(1, 2))
+        want = exact._bracket(*want[1:], eps)
+    assert (alg.lo, alg.hi) == want
+
+
+def test_deep_refinement_takes_few_evaluations(monkeypatch):
+    # bisection from 1e-12 to 1e-40 takes 93 signs per point; the jump to
+    # bisection's cell takes a handful of secant steps
+    points = u_set(40)
+    calls = []
+    value = IntPoly.value_at_ratio
+    monkeypatch.setattr(IntPoly, "value_at_ratio", lambda p, a, b: calls.append(1) or value(p, a, b))
+    fine = [x.refine(Fraction(1, 10**40)) for x in points]
+    assert all(f.width <= Fraction(1, 10**40) and x.lo <= f.lo < f.hi <= x.hi for x, f in zip(points, fine))
+    assert len(calls) <= 24 * len(points)
