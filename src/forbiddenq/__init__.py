@@ -5,14 +5,9 @@ from .exact import (
     IntPoly,
     NoSignChange,
     isolate_root,
-    merge_parity,
-    parity_split,
     real_roots,
 )
 from .continuants import (
-    CutoffExceeded,
-    eval_g_float,
-    f_explicit,
     f_poly,
     g_identity_check,
     g_poly,
@@ -53,7 +48,6 @@ from .families import (
     fibonacci,
     golden_targets,
     norm_form,
-    norm_unit_pairs,
     pell_witnesses,
     quadratic_targets,
 )

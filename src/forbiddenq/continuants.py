@@ -6,9 +6,7 @@ every exact evaluation in the package runs through it except two inlined
 copies of its step: the search's, reduced, and the unreduced one in the test
 oracle ``brute_enumerate_loops``.  ``f_poly`` builds, by the three-term
 recurrence, the polynomial whose ratios reproduce the prefix values of the
-continued-fraction evaluator in :mod:`forbiddenq.loops`.  ``f_explicit``
-rebuilds the same polynomial by direct subset enumeration and serves as an
-independent oracle.
+continued-fraction evaluator in :mod:`forbiddenq.loops`.
 
 The alternating-sign specialization ``g_poly(n)`` behaves like a rescaled
 Chebyshev family: its roots are 2*cos(pi*j/(n+1)), consecutive members
@@ -25,12 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 
-EXPLICIT_CUTOFF = 12
 U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
-
-
-class CutoffExceeded(ValueError):
-    """Subset enumeration refused: the sequence is longer than the cutoff."""
 
 
 def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
@@ -69,32 +62,6 @@ def f_poly(m: Sequence[int]) -> IntPoly:
     return cur
 
 
-def f_explicit(m: Sequence[int], cutoff: int = EXPLICIT_CUTOFF) -> IntPoly:
-    """Independent oracle for :func:`f_poly` by direct subset enumeration.
-
-    Sums prod(m_i for i in I) into the coefficient of x**|I| over every
-    subset I of [0, len(m)) such that each i in I has i == |I \\cap [0, i)|
-    (mod 2), keeping only |I| == len(m) (mod 2).  Exponential bookkeeping,
-    so refuses sequences longer than ``cutoff``.
-    """
-    n = len(m)
-    if n > cutoff:
-        raise CutoffExceeded(f"sequence length {n} exceeds enumeration cutoff {cutoff}")
-    coeffs = [0] * (n + 1)
-
-    def walk(i: int, size: int, prod: int) -> None:
-        if i == n:
-            if size % 2 == n % 2:
-                coeffs[size] += prod
-            return
-        walk(i + 1, size, prod)
-        if i % 2 == size % 2:
-            walk(i + 1, size + 1, prod * m[i])
-
-    walk(0, 0, 1)
-    return IntPoly(coeffs)
-
-
 @lru_cache(maxsize=None)
 def g_poly(n: int) -> IntPoly:
     """Continuant of the alternating sequence (1, -1, ..., (-1)**(n-1))."""
@@ -108,23 +75,6 @@ def g_roots(n: int) -> list[float]:
     if n < 1:
         raise ValueError("n must be >= 1")
     return [2.0 * math.cos(math.pi * j / (n + 1)) for j in range(1, n + 1)]
-
-
-def eval_g_float(n: int, x: float) -> float:
-    """Float value of ``g_poly(n)`` at ``x`` via the recurrence.
-
-    Numerically backward-stable where monomial Horner on the stored
-    coefficients loses precision (observed up to ~4e-6 residual at the
-    extreme degree-30 roots, versus ~4e-13 for this scheme).
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    prev, cur = 1.0, x
-    if n == 0:
-        return prev
-    for i in range(1, n):
-        prev, cur = cur, ((-1) ** i) * x * cur + prev
-    return cur
 
 
 def g_identity_check(n: int) -> bool:

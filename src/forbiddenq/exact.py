@@ -111,11 +111,15 @@ class IntPoly:
         return NotImplemented
 
     def eval(self, x: RationalLike) -> Fraction:
-        """Exact Horner evaluation at a rational point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Exact value at a rational ``x = a/b``: ``b**-d`` times :meth:`value_at_ratio`.
+
+        The one evaluator is the integer homogeneous Horner loop; a single
+        Fraction is formed at the end.  The zero polynomial is 0 everywhere.
+        """
+        if self.is_zero:
+            return Fraction(0)
+        b = x.denominator
+        return Fraction(self.value_at_ratio(x.numerator, b), b**self.degree)
 
     def sign_at(self, x: RationalLike) -> int:
         """Sign (-1, 0 or 1) of the value at ``x = a/b``.
@@ -147,17 +151,6 @@ class IntPoly:
             scale *= b
         return acc
 
-    def eval_float(self, x: float) -> float:
-        """Float Horner evaluation.
-
-        Fine at low degree; for high-degree near-cancelling evaluations prefer
-        an application-specific stable scheme.
-        """
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "IntPoly":
         return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
@@ -170,22 +163,6 @@ class IntPoly:
         if g <= 1:
             return self
         return IntPoly([c // g for c in self.coeffs])
-
-
-def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Split ``p(x) = even(x**2) + x * odd(x**2)`` into its parity parts."""
-    return IntPoly(p.coeffs[0::2]), IntPoly(p.coeffs[1::2])
-
-
-def merge_parity(even: IntPoly, odd: IntPoly) -> IntPoly:
-    """Inverse of :func:`parity_split`."""
-    n = max(2 * len(even.coeffs), 2 * len(odd.coeffs) + 1)
-    out = [0] * n
-    for i, c in enumerate(even.coeffs):
-        out[2 * i] = c
-    for i, c in enumerate(odd.coeffs):
-        out[2 * i + 1] = c
-    return IntPoly(out)
 
 
 def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:

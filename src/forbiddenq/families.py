@@ -62,20 +62,6 @@ def fibonacci(k: int) -> int:
     return b if k > 1 else a
 
 
-def norm_unit_pairs(limit: int) -> list[tuple[int, int]]:
-    """All pairs 1 <= b < a <= limit with norm_form(a, b) = +-1, by brute scan.
-
-    Independent confirmation that the solutions are exactly the Fibonacci
-    pairs (F_{k+2}, F_k).
-    """
-    out = []
-    for a in range(2, limit + 1):
-        for b in range(1, a):
-            if norm_form(a, b) in (-1, 1):
-                out.append((a, b))
-    return sorted(out)
-
-
 @dataclass(frozen=True)
 class PellWitness:
     """A rational forbidden value from a unit of the norm form."""

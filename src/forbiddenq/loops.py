@@ -90,7 +90,9 @@ class FormulaWeight:
     """Squared weight of a shifted alternating loop at an irrational q.
 
     Represents 1/|1 + c*q*(c + (-1)**n)|, which is irrational for algebraic
-    q and therefore kept in formula form with a float approximation.
+    q and therefore kept in formula form with a float approximation.  For
+    every shift :func:`lemma_weight_squared` accepts it is below 1 at every
+    q > 0, so only the loop and q > 0 need checking, not the weight.
     """
 
     n: int
@@ -99,12 +101,6 @@ class FormulaWeight:
 
     def value_at(self, q: RationalLike) -> Fraction:
         return lemma_weight_squared(self.n, self.c, q)
-
-    def bounds(self, q_lo: RationalLike, q_hi: RationalLike) -> tuple[Fraction, Fraction]:
-        """Exact enclosure of the squared weight for q in [q_lo, q_hi]."""
-        a = self.value_at(q_lo)
-        b = self.value_at(q_hi)
-        return (a, b) if a <= b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -252,9 +248,10 @@ def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
 
     Applies to loops (1, -1, ..., (-1)**(n-1), (-1)**n + c).  The shifts
     c = 0 and c = (-1)**(n+1) are refused: those loops always have unit
-    weight.  For every other integer shift c*(c + (-1)**n) >= 2, so the
-    value is < 1 whenever the sequence is a loop at q.  A non-integer ``n``
-    or ``c`` is refused, not truncated.
+    weight.  For every other integer shift, c and c + (-1)**n are
+    consecutive non-zero integers, so c*(c + (-1)**n) >= 2 and the value is
+    < 1 at every q > 0.  A non-integer ``n`` or ``c`` is refused, not
+    truncated.
     """
     _check_order_and_shift(n, c)
     q = _positive(q)
@@ -601,13 +598,15 @@ def verify_witness(w: LoopWitness) -> bool:
     Rational q: the loop must evaluate to status loop with exactly the stored
     squared weight, different from 1; a duplicate-c pair instead needs two
     paths ending at the stored non-zero ``c_value`` with exactly their stored,
-    different weights.  Each path is evaluated once.  Algebraic q: the
-    isolating interval is refined to width <= ``ALG_INTERVAL_WIDTH``, the
-    final prefix value at the interval midpoint must be below
-    ``ALG_FINAL_C_TOL`` in absolute value, the exact weight enclosure over
-    the interval must exclude 1, and the weight's ``approx`` must equal
-    exactly the float of the weight at that midpoint; a NaN or infinite
-    ``approx`` is refused, not raised on.
+    different weights.  Each path is evaluated once.  Algebraic q: the loop
+    must be the shifted alternating loop of the weight's order and shift,
+    the isolating interval is refined to width <= ``ALG_INTERVAL_WIDTH`` and
+    must lie in q > 0, the final prefix value at the interval midpoint must
+    be below ``ALG_FINAL_C_TOL`` in absolute value, and the weight's
+    ``approx`` must equal exactly the float of the weight at that midpoint;
+    a NaN or infinite ``approx`` is refused, not raised on.  The weight
+    needs no enclosure: by :func:`lemma_weight_squared` it is below 1 at
+    every q > 0 for every shift the lemma accepts.
     """
     if isinstance(w.q, Fraction):
         if w.provenance == "duplicate-c":
@@ -639,15 +638,17 @@ def verify_witness(w: LoopWitness) -> bool:
     fw = w.weight_squared
     n = len(w.loop) - 1
     alg = w.q.refine(ALG_INTERVAL_WIDTH)
-    try:
-        # ValueError: n < 1, a non-integer n or c, a unit-weight shift, or q <= 0
-        if fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
-            return False
-        lo_b, hi_b = fw.bounds(alg.lo, alg.hi)
-    except ValueError:
+    if alg.lo <= 0:
         return False
     mid = (alg.lo + alg.hi) / 2
-    pair = _final_pair(mid, w.loop)
-    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL or lo_b <= 1 <= hi_b:
+    try:
+        # ValueError: n < 1, a non-integer n or c, or a unit-weight shift
+        if fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
+            return False
+        w2 = fw.value_at(mid)
+    except ValueError:
         return False
-    return fw.approx == float(fw.value_at(mid))
+    pair = _final_pair(mid, w.loop)
+    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL:
+        return False
+    return fw.approx == float(w2)

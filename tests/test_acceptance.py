@@ -11,13 +11,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from forbiddenq import cli
-from forbiddenq.continuants import (
-    eval_g_float,
-    f_explicit,
-    f_poly,
-    g_identity_check,
-    g_roots,
-)
+from forbiddenq.continuants import f_poly, g_identity_check, g_roots
 from forbiddenq.exact import AlgebraicNumber
 from forbiddenq.families import darboux_witnesses, golden_targets, pell_witnesses
 from forbiddenq.loops import (
@@ -32,6 +26,7 @@ from forbiddenq.loops import (
     search_nonunit_loop,
     weight_squared,
 )
+from oracles import eval_g_float, f_explicit
 
 
 def _passed(num: int, text: str) -> None:
@@ -126,7 +121,9 @@ def test_criterion_06_darboux_family():
     mid = (alg.lo + alg.hi) / 2
     final_c = evaluate_path(mid, w4.witness.loop).prefix_c[-1]
     assert abs(final_c) < Fraction(1, 10**12)
-    lo_b, hi_b = w4.witness.weight_squared.bounds(alg.lo, alg.hi)
+    fw = w4.witness.weight_squared
+    lo_b, hi_b = sorted((lemma_weight_squared(fw.n, fw.c, alg.lo),
+                         lemma_weight_squared(fw.n, fw.c, alg.hi)))
     approx = Fraction(w4.witness.weight_squared.approx)
     assert lo_b - Fraction(1, 10**9) <= approx <= hi_b + Fraction(1, 10**9)
     assert abs(w4.witness.weight_squared.approx - 0.018337) < 5e-6

@@ -21,7 +21,6 @@ from forbiddenq.families import (
     fibonacci,
     golden_targets,
     norm_form,
-    norm_unit_pairs,
     pell_witnesses,
     quadratic_targets,
 )
@@ -33,6 +32,7 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
+from oracles import norm_unit_pairs
 
 
 def test_fibonacci_values():

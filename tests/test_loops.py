@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from forbiddenq.continuants import g_poly
-from forbiddenq.exact import parity_split
+from forbiddenq.continuants import g_poly, ratio_in_q
+from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
 from forbiddenq.loops import (
+    ALG_INTERVAL_WIDTH,
     MAX_SEARCH_DEPTH,
     STATUS_BROKEN,
     STATUS_LOOP,
@@ -19,6 +20,7 @@ from forbiddenq.loops import (
     BudgetExceeded,
     DegenerateC,
     FormulaWeight,
+    LoopWitness,
     NonPositiveQ,
     OutOfRange,
     SearchConfig,
@@ -34,6 +36,7 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
+from oracles import parity_split
 
 Q52 = Fraction(5, 2)
 LOOP52 = (1, -1, 1, -1, -2)
@@ -618,6 +621,33 @@ def test_verify_witness_rejects_tampered_branches(name):
     w = make()
     assert w.verified and verify_witness(w)
     assert not verify_witness(tamper(w))
+
+
+def test_verify_witness_refuses_an_algebraic_q_not_above_zero():
+    # the root 0 of x on (-2, 1): refined to width 1e-20 its interval still
+    # holds 0, and the loop (1, -1, -1) closes there to 8.5e-22 at the
+    # midpoint, so only the test q > 0 refuses it
+    q = AlgebraicNumber(IntPoly([0, 1]), Fraction(-2), Fraction(1), -0.5)
+    alg = q.refine(ALG_INTERVAL_WIDTH)
+    mid = (alg.lo + alg.hi) / 2
+    assert alg.lo < 0 < mid
+    loop = shifted_alternating_loop(2, -2)
+    assert loop == (1, -1, -1)
+    assert abs(evaluate_path(mid, loop).prefix_c[-1]) < Fraction(1, 10**12)
+    fw = FormulaWeight(2, -2, float(lemma_weight_squared(2, -2, mid)))
+    assert not verify_witness(LoopWitness(q, loop, fw, "darboux", False))
+
+
+def test_verify_witness_refuses_a_unit_weight_algebraic_loop():
+    # the unshifted alternating loop closes at every root of ratio_in_q(5)'s
+    # numerator 1 - 6q + 5q**2 - q**3, with weight 1: refused, not raised on
+    num, _ = ratio_in_q(5)
+    assert num == IntPoly([1, -6, 5, -1])
+    q = isolate_root(num, 0, 1)
+    loop = shifted_alternating_loop(5, 0)
+    alg = q.refine(ALG_INTERVAL_WIDTH)
+    assert abs(evaluate_path((alg.lo + alg.hi) / 2, loop).prefix_c[-1]) < Fraction(1, 10**12)
+    assert not verify_witness(LoopWitness(q, loop, FormulaWeight(5, 0, 1.0), "darboux", False))
 
 
 def test_huge_window_allocates_within_budget():

@@ -1,6 +1,7 @@
 """Property tests: every search witness survives a JSON round trip and still
-verifies; brute enumeration marks exactly its non-unit loops as verified; and
-the search's gcd product G gives every path's telescoped weight."""
+verifies; brute enumeration marks exactly its non-unit loops as verified;
+the search's gcd product G gives every path's telescoped weight; and the
+lemma's squared weight is below 1 at every q > 0."""
 
 import json
 import math
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from forbiddenq import cli
 from forbiddenq.loops import (
@@ -17,6 +18,7 @@ from forbiddenq.loops import (
     SearchConfig,
     brute_enumerate_loops,
     evaluate_path,
+    lemma_weight_squared,
     search_nonunit_loop,
     verify_witness,
     weight_squared,
@@ -75,3 +77,13 @@ def test_gcd_product_gives_the_telescoped_weight(p, d, m):
     k = len(m) - 1
     assert math.gcd(cn, cd) == 1 and Fraction(cn, cd) == ev.prefix_c[-1]
     assert Fraction((cd * G) ** 2, (qn * qd) ** k) == ev.weight_squared
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 60), c=st.integers(-50, 50),
+       q=st.fractions(min_value=0, max_denominator=10**9).filter(lambda q: q > 0))
+def test_lemma_weight_is_below_one(n, c, q):
+    # c and c + (-1)**n are consecutive non-zero integers, so their product
+    # is at least 2: this is why verify_witness needs no weight enclosure
+    assume(c not in (0, -(-1) ** n))
+    assert lemma_weight_squared(n, c, q) < 1
