@@ -2,11 +2,11 @@
 
 ``prefix_pairs`` is the continued-fraction recurrence c -> m + 1/(q c) of
 :mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
-every exact evaluation in the package runs through it except two inlined
-copies of its step: the search's, reduced, and the unreduced one in the test
-oracle ``brute_enumerate_loops``.  ``f_poly`` builds, by the three-term
-recurrence, the polynomial whose ratios reproduce the prefix values of the
-continued-fraction evaluator in :mod:`forbiddenq.loops`.
+every exact loop evaluation in the package runs through it except two
+inlined copies of its step (the search's, reduced, and the test oracle
+``brute_enumerate_loops``'s, unreduced) and ``ratio_in_q``, read off
+``g_poly``.  ``f_poly`` builds, by the three-term recurrence, the polynomial
+whose ratios reproduce those prefix values.
 
 The alternating-sign specialization ``g_poly(n)`` behaves like a rescaled
 Chebyshev family: its roots are 2*cos(pi*j/(n+1)), consecutive members
@@ -34,7 +34,7 @@ def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
     D_{j+1} = qn * N_j, a zero N_j breaks the sequence at j + 1 (D_{j+1} = 0;
     the caller stops there), and the prefix product telescopes: the squared
     weight q**k * prod_{j<k} c_j**2 of (m_0..m_k) is D_k**2 / (qn*qd)**k.
-    The same code runs over :class:`IntPoly` with qn = x and qd = IntPoly([1]).
+    Only the tests run it over :class:`IntPoly` (qn = x, qd = IntPoly([1])).
     ``m`` may be any iterable, infinite ones included.
     """
     it = iter(m)
@@ -89,16 +89,15 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     """Numerator and denominator in q of g_{n+1}(x) / (x g_n(x)) with q = x**2.
 
     This is the final prefix value of the alternating path
-    (1, -1, ..., (-1)**n) as a function of q: the last pair of
-    :func:`prefix_pairs` over IntPoly, with the common power of q and the
-    common integer content divided out.
+    (1, -1, ..., (-1)**n) as a function of q: the parts of g_{n+1} and x g_n
+    of the parity of n + 1, read off the cached :func:`g_poly`.  Nothing
+    needs dividing out: both leads are +-1, and num's constant term is
+    +-C(n+1-k, k) with k = floor((n+1)/2), not zero.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    *_, pair = prefix_pairs([(-1) ** i for i in range(n + 1)], IntPoly([0, 1]), IntPoly([1]))
-    low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in pair)
-    g = math.gcd(*(p.content() for p in pair))
-    return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
+    r = (n + 1) % 2
+    return IntPoly(g_poly(n + 1).coeffs[r::2]), IntPoly(((0,) + g_poly(n).coeffs)[r::2])
 
 
 def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:

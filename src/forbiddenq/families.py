@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Union
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
-from .continuants import U_SET_WIDTH, _u_brackets, prefix_pairs, ratio_in_q
+from .continuants import U_SET_WIDTH, _u_brackets, ratio_in_q
 from .loops import (
     ALG_INTERVAL_WIDTH,
     FormulaWeight,
@@ -171,7 +171,7 @@ def _root_in_interval(
     halving ends: at t0, a root of den, ``target`` = num - eps*c*den equals
     num, non-zero as num and den are coprime.  A sign change below t0 breaks
     the premise: ArithmeticError.  A rational root is a multiple of 1/L, and
-    the interval holds at most one, which is tested exactly.
+    the interval holds at most one: the first above r.lo, if below r.hi.
     """
     p = target.primitive()
     lead = abs(p.leading)
@@ -182,7 +182,7 @@ def _root_in_interval(
     if t0.compare_rational(r.lo) > 0:
         raise ArithmeticError("the level polynomial changes sign below t0")
     x = Fraction(math.floor(r.lo * lead) + 1, lead)
-    return x if p.eval(x) == 0 and x < r.hi else r
+    return x if x < r.hi and p.eval(x) == 0 else r
 
 
 def darboux_witnesses(
@@ -208,8 +208,8 @@ def darboux_witnesses(
     t1 (:func:`_t1_approx`) lies inside t0's bracket, which holds no other
     root of den, so den has no root in (t0, t1] and eps * c_n maps (t0, t1)
     onto (eps * c_n(t1), infinity) one to one: level c has one root there
-    exactly when c > eps * c_n(t1).  c_n(t1) is the last pair of one
-    :func:`prefix_pairs` walk of the alternating loop at t1.
+    exactly when c > eps * c_n(t1).  c_n(t1) is num(t1)/den(t1); den(t1) is
+    not zero, as t0 is the one root of den in its bracket.
     ``min_c`` below 3 explores levels outside the existence argument; any
     witness that does verify is still a genuine certificate.  Only the
     chosen point is isolated, by the same call that :func:`u_set` makes for
@@ -228,8 +228,7 @@ def darboux_witnesses(
     t1f = _t1_approx(n, j0)
     t1 = Fraction(t1f)
     epsilon = (-1) ** (n + 1)
-    *_, (cn, cd) = prefix_pairs([(-1) ** i for i in range(n + 1)], t1.numerator, t1.denominator)
-    first = max(min_c, 1, epsilon * cn // cd + 1)
+    first = max(min_c, 1, math.floor(epsilon * num.eval(t1) / den.eval(t1)) + 1)
 
     out: list[DarbouxWitness] = []
     for c_k in range(first, first + count):

@@ -1,7 +1,8 @@
 """Independent test oracles for the runtime in ``src/forbiddenq``.
 
 Each one recomputes something the package computes another way: Horner in
-``Fraction`` for :meth:`IntPoly.eval`, the parity split for ``ratio_in_q``,
+``Fraction`` for :meth:`IntPoly.eval`, the ``prefix_pairs`` walk over
+``IntPoly`` for ``ratio_in_q`` (which reads the parity split of ``g_poly``),
 subset enumeration for ``f_poly``, the float recurrence for the roots of
 ``g_poly``, and a brute scan of the norm form for the Fibonacci pairs behind
 ``pell_witnesses``.  None of them is on a path that produces a certificate.
@@ -9,9 +10,11 @@ subset enumeration for ``f_poly``, the float recurrence for the roots of
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
+from forbiddenq.continuants import prefix_pairs
 from forbiddenq.exact import IntPoly, RationalLike
 from forbiddenq.families import norm_form
 
@@ -33,6 +36,19 @@ def horner_eval(p: IntPoly, x: RationalLike) -> Fraction:
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Split ``p(x) = even(x**2) + x * odd(x**2)`` into its parity parts."""
     return IntPoly(p.coeffs[0::2]), IntPoly(p.coeffs[1::2])
+
+
+def ratio_by_prefix_pairs(n: int) -> tuple[IntPoly, IntPoly]:
+    """Numerator and denominator in q of the alternating path's last prefix value.
+
+    Walks :func:`prefix_pairs` over IntPoly along (1, -1, ..., (-1)**n) with
+    qn = q, qd = 1, then divides out the common power of q and the common
+    integer content.
+    """
+    *_, pair = prefix_pairs([(-1) ** i for i in range(n + 1)], IntPoly([0, 1]), IntPoly([1]))
+    low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in pair)
+    g = math.gcd(*(p.content() for p in pair))
+    return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
 
 
 def f_explicit(m: Sequence[int], cutoff: int = EXPLICIT_CUTOFF) -> IntPoly:

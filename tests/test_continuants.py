@@ -15,7 +15,7 @@ from forbiddenq.continuants import (
 )
 from forbiddenq.exact import IntPoly
 from forbiddenq.loops import STATUS_PATH, evaluate_path
-from oracles import CutoffExceeded, eval_g_float, f_explicit, parity_split
+from oracles import CutoffExceeded, eval_g_float, f_explicit, ratio_by_prefix_pairs
 
 
 def test_f_poly_examples():
@@ -115,22 +115,20 @@ def test_ratio_in_q_examples():
     assert ratio_in_q(4) == (IntPoly([3, -4, 1]), IntPoly([1, -3, 1]))
 
 
-def _ratio_by_parity_split(n):
-    # an independent derivation: g_n has the parity of n, so the ratio is
-    # odd(g_{n+1}) / even(g_n) for even n and even(g_{n+1}) / (q odd(g_n)) for odd n
-    even_hi, odd_hi = parity_split(g_poly(n + 1))
-    even_lo, odd_lo = parity_split(g_poly(n))
-    if n % 2 == 0:
-        num, den = odd_hi, even_lo
-    else:
-        num, den = even_hi, IntPoly([0, 1]) * odd_lo
-    c = math.gcd(num.content(), den.content())
-    return IntPoly([x // c for x in num.coeffs]), IntPoly([x // c for x in den.coeffs])
-
-
-@pytest.mark.parametrize("n", range(1, 61))
+@pytest.mark.parametrize("n", [*range(1, 61), 100, 200])
 def test_ratio_in_q_equals_parity_split_oracle(n):
-    assert ratio_in_q(n) == _ratio_by_parity_split(n)
+    assert ratio_in_q(n) == ratio_by_prefix_pairs(n)
+
+
+def test_ratio_in_q_needs_no_strip():
+    # the facts ratio_in_q's docstring relies on: num(0) != 0, so no power of q
+    # divides both; both leads are +-1, so the content is 1; and den has one
+    # root in q per point j = 1..ceil(n/2)
+    for n in range(1, 301):
+        num, den = ratio_in_q(n)
+        assert num.coeffs[0] != 0, n
+        assert abs(num.leading) == abs(den.leading) == 1, n
+        assert den.degree == (n + 1) // 2, n
 
 
 def test_prefix_pairs_over_intpoly_match_integer_pairs():

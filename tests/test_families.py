@@ -9,7 +9,7 @@ import pytest
 
 from forbiddenq.cli import witness_to_dict
 from forbiddenq import exact
-from forbiddenq.continuants import _u_brackets, ratio_in_q, u_set
+from forbiddenq.continuants import _u_brackets, prefix_pairs, ratio_in_q, u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
     DarbouxWitness,
@@ -410,6 +410,19 @@ def test_lemma_premise_and_first_level_criterion():
             for c in range(1, dw.c_k + 2):
                 want = 1 if c >= dw.c_k else 0
                 assert _roots_above(num - (eps * c) * den, t0, t1) == want, (n, i, c)
+
+
+def test_first_level_at_min_c_1_is_the_floor_of_c_n_at_t1():
+    # with min_c = 1 the first level is max(1, floor(eps * c_n(t1)) + 1), so
+    # the floor term shows; c_n(t1) comes from an integer walk of the path
+    for n in range(1, 41):
+        eps = (-1) ** (n + 1)
+        for i in range(len(_u_brackets(n))):
+            dw = darboux_witnesses(n, i, 1, min_c=1)[0]
+            t1 = Fraction(dw.t1_approx)
+            *_, (cn, cd) = prefix_pairs([(-1) ** j for j in range(n + 1)],
+                                        t1.numerator, t1.denominator)
+            assert dw.c_k == max(1, math.floor(eps * Fraction(cn, cd)) + 1), (n, i)
 
 
 @pytest.mark.parametrize("n, u_index", [(4, 1), (16, 6), (60, 3)])
