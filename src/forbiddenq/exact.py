@@ -306,7 +306,8 @@ class AlgebraicNumber:
     and have no root at either end.  The
     constructor re-checks only the sign change at the endpoints, which proves
     an odd number of roots inside, so a value read back from outside (a JSON
-    certificate) is a root but not known to be the only one.  ``approx`` is a
+    certificate) is a root, known to be the only one once
+    :func:`forbiddenq.loops.verify_witness` accepts its certificate.  ``approx`` is a
     defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
     exactly, and a midpoint too large for a float is refused with
     ``ValueError``.
@@ -357,8 +358,9 @@ class AlgebraicNumber:
         Exact for an interval that holds one simple root, as every interval
         built here does: inside it, ``defining`` has the sign it has at ``lo``
         below the root and the opposite sign above it, so one sign at ``r``
-        decides.  An interval read back from outside is only known to hold an
-        odd number of roots, and is not compared.
+        decides.  An interval read back from outside holds one root once
+        :func:`forbiddenq.loops.verify_witness` accepts its certificate;
+        before that it is only known to hold an odd number, and is not compared.
         """
         r = Fraction(r)
         if r <= self.lo:

@@ -34,7 +34,6 @@ from typing import Union
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 from .continuants import U_SET_WIDTH, _u_brackets, ratio_in_q
 from .loops import (
-    ALG_INTERVAL_WIDTH,
     FormulaWeight,
     LoopWitness,
     lemma_weight_squared,
@@ -154,6 +153,10 @@ def _t1_approx(n: int, j0: int) -> float:
     p, k = (j0 * q - 1) // (n + 1), (n + 1) // q
     forms = [(p, q), (q - p, q)] + ([(k * p, n + 1)] if k * q == n + 1 else [])
     return min(4.0 * math.cos(math.pi * j / m) ** 2 for j, m in forms)
+
+
+# width of the isolating interval of an algebraic Darboux root
+ALG_INTERVAL_WIDTH = Fraction(1, 10**20)
 
 
 def _root_in_interval(

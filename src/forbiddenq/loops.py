@@ -24,16 +24,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .continuants import prefix_pairs
-from .exact import AlgebraicNumber, RationalLike
+from .continuants import prefix_pairs, ratio_in_q
+from .exact import AlgebraicNumber, RationalLike, _exact_div
 
 STATUS_PATH = "path"
 STATUS_LOOP = "loop"
 STATUS_BROKEN = "broken"
-
-# certification tolerances for witnesses at algebraic q
-ALG_INTERVAL_WIDTH = Fraction(1, 10**20)
-ALG_FINAL_C_TOL = Fraction(1, 10**12)
 
 # hard guard on SearchConfig.max_depth: the search recurses once per level
 MAX_SEARCH_DEPTH = 256
@@ -110,10 +106,10 @@ class LoopWitness:
     For provenance "search", "pell" and "darboux" the certificate is a loop
     with non-unit squared weight.  Every producer builds its witness with
     ``verified = False`` and takes the flag from :func:`verify_witness`
-    alone, which re-checks the loop and the weight from scratch (exactly for
-    rational q, to interval tolerances for algebraic q).  Loops of unit
-    weight keep ``verified = False``: they are valid loops but certify
-    nothing.
+    alone, which re-checks the loop and the weight from scratch, exactly:
+    for algebraic q it also proves that the interval holds one root.  Loops
+    of unit weight keep ``verified = False``: they are valid loops but
+    certify nothing.
 
     Provenance "duplicate-c" certifies instead by exhibiting two paths with
     equal final value and different weights; the second path and its weight
@@ -251,14 +247,16 @@ def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
     weight.  For every other integer shift, c and c + (-1)**n are
     consecutive non-zero integers, so c*(c + (-1)**n) >= 2 and the value is
     < 1 at every q > 0.  A non-integer ``n`` or ``c`` is refused, not
-    truncated.
+    truncated.  With q = a/b the value is b / (b + c (c + (-1)**n) a), whose
+    denominator is at least b + 2a > 0.
     """
     _check_order_and_shift(n, c)
     q = _positive(q)
     sign = (-1) ** n
     if c == 0 or c == -sign:
         raise DegenerateC(f"shift c={c} is a unit-weight case for n={n}")
-    return 1 / abs(1 + c * q * (c + sign))
+    a, b = q.numerator, q.denominator
+    return Fraction(b, b + c * (c + sign) * a)
 
 
 def shifted_alternating_loop(n: int, c: int) -> tuple[int, ...]:
@@ -592,21 +590,50 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 
+def _prefix_signs(m: Sequence[int], x: Fraction) -> list[int]:
+    """Signs of the numerators N_j of the prefix_pairs walk of ``m`` at x."""
+    return [(num > 0) - (num < 0) for num, _ in prefix_pairs(m, x.numerator, x.denominator)]
+
+
 def verify_witness(w: LoopWitness) -> bool:
     """Re-verify a witness from scratch; the only source of ``verified``.
 
     Rational q: the loop must evaluate to status loop with exactly the stored
     squared weight, different from 1; a duplicate-c pair instead needs two
     paths ending at the stored non-zero ``c_value`` with exactly their stored,
-    different weights.  Each path is evaluated once.  Algebraic q: the loop
-    must be the shifted alternating loop of the weight's order and shift,
-    the isolating interval is refined to width <= ``ALG_INTERVAL_WIDTH`` and
-    must lie in q > 0, the final prefix value at the interval midpoint must
-    be below ``ALG_FINAL_C_TOL`` in absolute value, and the weight's
-    ``approx`` must equal exactly the float of the weight at that midpoint;
-    a NaN or infinite ``approx`` is refused, not raised on.  The weight
-    needs no enclosure: by :func:`lemma_weight_squared` it is below 1 at
-    every q > 0 for every shift the lemma accepts.
+    different weights.  Each path is evaluated once.
+
+    Algebraic q, a root of ``defining`` in (lo, hi): the loop must be the
+    shifted alternating loop of the weight's order n and shift c, and lo
+    must be positive.  Two exact checks, at any interval width, and the
+    lemma then prove that (lo, hi) holds one root of ``defining`` and that
+    the loop closes there.
+
+    * Closing: ``defining.primitive()`` divides num + c*den, with
+      (num, den) = :func:`forbiddenq.continuants.ratio_in_q` (n), the level
+      polynomial :func:`forbiddenq.families.darboux_witnesses` solves.  The
+      alternating path's final value is c_n = num/den, so the loop's is
+      c_n + c, and num + c*den = den (c_n + c).
+    * No proper prefix vanishes: the integer :func:`prefix_pairs` walks of
+      the loop less its last entry, at lo and at hi, give each N_j the same
+      sign at both ends.  By the monotonicity lemma in ``darboux_witnesses``
+      each prefix value c_j with j >= 1 is strictly monotone wherever it is
+      defined, and N_j has the sign of c_0 ... c_j.  N_0 = 1; while
+      N_0 .. N_{j-1} have no zero on [lo, hi], c_j is continuous and strictly
+      monotone there, so it cannot vanish at both ends, and a sign it has at
+      both ends it has throughout.  So no N_j vanishes on [lo, hi].
+    * One root, by the lemma rather than a Sturm count: c_n is then finite,
+      continuous and strictly monotone on [lo, hi], so den, coprime to num,
+      does not vanish there, and num + c*den, and with it its divisor
+      ``defining``, has at most one root there, where the loop closes.  The
+      sign change the :class:`AlgebraicNumber` constructor checks makes it
+      exactly one.
+
+    The weight's ``approx`` must equal exactly the float of the weight at
+    the interval midpoint; a NaN or infinite ``approx`` is refused, not
+    raised on.  The weight needs no enclosure: by
+    :func:`lemma_weight_squared` it is below 1 at every q > 0 for every
+    shift the lemma accepts.
     """
     if isinstance(w.q, Fraction):
         if w.provenance == "duplicate-c":
@@ -635,20 +662,20 @@ def verify_witness(w: LoopWitness) -> bool:
 
     if w.provenance == "duplicate-c" or not isinstance(w.weight_squared, FormulaWeight):
         return False
-    fw = w.weight_squared
+    fw, alg = w.weight_squared, w.q
     n = len(w.loop) - 1
-    alg = w.q.refine(ALG_INTERVAL_WIDTH)
     if alg.lo <= 0:
         return False
-    mid = (alg.lo + alg.hi) / 2
     try:
-        # ValueError: n < 1, a non-integer n or c, or a unit-weight shift
+        # ValueError: n < 1, a non-integer n or c, a unit-weight shift, or
+        # ``defining`` not dividing the level polynomial
         if fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
             return False
-        w2 = fw.value_at(mid)
+        w2 = fw.value_at((alg.lo + alg.hi) / 2)
+        num, den = ratio_in_q(n)
+        _exact_div(num + fw.c * den, alg.defining.primitive())
     except ValueError:
         return False
-    pair = _final_pair(mid, w.loop)
-    if pair is None or abs(Fraction(*pair)) >= ALG_FINAL_C_TOL:
+    if _prefix_signs(w.loop[:-1], alg.lo) != _prefix_signs(w.loop[:-1], alg.hi):
         return False
     return fw.approx == float(w2)

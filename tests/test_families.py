@@ -12,6 +12,7 @@ from forbiddenq import exact
 from forbiddenq.continuants import _u_brackets, prefix_pairs, ratio_in_q, u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
+    ALG_INTERVAL_WIDTH,
     DarbouxWitness,
     NegativeDiscriminant,
     _root_in_interval,
@@ -25,7 +26,6 @@ from forbiddenq.families import (
     quadratic_targets,
 )
 from forbiddenq.loops import (
-    ALG_INTERVAL_WIDTH,
     STATUS_LOOP,
     evaluate_path,
     lemma_weight_squared,
@@ -180,6 +180,18 @@ def test_darboux_min_c_exploration():
     ws = darboux_witnesses(2, 0, 2, min_c=1)
     assert all(w.witness.verified for w in ws)
     assert ws[0].c_k < 3
+
+
+@pytest.mark.parametrize("n, u_index, min_c", [(10, 0, 10**4), (4, 0, 10**5), (348, 58, 10844)])
+def test_darboux_high_levels_verify(n, u_index, min_c):
+    # at these levels the loop's final value at the midpoint of the 1e-20
+    # interval exceeds 1e-12, which a midpoint tolerance once refused;
+    # divisibility and the prefix signs do not depend on the width
+    dw = darboux_witnesses(n, u_index, 1, min_c=min_c)[0]
+    assert isinstance(dw.q, AlgebraicNumber) and dw.witness.verified
+    if n == 348:
+        assert dw.q.compare_rational(Fraction("1.009413")) > 0
+        assert dw.q.compare_rational(Fraction("1.010413")) < 0
 
 
 def test_darboux_bad_index():

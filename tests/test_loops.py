@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -8,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+from forbiddenq.cli import witness_from_dict, witness_to_dict
 from forbiddenq.continuants import g_poly, ratio_in_q
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
+from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses
 from forbiddenq.loops import (
-    ALG_INTERVAL_WIDTH,
     MAX_SEARCH_DEPTH,
     STATUS_BROKEN,
     STATUS_LOOP,
@@ -557,8 +559,6 @@ def _duplicate_c_witness():
 
 
 def _algebraic_darboux_witness():
-    from forbiddenq.families import darboux_witnesses
-
     w = darboux_witnesses(4, 1, 2)[1].witness
     assert isinstance(w.weight_squared, FormulaWeight)
     return w
@@ -624,18 +624,53 @@ def test_verify_witness_rejects_tampered_branches(name):
 
 
 def test_verify_witness_refuses_an_algebraic_q_not_above_zero():
-    # the root 0 of x on (-2, 1): refined to width 1e-20 its interval still
-    # holds 0, and the loop (1, -1, -1) closes there to 8.5e-22 at the
-    # midpoint, so only the test q > 0 refuses it
-    q = AlgebraicNumber(IntPoly([0, 1]), Fraction(-2), Fraction(1), -0.5)
-    alg = q.refine(ALG_INTERVAL_WIDTH)
-    mid = (alg.lo + alg.hi) / 2
-    assert alg.lo < 0 < mid
-    loop = shifted_alternating_loop(2, -2)
-    assert loop == (1, -1, -1)
-    assert abs(evaluate_path(mid, loop).prefix_c[-1]) < Fraction(1, 10**12)
-    fw = FormulaWeight(2, -2, float(lemma_weight_squared(2, -2, mid)))
+    # the root -1 of q + 1 on (-3/2, 2): q + 1 is the level polynomial
+    # num + 2 den of the loop (1, 1), whose one proper prefix N_0 = 1 has one
+    # sign everywhere, so only the test q > 0 refuses it
+    loop = shifted_alternating_loop(1, 2)
+    assert loop == (1, 1)
+    num, den = ratio_in_q(1)
+    assert num + 2 * den == IntPoly([1, 1])
+    q = AlgebraicNumber(IntPoly([1, 1]), Fraction(-3, 2), Fraction(2), 0.25)
+    fw = FormulaWeight(1, 2, float(lemma_weight_squared(1, 2, Fraction(1, 4))))
     assert not verify_witness(LoopWitness(q, loop, fw, "darboux", False))
+
+
+def _posed(w, defining, lo, hi):
+    """``w`` at the root of ``defining`` in (lo, hi), its weight's approx at the midpoint."""
+    mid = (lo + hi) / 2
+    fw = w.weight_squared
+    return replace(w, q=AlgebraicNumber(defining, lo, hi, float(mid)), verified=False,
+                   weight_squared=replace(fw, approx=float(fw.value_at(mid))))
+
+
+def test_verify_witness_refuses_the_forged_algebraic_certificate():
+    # x = mid + 1e-15, posed as the root of b x - a on an interval of width
+    # 2e-25: the loop's final value at x is below 1e-12, which a midpoint
+    # tolerance once accepted, but x closes no loop: b x - a does not divide
+    # the level polynomial
+    w = darboux_witnesses(6, 0, 2)[1].witness
+    x = (w.q.lo + w.q.hi) / 2 + Fraction(1, 10**15)
+    r = Fraction(1, 10**25)
+    forged = _posed(w, IntPoly([-x.numerator, x.denominator]), x - r, x + r)
+    assert 0 < abs(evaluate_path(x, forged.loop).prefix_c[-1]) < Fraction(1, 10**12)
+    assert not verify_witness(forged)
+    back = witness_from_dict(json.loads(json.dumps(witness_to_dict(forged))))
+    assert back == forged
+    assert not verify_witness(back)
+
+
+@pytest.mark.parametrize("n", [6, 14, 20])
+def test_verify_witness_refuses_an_interval_holding_the_pole(n):
+    # down to t0.lo the interval still holds the one root of the level
+    # polynomial, which divides itself, but N_{n-1} changes sign at the pole
+    # t0: only the prefix signs refuse it.  Widened only down to t0.hi, the
+    # same root verifies
+    dw = darboux_witnesses(n, 0, 1)[0]
+    w = dw.witness
+    assert isinstance(w.q, AlgebraicNumber)
+    assert verify_witness(_posed(w, w.q.defining, dw.t0.hi, w.q.hi))
+    assert not verify_witness(_posed(w, w.q.defining, dw.t0.lo, w.q.hi))
 
 
 def test_verify_witness_refuses_a_unit_weight_algebraic_loop():

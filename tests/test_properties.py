@@ -1,7 +1,8 @@
 """Property tests: every search witness survives a JSON round trip and still
 verifies; brute enumeration marks exactly its non-unit loops as verified;
-the search's gcd product G gives every path's telescoped weight; and the
-lemma's squared weight is below 1 at every q > 0."""
+the search's gcd product G gives every path's telescoped weight; the
+lemma's squared weight is below 1 at every q > 0; and tampered algebraic
+Darboux certificates are refused, not raised on."""
 
 import json
 import math
@@ -12,14 +13,21 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
+from dataclasses import replace
+
 from forbiddenq import cli
+from forbiddenq.continuants import _u_brackets
+from forbiddenq.exact import AlgebraicNumber, IntPoly, NoSignChange
+from forbiddenq.families import darboux_witnesses
 from forbiddenq.loops import (
     STATUS_BROKEN,
+    FormulaWeight,
     SearchConfig,
     brute_enumerate_loops,
     evaluate_path,
     lemma_weight_squared,
     search_nonunit_loop,
+    shifted_alternating_loop,
     verify_witness,
     weight_squared,
 )
@@ -87,3 +95,62 @@ def test_lemma_weight_is_below_one(n, c, q):
     # is at least 2: this is why verify_witness needs no weight enclosure
     assume(c not in (0, -(-1) ** n))
     assert lemma_weight_squared(n, c, q) < 1
+
+
+@st.composite
+def algebraic_darboux(draw):
+    n = draw(st.integers(2, 12))  # n = 1 gives rational q only
+    u_index = draw(st.integers(0, len(_u_brackets(n)) - 1))
+    dw = darboux_witnesses(n, u_index, 1, min_c=draw(st.integers(1, 10**4)))[0]
+    assume(isinstance(dw.q, AlgebraicNumber))
+    return dw
+
+
+def _posed(w, q, c):
+    """``w`` at ``q`` with shift ``c``, the weight's approx at q's midpoint."""
+    n = len(w.loop) - 1
+    try:
+        approx = float(lemma_weight_squared(n, c, (q.lo + q.hi) / 2))
+    except ValueError:  # a unit-weight shift
+        approx = 1.0
+    return replace(w, q=q, loop=shifted_alternating_loop(n, c),
+                   weight_squared=FormulaWeight(n, c, approx), verified=False)
+
+
+def _interval(p, lo, hi):
+    return AlgebraicNumber(p, lo, hi, float((lo + hi) / 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dw=algebraic_darboux(), tamper=st.sampled_from(["coefficient", "shift", "lo"]),
+       data=st.data())
+def test_tampered_algebraic_certificates_are_refused(dw, tamper, data):
+    w = dw.witness
+    p, c = w.q.defining, w.weight_squared.c
+    assert verify_witness(w)
+    if tamper == "coefficient":
+        # p is the primitive level polynomial, and its same-degree divisors
+        # are its constant multiples: moving one non-leading coefficient
+        # leaves none of them.  Posed where p itself verifies, on an interval
+        # from t0.hi to halfway to t1, the next obstruction's float (which
+        # may lie just past it), wherever the moved one changes sign there
+        lo, hi = dw.t0.hi, (w.q.hi + Fraction(dw.t1_approx)) / 2
+        assert verify_witness(_posed(w, _interval(p, lo, hi), c))
+        coeffs = list(p.coeffs)
+        coeffs[data.draw(st.integers(0, p.degree - 1))] += data.draw(
+            st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        try:
+            q = _interval(IntPoly(coeffs), lo, hi)
+        except NoSignChange:
+            return
+        tampered = _posed(w, q, c)
+    elif tamper == "shift":
+        # p divides num + c den, so if it divided num + (c +- 1) den it would
+        # divide den and then num, which are coprime; a shift that lands on a
+        # unit-weight case is refused by the lemma
+        tampered = _posed(w, w.q, c + data.draw(st.sampled_from([-1, 1])))
+    else:
+        # down to t0.lo the interval holds the pole t0, where N_{n-1} changes
+        # sign, so the prefix signs differ at its ends
+        tampered = _posed(w, _interval(p, dw.t0.lo, w.q.hi), c)
+    assert verify_witness(tampered) is False
