@@ -8,6 +8,10 @@ closed it early.  Rationals are accepted as "a/b" or as finite decimals, both
 converted exactly.  All big integers in JSON output are rendered as decimal
 strings; one longer than the interpreter's int-to-str limit is a budget
 fault, with nothing printed.
+
+``scan --jobs N`` with N > 1 runs the candidates in a process pool; the pool
+and its modules (``concurrent.futures``, ``multiprocessing``) are imported
+only then, so every other command starts without them.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -281,6 +284,7 @@ def cmd_scan(args) -> int:
     tasks = [(a, b, cfg) for a, b in cands]
     # pool.map keeps task order, so rows stay in (b, a) order either way
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
             results = list(pool.map(_scan_candidate, tasks, chunksize=8))
     else:
@@ -379,7 +383,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_gpoly(args) -> int:
-    print(json.dumps(list(continuants.g_poly(args.n).coeffs)))
+    # json.dumps would raise the interpreter's ValueError past the digit limit
+    print("[" + ", ".join(frac_str(c) for c in continuants.g_poly(args.n).coeffs) + "]")
     return 0
 
 

@@ -8,10 +8,11 @@ inlined copies of its step (the search's, reduced, and the test oracle
 ``g_poly``.  ``f_poly`` builds, by the three-term recurrence, the polynomial
 whose ratios reproduce those prefix values.
 
-The alternating-sign specialization ``g_poly(n)`` behaves like a rescaled
-Chebyshev family: its roots are 2*cos(pi*j/(n+1)), consecutive members
-satisfy g_n**2 + g_{n+1} g_{n-1} = 1, and the squares of the roots with
-index coprime to n+1 form the accumulation sets returned by ``u_set``.
+The alternating-sign specialization ``g_poly(n)`` is a rescaled Chebyshev
+polynomial of the second kind, built from its binomial coefficients: its
+roots are 2*cos(pi*j/(n+1)), consecutive members satisfy
+g_n**2 + g_{n+1} g_{n-1} = 1, and the squares of the roots with index
+coprime to n+1 form the accumulation sets returned by ``u_set``.
 """
 
 from __future__ import annotations
@@ -64,10 +65,22 @@ def f_poly(m: Sequence[int]) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def g_poly(n: int) -> IntPoly:
-    """Continuant of the alternating sequence (1, -1, ..., (-1)**(n-1))."""
+    """Continuant of the alternating sequence (1, -1, ..., (-1)**(n-1)).
+
+    Built from its closed form, (-1)**(n//2) U_n(x/2) with U_n the Chebyshev
+    polynomial of the second kind: the coefficient of x**(n-2k) is
+    (-1)**(n//2 + k) * C(n-k, k), each binomial taken from the one before by
+    C(n-k, k) = C(n-k+1, k-1) (n-2k+2)(n-2k+1) / (k (n-k+1)).  Equal to
+    ``f_poly`` of the alternating sequence, in O(n) big-integer steps.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return f_poly(tuple((-1) ** i for i in range(n)))
+    coeffs = [0] * (n + 1)
+    c = coeffs[n] = (-1) ** (n // 2)
+    for k in range(1, n // 2 + 1):
+        c = -c * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k + 1))
+        coeffs[n - 2 * k] = c
+    return IntPoly(coeffs)
 
 
 def g_roots(n: int) -> list[float]:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import subprocess
 import sys
@@ -403,6 +404,21 @@ def test_gpoly_roots_uset_cos2(capsys):
     assert code == 0 and json.loads(out) == pytest.approx([0.5])
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the interpreter has no int-to-str digit limit")
+def test_gpoly_beyond_the_digit_limit_is_a_budget_fault(capsys):
+    # g_3200 has coefficients of 667 digits; 640 is the lowest limit allowed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = cli.main(["gpoly", "--n", "3200"])
+    finally:
+        sys.set_int_max_str_digits(old)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "fault: a result has more than 640 digits\n"
+
+
 def test_scan_csv(capsys):
     code, out = run(capsys, "scan", "--range", "2,3", "--max-den", "5",
                     "--depth", "5", "--window", "4")
@@ -526,7 +542,8 @@ def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
 
     args = ["scan", "--range", "2,3", "--max-den", "5", "--depth", "4", "--window", "2"]
     _, serial = run(capsys, *args)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # cmd_scan imports the pool at call time, so it reads the patched attribute
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     for jobs, size in (("2", 2), ("3", 3), ("64", 3)):
         code, out = run(capsys, *args, "--jobs", jobs)
@@ -543,6 +560,17 @@ def test_console_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "2"
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    # only scan --jobs > 1 imports it; test_scan_deterministic_across_jobs runs it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, forbiddenq.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('concurrent', 'multiprocessing')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def test_unknown_flag_is_invalid_input(capsys):

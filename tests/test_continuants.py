@@ -61,6 +61,11 @@ def test_g_poly_examples():
     assert g_poly(5) == IntPoly([0, 3, 0, -4, 0, 1])
 
 
+def test_g_poly_equals_f_poly_of_the_alternating_sequence():
+    for n in [*range(300), 1000]:
+        assert g_poly(n) == f_poly(tuple((-1) ** i for i in range(n))), n
+
+
 def test_g_poly_binomial_coefficients():
     # +-sum over l of (-1)**l C(n-l, n-2l) x**(n-2l), sign fixed by the lead
     for n in range(1, 21):
