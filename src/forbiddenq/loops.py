@@ -34,6 +34,10 @@ STATUS_BROKEN = "broken"
 # hard guard on SearchConfig.max_depth: the search recurses once per level
 MAX_SEARCH_DEPTH = 256
 
+# hard guard on SearchConfig.node_budget: the search's table grows with the
+# nodes it counts
+MAX_NODE_BUDGET = 10**7
+
 # hard guard on the chain length `forbiddenq chain` walks to: the walk takes
 # about pi/sqrt(4 - q) steps on integers that grow at each step
 MAX_CHAIN_LENGTH = 2**14
@@ -141,6 +145,10 @@ class SearchConfig:
         if self.max_depth > MAX_SEARCH_DEPTH:
             raise ValueError(
                 f"max_depth={self.max_depth} exceeds the guard {MAX_SEARCH_DEPTH}"
+            )
+        if self.node_budget > MAX_NODE_BUDGET:
+            raise ValueError(
+                f"node_budget={self.node_budget} exceeds the guard {MAX_NODE_BUDGET}"
             )
 
 
@@ -439,10 +447,32 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     has the entry (num - b) // a, and its own path is rebuilt only for a
     certificate.
 
+    Outside (2, 4) that record is stored once per leaf class, not once per
+    leaf.  A leaf parent with a >= 3 has the leaf children (r0 + t a)/a for
+    |t| <= reach, where r0 = center a + b is the centred residue of b mod a,
+    unique and non-zero since gcd(a, b) = 1; so (a, r0) fixes the set, and a
+    second table ``classes`` maps it to the record of its first parent.  A
+    value is looked up in ``seen`` first, then in its class: an interior state
+    cn/cd new to ``seen`` with cd >= 3 checks the class (cd, r) of the centred
+    residue r of cn, which holds it (the state is a child of a parent with
+    a = cd and r0 = r), and on a hit compares weights and is stored with the
+    class record's G, k, path and b, as a value a leaf registered would be.
+    Every leaf has k = max_len - 1 and a class's values share one weight, so
+    a parent meeting an existing class compares one G: a mismatch ends the
+    walk at the centre child, whose first path is its own in ``seen`` or else
+    the class's.  Otherwise (a new class, or the same G) the parent's
+    children are counted in one step, as chain-cut children are, the budget
+    stop included.  The per-child loop still registers leaves in pruned
+    searches, whose leaves are chain-cut and whose skipped entry 0 depends on
+    the parent; for a <= 2, where the centre child can close a loop (a = 1)
+    or a value lies in two classes (a = 2, r0 = +-1); and for a new class of
+    which ``seen`` already holds a value (the set ``mixed``).  Node counts, budget stops and the pair a certificate
+    reports are those of registering each leaf in turn.
+
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
-    The table, bounded by ``cfg.node_budget``, is freed by reference counting
-    on return.
+    The tables, bounded by ``cfg.node_budget`` (at most ``MAX_NODE_BUDGET``),
+    are freed by reference counting on return.
     """
     q = _positive(q)
     if cfg is None:
@@ -463,12 +493,19 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         offsets.append(d)
     # offsets 0 and +-1, and the number and reach of the offsets beyond them
     near, far, reach = offsets[:3], len(offsets) - 3, len(offsets) // 2
+    width = len(offsets)
 
     # c-value -> (G, k, path, expanded length, b): by the prefix_pairs telescoping
     # the path's weight is (cd G)**2 / P**k; b is None for a path of its own, and
     # the parent's reduced b in the record it shares with its leaf children
     seen: dict[tuple[int, int],
                tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
+    # leaf class (a, r0) -> the record its first parent shares with its leaf
+    # children (unpruned searches only), and the keys of classes not yet made
+    # of which `seen` holds a value
+    classes: dict[tuple[int, int],
+                  tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
+    mixed: set[tuple[int, int]] = set()
     nodes = 0
     # rt[d] = sqrt(P**d) where that is an integer, else 0, up to the largest k < budget
     P = qn * qd
@@ -490,6 +527,16 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         length = len(here)
         rec = (G, length - 1, here, length, None)
         prev = seen.setdefault((cn, cd), rec)
+        if prev is rec and not prune and cd > 2:
+            # a value new to `seen` lies in the leaf class (cd, r), r the centred
+            # residue of cn: the state is a child at offset |t| <= reach of a
+            # parent whose step has a = cd and r0 = r
+            r = cn % cd
+            if r + r > cd:
+                r -= cd
+            prev = classes.get((cd, r), rec)
+            if prev is rec:
+                mixed.add((cd, r))
         if prev is not rec:
             d = length - 1 - prev[1]
             if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
@@ -521,6 +568,24 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         leaf = length + 1 >= max_len
         if leaf:
             rec = (G, length, here, max_len, b)
+            if not prune and a > 2:
+                # the leaf children are the values (r0 + t a)/a, |t| <= reach, none
+                # zero: r0 = center a + b is b's centred residue, unique for a > 2
+                r0 = center * a + b
+                cls = classes.setdefault((a, r0), rec)
+                # a new class whose values `seen` may hold is left to the loop below
+                if cls is not rec or (a, r0) not in mixed:
+                    # every value of an existing class has its weight, and every
+                    # leaf has k = length: only the centre child can be a mismatch
+                    if cls[0] != G and nodes < budget:
+                        nodes += 1
+                        raise duplicate(seen.get((r0, a)) or cls, here + (center,),
+                                        r0, a, G, length)
+                    nodes += width
+                    if nodes > budget:
+                        nodes = budget + 1
+                        raise _BudgetHit
+                    return
         for off in near if cut_big else offsets:
             mj = center + off
             if mj == 0 and prune:
@@ -538,8 +603,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             if cut_big and abs(num) > a:
                 continue
             if leaf:
-                # inline: a call per leaf costs measurable time in (1,2).  `prev is
-                # rec`: the value is new and holds the shared record; no k exceeds a leaf's
+                # inline: a call per leaf costs measurable time.  `prev is rec`:
+                # the value is new and holds the shared record; no k exceeds a leaf's
                 prev = seen.setdefault((num, a), rec)
                 if prev is not rec and (prev[0] != G if prev[1] == length
                                         else prev[0] * rt[length - prev[1]] != G):
@@ -577,9 +642,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         witness = replace(hit.witness, verified=verify_witness(hit.witness))
     finally:
         # `visit` calls itself through its closure cell, a cycle that would
-        # keep it and `seen` alive until a collection: free the table and
+        # keep it and the tables alive until a collection: free the tables and
         # break the cycle before the collector may run again
         seen.clear()
+        classes.clear()
+        mixed.clear()
         visit = None
         if collecting:
             gc.enable()

@@ -476,6 +476,21 @@ def test_search_depth_above_guard_is_invalid_input(command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--q", "9/7", "--budget", str(loops.MAX_NODE_BUDGET + 1)],
+    ["scan", "--range", "1,2", "--max-den", "3", "--budget", str(loops.MAX_NODE_BUDGET + 1)],
+])
+def test_search_budget_above_guard_is_invalid_input(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", *command],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: node_budget={loops.MAX_NODE_BUDGET + 1} exceeds the guard")
+    assert "Traceback" not in proc.stderr
+
+
 def test_scan_low_range_finds_darboux_and_reciprocal(capsys):
     code, out = run(capsys, "scan", "--range", "0.2,0.5", "--max-den", "5",
                     "--depth", "4", "--window", "5", "--json")

@@ -14,6 +14,7 @@ from forbiddenq.continuants import g_poly, ratio_in_q
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
 from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses
 from forbiddenq.loops import (
+    MAX_NODE_BUDGET,
     MAX_SEARCH_DEPTH,
     STATUS_BROKEN,
     STATUS_LOOP,
@@ -362,6 +363,12 @@ def test_search_depth_guard():
     assert res.witness is None and res.budget_exhausted
 
 
+def test_search_budget_guard():
+    assert SearchConfig(node_budget=MAX_NODE_BUDGET).node_budget == MAX_NODE_BUDGET
+    with pytest.raises(ValueError, match="guard"):
+        SearchConfig(node_budget=MAX_NODE_BUDGET + 1)
+
+
 # (q, max_depth, window, node_budget) -> (nodes, budget_exhausted, provenance,
 # loop), pinned from the search before children were settled in the parent:
 # node accounting and the walk order must not move
@@ -418,6 +425,19 @@ GOLDEN_SEARCHES = [
     (("11/4", 6, 4, 50_000), (355, False, "duplicate-c", (1, -1, 1, -1, 2, 1))),
     (("7/3", 6, 4, 50_000), (2_536, False, "duplicate-c", (1, -1, 2, -1, 1, -2))),
     (("25/14", 6, 2, 5_000), (2_725, False, "duplicate-c", (1, -1, 0, 1, 1, 0))),
+    # leaf classes (q outside (2,4), a >= 3): a new class meeting a value first
+    # stored at an interior state; the budget running out inside a class; an
+    # interior state landing in an earlier class, its first path rebuilt from
+    # the class record's b; an existing class met with another G, the first
+    # path of its centre child read from `seen`, and the same search with the
+    # budget running out at that centre child; and a parent whose leaves
+    # cross the budget meeting an existing class
+    (("20/11", 6, 4, 50_000), (188, False, "duplicate-c", (1, -1))),
+    (("4", 5, 3, 3_000), (3_001, True, None, None)),
+    (("17/20", 6, 2, 5_000), (160, False, "duplicate-c", (1, -1, -7, 5, -1, 6))),
+    (("12/7", 6, 2, 5_000), (63, False, "duplicate-c", (1, -1))),
+    (("12/7", 6, 2, 62), (63, True, None, None)),
+    (("5/3", 4, 2, 100), (99, False, "duplicate-c", (1, -1, 1, 1))),
 ]
 
 # the second path of a duplicate-c row above, where it is pinned
@@ -425,6 +445,10 @@ GOLDEN_OTHER_LOOPS = {
     ("11/4", 6, 4, 50_000): (2, -2, 1, -1, 1, -1),
     ("7/3", 6, 4, 50_000): (2, -3, 2, -1),
     ("25/14", 6, 2, 5_000): (2, -1, 1, -2, -1, -7),
+    ("20/11", 6, 4, 50_000): (1, -1, 1, 3, -1, -12),
+    ("17/20", 6, 2, 5_000): (1, -1, -8, 1),
+    ("12/7", 6, 2, 5_000): (1, -1, 1, 2, -1, -8),
+    ("5/3", 4, 2, 100): (1, -3, 1, -1),
 }
 
 
