@@ -14,6 +14,7 @@ from .continuants import (
     g_roots,
     prefix_pairs,
     ratio_in_q,
+    u_point,
     u_set,
 )
 from .loops import (

@@ -195,8 +195,7 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
     wd = d["weight_squared"]
     w2: Union[Fraction, loops.FormulaWeight]
     if "formula" in wd:
-        n = len(loop) - 1
-        w2 = loops.FormulaWeight(n=n, c=loop[-1] - (-1) ** n, approx=float(wd["approx"]))
+        w2 = loops.FormulaWeight(float(wd["approx"]))
     else:
         w2 = _fraction_from_json(wd)
     kwargs = {}

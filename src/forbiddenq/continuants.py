@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 
@@ -137,6 +137,27 @@ def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
             for i in range(half) if math.gcd(half - i, n + 1) == 1]
 
 
+def u_point(n: int, u_index: int, den: Optional[IntPoly] = None,
+            brackets: Optional[list] = None) -> tuple[int, AlgebraicNumber]:
+    """The index j and the certified value of the point ``u_set(n)[u_index]``.
+
+    The value is 4*cos(pi*j/(n+1))**2, isolated by :func:`isolate_root` on
+    its half-angle bracket from :func:`_u_brackets`, whose Sturm count
+    certifies that the bracket holds that root of the denominator from
+    :func:`ratio_in_q` alone; the interval has width <= 1e-12
+    (``U_SET_WIDTH``).  This is the one place a point of ``u_set`` is
+    bracketed and certified.  ``den`` and ``brackets``, when given, are
+    ``ratio_in_q(n)[1]`` and ``_u_brackets(n)``, which :func:`u_set` builds
+    once for all its points.
+    """
+    den = ratio_in_q(n)[1] if den is None else den
+    brackets = _u_brackets(n) if brackets is None else brackets
+    if not 0 <= u_index < len(brackets):
+        raise ValueError(f"u_index {u_index} out of range for {len(brackets)} points")
+    j, lo, hi = brackets[u_index]
+    return j, isolate_root(den, lo, hi, U_SET_WIDTH)
+
+
 def u_set(n: int) -> list[AlgebraicNumber]:
     """Certified squared roots of ``g_poly(n)`` with index coprime to n+1.
 
@@ -144,12 +165,9 @@ def u_set(n: int) -> list[AlgebraicNumber]:
     gcd(j, n+1) = 1, returned as an :class:`AlgebraicNumber` whose defining
     polynomial is the denominator from :func:`ratio_in_q` (the parity part of
     g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
-    each j = 1..ceil(n/2), decreasing in j; each kept root is isolated by
-    :func:`isolate_root` on its half-angle bracket from :func:`_u_brackets`,
-    whose Sturm count certifies that the bracket holds that root alone.
-    Each interval has width <= 1e-12 (``U_SET_WIDTH``).  Sorted increasing.
+    each j = 1..ceil(n/2), decreasing in j; each kept root is certified by
+    :func:`u_point`.  Sorted increasing.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     _, den = ratio_in_q(n)
-    return [isolate_root(den, lo, hi, U_SET_WIDTH) for _, lo, hi in _u_brackets(n)]
+    brackets = _u_brackets(n)
+    return [u_point(n, i, den, brackets)[1] for i in range(len(brackets))]

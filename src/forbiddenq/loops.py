@@ -38,6 +38,10 @@ MAX_SEARCH_DEPTH = 256
 # nodes it counts
 MAX_NODE_BUDGET = 10**7
 
+# hard guard on SearchConfig.window: the search builds 2*min(window, budget)+1
+# offsets, and the first entries run up to the window
+MAX_SEARCH_WINDOW = 10**6
+
 # hard guard on the chain length `forbiddenq chain` walks to: the walk takes
 # about pi/sqrt(4 - q) steps on integers that grow at each step
 MAX_CHAIN_LENGTH = 2**14
@@ -90,17 +94,14 @@ class FormulaWeight:
     """Squared weight of a shifted alternating loop at an irrational q.
 
     Represents 1/|1 + c*q*(c + (-1)**n)|, which is irrational for algebraic
-    q and therefore kept in formula form with a float approximation.  For
-    every shift :func:`lemma_weight_squared` accepts it is below 1 at every
-    q > 0, so only the loop and q > 0 need checking, not the weight.
+    q and therefore kept in formula form with a float approximation.  The
+    order n and shift c are read off the loop it weighs, whose last entry is
+    (-1)**n + c.  For every shift :func:`lemma_weight_squared` accepts it is
+    below 1 at every q > 0, so only the loop and q > 0 need checking, not the
+    weight.
     """
 
-    n: int
-    c: int
     approx: float
-
-    def value_at(self, q: RationalLike) -> Fraction:
-        return lemma_weight_squared(self.n, self.c, q)
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,8 @@ class SearchConfig:
             raise ValueError(
                 f"node_budget={self.node_budget} exceeds the guard {MAX_NODE_BUDGET}"
             )
+        if self.window > MAX_SEARCH_WINDOW:
+            raise ValueError(f"window={self.window} exceeds the guard {MAX_SEARCH_WINDOW}")
 
 
 @dataclass
@@ -670,11 +673,11 @@ def verify_witness(w: LoopWitness) -> bool:
     paths ending at the stored non-zero ``c_value`` with exactly their stored,
     different weights.  Each path is evaluated once.
 
-    Algebraic q, a root of ``defining`` in (lo, hi): the loop must be the
-    shifted alternating loop of the weight's order n and shift c, and lo
-    must be positive.  Two exact checks, at any interval width, and the
-    lemma then prove that (lo, hi) holds one root of ``defining`` and that
-    the loop closes there.
+    Algebraic q, a root of ``defining`` in (lo, hi): the loop must be a
+    shifted alternating loop of integers, of order n = len(loop) - 1 >= 1
+    and shift c = loop[-1] - (-1)**n, and lo must be positive.  Two exact
+    checks, at any interval width, and the lemma then prove that (lo, hi)
+    holds one root of ``defining`` and that the loop closes there.
 
     * Closing: ``defining.primitive()`` divides num + c*den, with
       (num, den) = :func:`forbiddenq.continuants.ratio_in_q` (n), the level
@@ -729,20 +732,21 @@ def verify_witness(w: LoopWitness) -> bool:
 
     if w.provenance == "duplicate-c" or not isinstance(w.weight_squared, FormulaWeight):
         return False
-    fw, alg = w.weight_squared, w.q
-    n = len(w.loop) - 1
-    if alg.lo <= 0:
+    alg, loop = w.q, w.loop
+    n = len(loop) - 1
+    if alg.lo <= 0 or n < 1 or not all(isinstance(x, int) for x in loop):
+        return False
+    c = loop[-1] - (-1) ** n
+    if loop != shifted_alternating_loop(n, c):
         return False
     try:
-        # ValueError: n < 1, a non-integer n or c, a unit-weight shift, or
-        # ``defining`` not dividing the level polynomial
-        if fw.n != n or w.loop != shifted_alternating_loop(n, fw.c):
-            return False
-        w2 = fw.value_at((alg.lo + alg.hi) / 2)
+        # ValueError: a unit-weight shift, or ``defining`` not dividing the
+        # level polynomial
+        w2 = lemma_weight_squared(n, c, (alg.lo + alg.hi) / 2)
         num, den = ratio_in_q(n)
-        _exact_div(num + fw.c * den, alg.defining.primitive())
+        _exact_div(num + c * den, alg.defining.primitive())
     except ValueError:
         return False
-    if _prefix_signs(w.loop[:-1], alg.lo) != _prefix_signs(w.loop[:-1], alg.hi):
+    if _prefix_signs(loop[:-1], alg.lo) != _prefix_signs(loop[:-1], alg.hi):
         return False
-    return fw.approx == float(w2)
+    return w.weight_squared.approx == float(w2)

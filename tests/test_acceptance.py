@@ -121,9 +121,11 @@ def test_criterion_06_darboux_family():
     mid = (alg.lo + alg.hi) / 2
     final_c = evaluate_path(mid, w4.witness.loop).prefix_c[-1]
     assert abs(final_c) < Fraction(1, 10**12)
-    fw = w4.witness.weight_squared
-    lo_b, hi_b = sorted((lemma_weight_squared(fw.n, fw.c, alg.lo),
-                         lemma_weight_squared(fw.n, fw.c, alg.hi)))
+    loop = w4.witness.loop
+    n = len(loop) - 1
+    c = loop[-1] - (-1) ** n
+    lo_b, hi_b = sorted((lemma_weight_squared(n, c, alg.lo),
+                         lemma_weight_squared(n, c, alg.hi)))
     approx = Fraction(w4.witness.weight_squared.approx)
     assert lo_b - Fraction(1, 10**9) <= approx <= hi_b + Fraction(1, 10**9)
     assert abs(w4.witness.weight_squared.approx - 0.018337) < 5e-6

@@ -491,6 +491,21 @@ def test_search_budget_above_guard_is_invalid_input(command):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [
+    ["search", "--q", "9/7", "--window", str(loops.MAX_SEARCH_WINDOW + 1)],
+    ["scan", "--range", "1,2", "--max-den", "3", "--window", str(loops.MAX_SEARCH_WINDOW + 1)],
+])
+def test_search_window_above_guard_is_invalid_input(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", *command],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(
+        f"error: window={loops.MAX_SEARCH_WINDOW + 1} exceeds the guard")
+    assert "Traceback" not in proc.stderr
+
+
 def test_scan_low_range_finds_darboux_and_reciprocal(capsys):
     code, out = run(capsys, "scan", "--range", "0.2,0.5", "--max-den", "5",
                     "--depth", "4", "--window", "5", "--json")
@@ -624,6 +639,19 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read().decode()
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert err == ""
+
+
+def test_reader_closing_after_one_byte_exits_141():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forbiddenq.cli", "pell", "--count", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141 == cli.EXIT_BROKEN_PIPE
     assert err == ""
 
 

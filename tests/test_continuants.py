@@ -11,6 +11,7 @@ from forbiddenq.continuants import (
     g_roots,
     prefix_pairs,
     ratio_in_q,
+    u_point,
     u_set,
 )
 from forbiddenq.exact import IntPoly
@@ -221,3 +222,25 @@ def test_u_set_certificates_reevaluate():
         for a in u_set(n):
             lo, hi = a.defining.eval(a.lo), a.defining.eval(a.hi)
             assert lo != 0 and hi != 0 and (lo > 0) != (hi > 0)
+
+
+@pytest.mark.parametrize("n", range(1, 30))
+def test_u_point_is_the_u_set_point(n):
+    points = u_set(n)
+    for i, t0 in enumerate(points):
+        j, got = u_point(n, i)
+        assert got == t0 and math.gcd(j, n + 1) == 1
+        assert t0.lo < 4 * math.cos(math.pi * j / (n + 1)) ** 2 < t0.hi
+    with pytest.raises(ValueError, match=f"u_index {len(points)} out of range"):
+        u_point(n, len(points))
+    with pytest.raises(ValueError, match="out of range"):
+        u_point(n, -1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: g_poly(-1), lambda: g_roots(0), lambda: g_identity_check(0),
+    lambda: ratio_in_q(0), lambda: u_set(0), lambda: u_point(0, 0),
+])
+def test_orders_below_the_least_are_refused(call):
+    with pytest.raises(ValueError, match="must be >= "):
+        call()

@@ -358,6 +358,25 @@ def test_refine_returns_bisections_interval_for_a_root_on_the_grid(p, eps):
     assert (alg.lo, alg.hi) == want
 
 
+def test_refine_meets_a_root_at_the_neighbour_grid_point():
+    # 11/8 is not where a secant step lands but the neighbour it checks next;
+    # bisection meets it as a midpoint and returns the narrow interval around it
+    p = IntPoly([-77, 56, -11, 8])
+    lo, hi, eps = Fraction(-185, 8), Fraction(71, 8), Fraction(1, 10**6)
+    alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
+    want = _fraction_bisection(p, lo, hi, eps)
+    assert want[:2] == ("hit", Fraction(11, 8))
+    assert (alg.lo, alg.hi) == exact._bracket(*want[1:], eps)
+
+
+def test_isolation_refuses_an_empty_interval_and_a_width_not_positive():
+    p = IntPoly([-2, 0, 1])
+    with pytest.raises(ValueError, match="need lo < hi"):
+        real_roots(p, 2, 1)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        isolate_root(p, 1, 2, 0)
+
+
 def test_deep_refinement_takes_few_evaluations(monkeypatch):
     # bisection from 1e-12 to 1e-40 takes 93 signs per point; the jump to
     # bisection's cell takes a handful of secant steps

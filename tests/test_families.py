@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from forbiddenq.cli import witness_to_dict
-from forbiddenq import exact
+from forbiddenq import exact, families
 from forbiddenq.continuants import _u_brackets, prefix_pairs, ratio_in_q, u_set
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
@@ -197,6 +197,23 @@ def test_darboux_high_levels_verify(n, u_index, min_c):
 def test_darboux_bad_index():
     with pytest.raises(ValueError):
         darboux_witnesses(4, 5, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fibonacci(0), lambda: pell_witnesses(0),
+    lambda: darboux_witnesses(0, 0, 1), lambda: darboux_witnesses(5, 0, 0),
+])
+def test_family_inputs_below_the_least_are_refused(call):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        call()
+
+
+@pytest.mark.parametrize("call", [lambda: pell_witnesses(3), lambda: darboux_witnesses(4, 1, 2)])
+def test_families_raise_only_when_verify_witness_refuses(call, monkeypatch):
+    call()
+    monkeypatch.setattr(families, "verify_witness", lambda w: False)
+    with pytest.raises(ArithmeticError, match="witness verification failed"):
+        call()
 
 
 def test_root_in_interval_returns_an_exact_root_above_t0():

@@ -16,6 +16,7 @@ from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses
 from forbiddenq.loops import (
     MAX_NODE_BUDGET,
     MAX_SEARCH_DEPTH,
+    MAX_SEARCH_WINDOW,
     STATUS_BROKEN,
     STATUS_LOOP,
     STATUS_PATH,
@@ -327,6 +328,13 @@ def test_check_chain_proposition_walks_the_pairs_without_a_weight(monkeypatch):
         check_chain_proposition(Q52, [broken])
 
 
+def test_check_chain_proposition_rejects_a_zero_entry():
+    zero = LoopWitness(q=Q52, loop=(1, 0, 1), weight_squared=Fraction(1),
+                       provenance="search", verified=False)
+    with pytest.raises(ValueError, match="is not a proper loop"):
+        check_chain_proposition(Q52, [zero])
+
+
 def test_search_examples():
     res = search_nonunit_loop(Q52, SearchConfig(max_depth=5, window=3))
     assert res.witness is not None and res.witness.weight_squared != 1
@@ -367,6 +375,17 @@ def test_search_budget_guard():
     assert SearchConfig(node_budget=MAX_NODE_BUDGET).node_budget == MAX_NODE_BUDGET
     with pytest.raises(ValueError, match="guard"):
         SearchConfig(node_budget=MAX_NODE_BUDGET + 1)
+
+
+def test_search_window_guard():
+    assert SearchConfig(window=MAX_SEARCH_WINDOW).window == MAX_SEARCH_WINDOW
+    with pytest.raises(ValueError, match=f"window={MAX_SEARCH_WINDOW + 1} exceeds the guard"):
+        SearchConfig(window=MAX_SEARCH_WINDOW + 1)
+
+
+def test_search_default_config():
+    q = Fraction(5, 4)
+    assert search_nonunit_loop(q) == search_nonunit_loop(q, SearchConfig())
 
 
 # (q, max_depth, window, node_budget) -> (nodes, budget_exhausted, provenance,
@@ -600,30 +619,26 @@ TAMPERINGS = {
         _duplicate_c_witness, lambda w: replace(w, other_loop=None)),
     "darboux edited last entry": (
         _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
+    # the shift is read off the loop, so editing the loop edits the shift
     "darboux loop and c edited together": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, loop=_bump_last(w.loop),
-                          weight_squared=replace(w.weight_squared,
-                                                 c=w.weight_squared.c + 1))),
-    "darboux FormulaWeight.c off": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, weight_squared=replace(w.weight_squared,
-                                                    c=w.weight_squared.c + 1))),
-    "darboux FormulaWeight.n off": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, weight_squared=replace(w.weight_squared,
-                                                    n=w.weight_squared.n + 1))),
-    # the witness has n = 4 and c = 4: int() truncated 4.5 and 9/2 to the
-    # shift 4, and the order 4.0 ran the weight in floats
-    "darboux FormulaWeight.c = 4.5": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, weight_squared=replace(w.weight_squared, c=4.5))),
-    "darboux FormulaWeight.c = 9/2": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, weight_squared=replace(w.weight_squared, c=Fraction(9, 2)))),
-    "darboux FormulaWeight.n = 4.0": (
-        _algebraic_darboux_witness,
-        lambda w: replace(w, weight_squared=replace(w.weight_squared, n=4.0))),
+        _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
+    # the witness has n = 4 and c = 4: a last entry of 5.5 gives the shift 4.5
+    "darboux non-integer last entry": (
+        _algebraic_darboux_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
+    "darboux edited inner entry": (
+        _algebraic_darboux_witness, lambda w: replace(w, loop=(1, 1) + w.loop[2:])),
+    # 1.0 == 1, so only a type check refuses it
+    "darboux non-integer inner entry": (
+        _algebraic_darboux_witness, lambda w: replace(w, loop=(1.0,) + w.loop[1:])),
+    "darboux loop of one entry": (
+        _algebraic_darboux_witness, lambda w: replace(w, loop=w.loop[-1:])),
+    "darboux empty loop": (_algebraic_darboux_witness, lambda w: replace(w, loop=())),
+    "darboux as duplicate-c": (
+        _algebraic_darboux_witness, lambda w: replace(w, provenance="duplicate-c")),
+    "darboux exact weight": (
+        _algebraic_darboux_witness, lambda w: replace(w, weight_squared=Fraction(1, 2))),
+    "rational formula weight": (
+        _rational_witness, lambda w: replace(w, weight_squared=FormulaWeight(0.5))),
     "rational non-integer entry": (
         _rational_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
     "duplicate-c non-integer entry": (
@@ -656,16 +671,17 @@ def test_verify_witness_refuses_an_algebraic_q_not_above_zero():
     num, den = ratio_in_q(1)
     assert num + 2 * den == IntPoly([1, 1])
     q = AlgebraicNumber(IntPoly([1, 1]), Fraction(-3, 2), Fraction(2), 0.25)
-    fw = FormulaWeight(1, 2, float(lemma_weight_squared(1, 2, Fraction(1, 4))))
+    fw = FormulaWeight(float(lemma_weight_squared(1, 2, Fraction(1, 4))))
     assert not verify_witness(LoopWitness(q, loop, fw, "darboux", False))
 
 
 def _posed(w, defining, lo, hi):
     """``w`` at the root of ``defining`` in (lo, hi), its weight's approx at the midpoint."""
     mid = (lo + hi) / 2
-    fw = w.weight_squared
+    n = len(w.loop) - 1
+    approx = float(lemma_weight_squared(n, w.loop[-1] - (-1) ** n, mid))
     return replace(w, q=AlgebraicNumber(defining, lo, hi, float(mid)), verified=False,
-                   weight_squared=replace(fw, approx=float(fw.value_at(mid))))
+                   weight_squared=FormulaWeight(approx))
 
 
 def test_verify_witness_refuses_the_forged_algebraic_certificate():
@@ -697,6 +713,13 @@ def test_verify_witness_refuses_an_interval_holding_the_pole(n):
     assert not verify_witness(_posed(w, w.q.defining, dw.t0.lo, w.q.hi))
 
 
+def test_order_below_one_is_refused():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        lemma_weight_squared(0, 2, Q52)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        shifted_alternating_loop(0, 2)
+
+
 def test_verify_witness_refuses_a_unit_weight_algebraic_loop():
     # the unshifted alternating loop closes at every root of ratio_in_q(5)'s
     # numerator 1 - 6q + 5q**2 - q**3, with weight 1: refused, not raised on
@@ -706,7 +729,7 @@ def test_verify_witness_refuses_a_unit_weight_algebraic_loop():
     loop = shifted_alternating_loop(5, 0)
     alg = q.refine(ALG_INTERVAL_WIDTH)
     assert abs(evaluate_path((alg.lo + alg.hi) / 2, loop).prefix_c[-1]) < Fraction(1, 10**12)
-    assert not verify_witness(LoopWitness(q, loop, FormulaWeight(5, 0, 1.0), "darboux", False))
+    assert not verify_witness(LoopWitness(q, loop, FormulaWeight(1.0), "darboux", False))
 
 
 def test_huge_window_allocates_within_budget():

@@ -114,7 +114,7 @@ def _posed(w, q, c):
     except ValueError:  # a unit-weight shift
         approx = 1.0
     return replace(w, q=q, loop=shifted_alternating_loop(n, c),
-                   weight_squared=FormulaWeight(n, c, approx), verified=False)
+                   weight_squared=FormulaWeight(approx), verified=False)
 
 
 def _interval(p, lo, hi):
@@ -126,7 +126,8 @@ def _interval(p, lo, hi):
        data=st.data())
 def test_tampered_algebraic_certificates_are_refused(dw, tamper, data):
     w = dw.witness
-    p, c = w.q.defining, w.weight_squared.c
+    n = len(w.loop) - 1
+    p, c = w.q.defining, w.loop[-1] - (-1) ** n
     assert verify_witness(w)
     if tamper == "coefficient":
         # p is the primitive level polynomial, and its same-degree divisors
