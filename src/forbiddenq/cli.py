@@ -175,12 +175,15 @@ def _rational_from_json(value) -> Fraction:
     """A certificate rational: a JSON integer or an "a" or "a/b" string of digits.
 
     This is what :func:`frac_str` writes; a JSON float such as ``0.5`` or
-    ``1e400`` is refused, not read as a binary fraction or an infinity.  A
+    ``1e400`` is refused, not read as a binary fraction or an infinity.  The
+    matched digits are read with ``int``, not parsed again as a whole.  A
     zero denominator raises ``ZeroDivisionError``, as in :func:`_fraction_from_json`.
     """
-    if type(value) is int or (
-            isinstance(value, str) and re.fullmatch(r"-?[0-9]+(/[0-9]+)?", value)):
+    if type(value) is int:
         return Fraction(value)
+    match = isinstance(value, str) and re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", value)
+    if match:
+        return Fraction(int(match[1]), int(match[2] or 1))
     raise ValueError(f"expected an integer or an 'a/b' string, got {value!r}")
 
 

@@ -26,6 +26,11 @@ from .exact import AlgebraicNumber, IntPoly, isolate_root
 
 U_SET_WIDTH = Fraction(1, 10**12)  # width of every isolating interval of u_set
 
+# hard guard on n in g_poly and g_roots, and so on the n of ratio_in_q, u_set
+# and the Darboux families, which build g_poly(n + 1): g_poly(n) holds n + 1
+# integers of up to 0.7 n bits, and g_roots(n) a list of n floats
+MAX_G_DEGREE = 2**12
+
 
 def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
     """Pairs (N_j, D_j) with c_j = N_j / D_j, the prefix values of ``m`` at q = qn/qd.
@@ -75,6 +80,8 @@ def g_poly(n: int) -> IntPoly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > MAX_G_DEGREE:
+        raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE}")
     coeffs = [0] * (n + 1)
     c = coeffs[n] = (-1) ** (n // 2)
     for k in range(1, n // 2 + 1):
@@ -87,6 +94,8 @@ def g_roots(n: int) -> list[float]:
     """The n roots of ``g_poly(n)``, 2*cos(pi*j/(n+1)), in decreasing order."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_G_DEGREE:
+        raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE}")
     return [2.0 * math.cos(math.pi * j / (n + 1)) for j in range(1, n + 1)]
 
 
@@ -105,10 +114,14 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     (1, -1, ..., (-1)**n) as a function of q: the parts of g_{n+1} and x g_n
     of the parity of n + 1, read off the cached :func:`g_poly`.  Nothing
     needs dividing out: both leads are +-1, and num's constant term is
-    +-C(n+1-k, k) with k = floor((n+1)/2), not zero.
+    +-C(n+1-k, k) with k = floor((n+1)/2), not zero.  As it builds
+    g_poly(n + 1), n must be below ``MAX_G_DEGREE``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n >= MAX_G_DEGREE:
+        raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE - 1}: "
+                         f"the ratio builds g_poly(n + 1)")
     r = (n + 1) % 2
     return IntPoly(g_poly(n + 1).coeffs[r::2]), IntPoly(((0,) + g_poly(n).coeffs)[r::2])
 

@@ -15,7 +15,12 @@ cell plain bisection would end on: a cell of one dyadic grid of the interval,
 the only one there with a sign change when the interval holds one root.  It
 is reached by quadratic interval refinement, secant guesses on ever finer
 grids, each certified by two integer signs, in integers over one
-power-of-two multiple of a common denominator.
+power-of-two multiple of a common denominator.  Each fact is computed once:
+the cell's end signs come from that search and are not evaluated again, and
+the :class:`AlgebraicNumber` constructor re-checks only intervals that come
+from elsewhere.  A float of a rational (:func:`ratio_float`) is one
+correctly rounded true division of two integers, the value
+``float(Fraction(num, den))`` has, with no fraction formed or reduced.
 """
 
 from __future__ import annotations
@@ -279,7 +284,7 @@ def _real_roots(
         count = at_a[1] - at_b[1] - (at_b[0] == 0)  # roots in the open (a, b)
         if count == 0 or (count == 1 and at_a[0] and at_b[0]):
             if count:
-                out.append(AlgebraicNumber(ps, a, b, float((a + b) / 2)))
+                out.append(AlgebraicNumber(ps, a, b, midpoint_float(a, b)))
             if at_b[0] == 0:
                 out.append(b)
             continue
@@ -288,6 +293,31 @@ def _real_roots(
         todo.append((mid, at_mid, b, at_b))
         todo.append((a, at_a, mid, at_mid))
     return ps, out
+
+
+def ratio_float(num: int, den: int) -> float:
+    """The float nearest ``num / den`` for integers ``num`` and ``den > 0``.
+
+    One true division of two integers, which CPython rounds correctly, so
+    the result is ``float(Fraction(num, den))`` however the pair is scaled,
+    with no fraction formed or reduced.  A ratio too large for a float, here
+    always an interval midpoint, is refused with ``ValueError``.
+    """
+    try:
+        return num / den
+    except OverflowError:
+        raise ValueError("the interval midpoint is too large for a float") from None
+
+
+def _midpoint(lo: RationalLike, hi: RationalLike) -> tuple[int, int]:
+    """``(lo + hi) / 2`` as an unreduced pair of integers over ``2 lo.den hi.den``."""
+    return (lo.numerator * hi.denominator + hi.numerator * lo.denominator,
+            2 * lo.denominator * hi.denominator)
+
+
+def midpoint_float(lo: RationalLike, hi: RationalLike) -> float:
+    """``float((lo + hi) / 2)``, by :func:`ratio_float` of the unreduced midpoint."""
+    return ratio_float(*_midpoint(lo, hi))
 
 
 def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
@@ -303,14 +333,16 @@ class AlgebraicNumber:
     Intervals built by :func:`real_roots`, :func:`isolate_root` and
     :meth:`refine` hold exactly one root of ``defining``, a simple one,
     certified by a Sturm count (a Darboux level's by the families' lemma),
-    and have no root at either end.  The
-    constructor re-checks only the sign change at the endpoints, which proves
-    an odd number of roots inside, so a value read back from outside (a JSON
-    certificate) is a root, known to be the only one once
-    :func:`forbiddenq.loops.verify_witness` accepts its certificate.  ``approx`` is a
-    defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
-    exactly, and a midpoint too large for a float is refused with
-    ``ValueError``.
+    and have no root at either end.  The constructor re-checks only the
+    sign change at the endpoints, which proves an odd number of roots
+    inside, so a value read back from outside (a JSON certificate) is a
+    root, known to be the only one once
+    :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
+    cells :meth:`refine` returns skip that check: their strictly opposite
+    end signs are the ones :func:`_bisect` has just computed.  ``approx`` is
+    a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
+    exactly, which :func:`midpoint_float` computes in one integer division,
+    and a midpoint too large for a float is refused with ``ValueError``.
     """
 
     defining: IntPoly
@@ -323,12 +355,17 @@ class AlgebraicNumber:
             raise ValueError("empty isolating interval")
         if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
             raise NoSignChange("isolating interval lost its sign-change certificate")
-        try:
-            mid = float((self.lo + self.hi) / 2)
-        except OverflowError:
-            raise ValueError("the interval midpoint is too large for a float") from None
-        if self.approx != mid:
+        if self.approx != midpoint_float(self.lo, self.hi):
             raise ValueError("approx is not the float of the interval midpoint")
+
+    @classmethod
+    def _cell(cls, defining: IntPoly, lo: Fraction, hi: Fraction,
+              approx: float) -> "AlgebraicNumber":
+        """The interval ``(lo, hi)`` whose strictly opposite end signs the
+        caller has just computed, built without evaluating them again."""
+        x = object.__new__(cls)
+        x.__dict__.update(defining=defining, lo=lo, hi=hi, approx=approx)
+        return x
 
     @property
     def width(self) -> Fraction:
@@ -342,15 +379,17 @@ class AlgebraicNumber:
 
         The result is the interval that plain bisection of ``(lo, hi)`` ends
         on, found by :func:`_bisect` in a few signs rather than one per
-        halving.  ``eps`` must be positive.
+        halving.  Its end signs are the two :func:`_bisect` certified the
+        cell by, so the constructor does not evaluate ``defining`` there
+        again; only the narrow interval around a root on the grid
+        (:func:`_grid_root`) goes through it.  ``eps`` must be positive.
         """
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
         if self.width <= eps:
             return self
-        lo, hi = _bisect(self.defining, self.lo, self.hi, eps)
-        return AlgebraicNumber(self.defining, lo, hi, float((lo + hi) / 2))
+        return _bisect(self.defining, self.lo, self.hi, eps)
 
     def compare_rational(self, r: RationalLike) -> int:
         """-1, 0 or 1 as this value is below, equal to, or above ``r``.
@@ -370,7 +409,7 @@ class AlgebraicNumber:
         return self.defining.sign_at(r) * self.defining.sign_at(self.lo)
 
 
-def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
+def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicNumber:
     """The interval plain bisection of a one-root interval ends on, in few signs.
 
     With ``lo = A/D`` and ``hi = (A + W)/D`` over one denominator, the grid
@@ -397,7 +436,10 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Frac
     step's level less the trailing zeros of its index, and bisection meets
     it as the midpoint of the cell one level up, returning a narrow interval
     around it, whose sign change the :class:`AlgebraicNumber` constructor
-    re-checks; the same interval is returned here.
+    re-checks; the same interval is returned here.  Any other cell is
+    returned as certified by its two end values, with no further
+    evaluation, and the float of its midpoint ``(2x + W)/(2D')`` over its
+    own denominator ``D'``.
     """
     en, ed = eps.numerator, eps.denominator
     d = math.lcm(lo.denominator, hi.denominator)
@@ -415,34 +457,38 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Frac
         j = min(max(((fa << (t + 1)) + fa - fb) // ((fa - fb) << 1), 1), n - 1)
         vj = value(start + j * w, den)
         if vj == 0:
-            return _grid_root(a, w, d, base + j, fine, eps)
+            return _grid_root(p, a, w, d, base + j, fine, eps)
         m = j + 1 if (vj > 0) == (fa > 0) else j - 1
         if m == 0 or m == n:  # an end of the cell, moved to the finer grid
             vm = (fa if m == 0 else fb) << (deg * t)
         else:
             vm = value(start + m * w, den)
         if vm == 0:
-            return _grid_root(a, w, d, base + m, fine, eps)
+            return _grid_root(p, a, w, d, base + m, fine, eps)
         if (vm > 0) == (vj > 0):
             t //= 2
             continue
         k, fa, fb = (base + j, vj, vm) if m > j else (base + m, vm, vj)
         level, t = fine, 2 * t
     x, den = (a << level) + k * w, d << level
-    return Fraction(x, den), Fraction(x + w, den)
+    return AlgebraicNumber._cell(p, Fraction(x, den), Fraction(x + w, den),
+                                 ratio_float((x << 1) + w, den << 1))
 
 
-def _grid_root(a: int, w: int, d: int, g: int, level: int, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisection's interval for a root at grid point ``g`` of ``level`` in :func:`_bisect`.
+def _grid_root(p: IntPoly, a: int, w: int, d: int, g: int, level: int,
+               eps: Fraction) -> AlgebraicNumber:
+    """Bisection's interval for a root of ``p`` at grid point ``g`` of ``level`` in :func:`_bisect`.
 
     Stripping the trailing zeros of ``g`` gives the point's own level and its
     odd index there; bisection meets the point as the midpoint of the cell
-    one level up, which reaches ``w / (d 2**level)`` to either side.
+    one level up, which reaches ``w / (d 2**level)`` to either side.  The
+    constructor checks the sign change of the interval returned.
     """
     zeros = (g & -g).bit_length() - 1
     level -= zeros
     num, den = (a << level) + (g >> zeros) * w, d << level
-    return _bracket(Fraction(num, den), Fraction(num - w, den), Fraction(num + w, den), eps)
+    lo, hi = _bracket(Fraction(num, den), Fraction(num - w, den), Fraction(num + w, den), eps)
+    return AlgebraicNumber(p, lo, hi, midpoint_float(lo, hi))
 
 
 def isolate_root(

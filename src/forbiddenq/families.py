@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root
+from .exact import AlgebraicNumber, IntPoly, isolate_root, midpoint_float
 from .continuants import ratio_in_q, u_point
 from .loops import (
     FormulaWeight,
     LoopWitness,
+    lemma_weight_approx,
     lemma_weight_squared,
     shifted_alternating_loop,
     verify_witness,
@@ -171,7 +172,7 @@ def _root_in_interval(
     """
     p = target.primitive()
     lead = abs(p.leading)
-    r = AlgebraicNumber(p, t0.lo, t1, float((t0.lo + t1) / 2))
+    r = AlgebraicNumber(p, t0.lo, t1, midpoint_float(t0.lo, t1))
     r = r.refine(min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * lead)))
     while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
         r = r.refine(r.width / 2)
@@ -232,7 +233,7 @@ def darboux_witnesses(
             # verify_witness proves the lemma's value is the exact weight
             w2 = lemma_weight_squared(n, shift, qval)
         else:
-            w2 = FormulaWeight(float(lemma_weight_squared(n, shift, (qval.lo + qval.hi) / 2)))
+            w2 = FormulaWeight(lemma_weight_approx(n, shift, qval.lo, qval.hi))
         wit = LoopWitness(q=qval, loop=shifted_alternating_loop(n, shift),
                           weight_squared=w2, provenance="darboux", verified=False)
         wit = replace(wit, verified=verify_witness(wit))

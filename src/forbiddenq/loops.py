@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .continuants import prefix_pairs, ratio_in_q
-from .exact import AlgebraicNumber, RationalLike, _exact_div
+from .exact import AlgebraicNumber, RationalLike, _exact_div, _midpoint, ratio_float
 
 STATUS_PATH = "path"
 STATUS_LOOP = "loop"
@@ -263,11 +263,32 @@ def lemma_weight_squared(n: int, c: int, q: RationalLike) -> Fraction:
     """
     _check_order_and_shift(n, c)
     q = _positive(q)
+    a, b = q.numerator, q.denominator
+    return Fraction(b, b + _shift_product(n, c) * a)
+
+
+def lemma_weight_approx(n: int, c: int, lo: RationalLike, hi: RationalLike) -> float:
+    """``float(lemma_weight_squared(n, c, (lo + hi) / 2))``, in one integer division.
+
+    With the midpoint unreduced, a/b over ``2 lo.den hi.den``, the weight
+    b / (b + c (c + (-1)**n) a) is the lemma's value with both terms scaled
+    by gcd(a, b), so its correctly rounded float
+    (:func:`forbiddenq.exact.ratio_float`) is the same, with no fraction
+    formed or reduced.  The same order, shift and positivity are refused.
+    """
+    _check_order_and_shift(n, c)
+    a, b = _midpoint(lo, hi)
+    if a <= 0:
+        raise NonPositiveQ(f"q must be positive, got {Fraction(a, b)}")
+    return ratio_float(b, b + _shift_product(n, c) * a)
+
+
+def _shift_product(n: int, c: int) -> int:
+    """c (c + (-1)**n), at least 2; DegenerateC for the unit-weight shifts 0, (-1)**(n+1)."""
     sign = (-1) ** n
     if c == 0 or c == -sign:
         raise DegenerateC(f"shift c={c} is a unit-weight case for n={n}")
-    a, b = q.numerator, q.denominator
-    return Fraction(b, b + c * (c + sign) * a)
+    return c * (c + sign)
 
 
 def shifted_alternating_loop(n: int, c: int) -> tuple[int, ...]:
@@ -660,11 +681,6 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 
-def _prefix_signs(m: Sequence[int], x: Fraction) -> list[int]:
-    """Signs of the numerators N_j of the prefix_pairs walk of ``m`` at x."""
-    return [(num > 0) - (num < 0) for num, _ in prefix_pairs(m, x.numerator, x.denominator)]
-
-
 def verify_witness(w: LoopWitness) -> bool:
     """Re-verify a witness from scratch; the only source of ``verified``.
 
@@ -686,12 +702,14 @@ def verify_witness(w: LoopWitness) -> bool:
       c_n + c, and num + c*den = den (c_n + c).
     * No proper prefix vanishes: the integer :func:`prefix_pairs` walks of
       the loop less its last entry, at lo and at hi, give each N_j the same
-      sign at both ends.  By the monotonicity lemma in ``darboux_witnesses``
-      each prefix value c_j with j >= 1 is strictly monotone wherever it is
-      defined, and N_j has the sign of c_0 ... c_j.  N_0 = 1; while
-      N_0 .. N_{j-1} have no zero on [lo, hi], c_j is continuous and strictly
-      monotone there, so it cannot vanish at both ends, and a sign it has at
-      both ends it has throughout.  So no N_j vanishes on [lo, hi].
+      sign at both ends.  The two walks run side by side in one loop, which
+      stops at the first N_j whose signs differ.  By the monotonicity lemma
+      in ``darboux_witnesses`` each prefix value c_j with j >= 1 is strictly
+      monotone wherever it is defined, and N_j has the sign of c_0 ... c_j.
+      N_0 = 1; while N_0 .. N_{j-1} have no zero on [lo, hi], c_j is
+      continuous and strictly monotone there, so it cannot vanish at both
+      ends, and a sign it has at both ends it has throughout.  So no N_j
+      vanishes on [lo, hi].
     * One root, by the lemma rather than a Sturm count: c_n is then finite,
       continuous and strictly monotone on [lo, hi], so den, coprime to num,
       does not vanish there, and num + c*den, and with it its divisor
@@ -700,8 +718,11 @@ def verify_witness(w: LoopWitness) -> bool:
       exactly one.
 
     The weight's ``approx`` must equal exactly the float of the weight at
-    the interval midpoint; a NaN or infinite ``approx`` is refused, not
-    raised on.  The weight needs no enclosure: by
+    the interval midpoint (:func:`lemma_weight_approx`); a NaN or infinite
+    ``approx`` is refused, not raised on.  It is checked first, then the
+    divisibility, and the prefix walks, quadratic in n, run last: an n
+    beyond the guard on :func:`forbiddenq.continuants.g_poly` is refused
+    before them.  The weight needs no enclosure: by
     :func:`lemma_weight_squared` it is below 1 at every q > 0 for every
     shift the lemma accepts.
     """
@@ -739,14 +760,19 @@ def verify_witness(w: LoopWitness) -> bool:
     c = loop[-1] - (-1) ** n
     if loop != shifted_alternating_loop(n, c):
         return False
+    lo, hi = alg.lo, alg.hi
     try:
-        # ValueError: a unit-weight shift, or ``defining`` not dividing the
-        # level polynomial
-        w2 = lemma_weight_squared(n, c, (alg.lo + alg.hi) / 2)
+        # ValueError: a unit-weight shift, an n beyond the guard on g_poly,
+        # or ``defining`` not dividing the level polynomial
+        if w.weight_squared.approx != lemma_weight_approx(n, c, lo, hi):
+            return False
         num, den = ratio_in_q(n)
         _exact_div(num + c * den, alg.defining.primitive())
     except ValueError:
         return False
-    if _prefix_signs(loop[:-1], alg.lo) != _prefix_signs(loop[:-1], alg.hi):
-        return False
-    return w.weight_squared.approx == float(w2)
+    walks = zip(prefix_pairs(loop[:-1], lo.numerator, lo.denominator),
+                prefix_pairs(loop[:-1], hi.numerator, hi.denominator))
+    for (x, _), (y, _) in walks:
+        if (x > 0) - (x < 0) != (y > 0) - (y < 0):
+            return False
+    return True

@@ -419,6 +419,27 @@ def test_gpoly_beyond_the_digit_limit_is_a_budget_fault(capsys):
     assert captured.err == "fault: a result has more than 640 digits\n"
 
 
+G = continuants.MAX_G_DEGREE
+
+
+@pytest.mark.parametrize("command,message", [
+    (["roots", "--n", str(G + 1)], f"n={G + 1} exceeds the guard {G}"),
+    (["roots", "--n", "100000000"], f"n=100000000 exceeds the guard {G}"),
+    (["gpoly", "--n", str(G + 1)], f"n={G + 1} exceeds the guard {G}"),
+    # both build g_poly(n + 1)
+    (["uset", "--n", str(G)], f"n={G} exceeds the guard {G - 1}: the ratio builds g_poly(n + 1)"),
+    (["darboux", "--n", str(G), "--count", "1"],
+     f"n={G} exceeds the guard {G - 1}: the ratio builds g_poly(n + 1)"),
+])
+def test_order_above_the_g_poly_guard_is_invalid_input(command, message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "forbiddenq.cli", *command],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_scan_csv(capsys):
     code, out = run(capsys, "scan", "--range", "2,3", "--max-den", "5",
                     "--depth", "5", "--window", "4")

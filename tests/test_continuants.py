@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from forbiddenq.continuants import (
+    MAX_G_DEGREE,
     f_poly,
     g_identity_check,
     g_poly,
@@ -244,3 +245,16 @@ def test_u_point_is_the_u_set_point(n):
 def test_orders_below_the_least_are_refused(call):
     with pytest.raises(ValueError, match="must be >= "):
         call()
+
+
+def test_g_poly_and_g_roots_stop_at_the_guard():
+    # g_poly(n) holds n + 1 integers and g_roots(n) n floats; ratio_in_q(n)
+    # builds g_poly(n + 1), so its n stays below the guard
+    assert len(g_roots(MAX_G_DEGREE)) == MAX_G_DEGREE
+    assert g_poly(MAX_G_DEGREE).degree == MAX_G_DEGREE
+    for build in (g_poly, g_roots):
+        with pytest.raises(ValueError, match=f"n={MAX_G_DEGREE + 1} exceeds the guard"):
+            build(MAX_G_DEGREE + 1)
+    assert ratio_in_q(MAX_G_DEGREE - 1)[1].degree == MAX_G_DEGREE // 2
+    with pytest.raises(ValueError, match=f"exceeds the guard {MAX_G_DEGREE - 1}"):
+        ratio_in_q(MAX_G_DEGREE)

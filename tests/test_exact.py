@@ -387,3 +387,34 @@ def test_deep_refinement_takes_few_evaluations(monkeypatch):
     fine = [x.refine(Fraction(1, 10**40)) for x in points]
     assert all(f.width <= Fraction(1, 10**40) and x.lo <= f.lo < f.hi <= x.hi for x, f in zip(points, fine))
     assert len(calls) <= 24 * len(points)
+
+
+def test_refine_evaluates_nothing_beyond_bisect(monkeypatch):
+    # the cell's end signs are the two _bisect certified it by: refine adds
+    # no evaluation of its own, and builds the cell without the constructor
+    eps = Fraction(1, 10**40)
+    points = u_set(40)
+    calls, checks = [], []
+    value, check = IntPoly.value_at_ratio, AlgebraicNumber.__post_init__
+    monkeypatch.setattr(IntPoly, "value_at_ratio", lambda p, a, b: calls.append(1) or value(p, a, b))
+    monkeypatch.setattr(AlgebraicNumber, "__post_init__", lambda x: checks.append(1) or check(x))
+    for x in points:
+        del calls[:]
+        exact._bisect(x.defining, x.lo, x.hi, eps)
+        own = len(calls)
+        del calls[:]
+        x.refine(eps)
+        assert len(calls) == own
+    assert checks == []
+
+
+def test_refine_checks_a_grid_roots_bracket_in_the_constructor(monkeypatch):
+    # 3/8 is on the dyadic grid of (0, 1): the narrow interval around it is
+    # built by _grid_root, not certified by _bisect's two end values, so
+    # the constructor re-checks its sign change
+    x = AlgebraicNumber(IntPoly([-3, 8]), Fraction(0), Fraction(1), 0.5)
+    checked = []
+    check = AlgebraicNumber.__post_init__
+    monkeypatch.setattr(AlgebraicNumber, "__post_init__", lambda x: checked.append(x) or check(x))
+    fine = x.refine(Fraction(1, 10**9))
+    assert checked == [fine] and fine.lo < Fraction(3, 8) < fine.hi

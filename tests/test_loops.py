@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from forbiddenq.cli import witness_from_dict, witness_to_dict
-from forbiddenq.continuants import g_poly, ratio_in_q
+from forbiddenq.continuants import MAX_G_DEGREE, g_poly, ratio_in_q
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
 from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses
 from forbiddenq.loops import (
@@ -34,6 +34,7 @@ from forbiddenq.loops import (
     check_chain_proposition,
     closed_form_c5,
     evaluate_path,
+    lemma_weight_approx,
     lemma_weight_squared,
     search_nonunit_loop,
     shifted_alternating_loop,
@@ -607,6 +608,23 @@ def _algebraic_darboux_witness():
     return w
 
 
+def _order_ten_darboux_witness():
+    w = darboux_witnesses(10, 3, 1, min_c=1)[0].witness
+    assert isinstance(w.q, AlgebraicNumber) and w.q.hi < 3
+    return w
+
+
+def _past_an_inner_prefix_zero(w):
+    # N_4 of the alternating path vanishes at q = 3 = 4 cos(pi/6)**2, the
+    # obstruction that t1 of this order-10 witness approximates (its Farey
+    # denominator 6 is at most n).  Widened to just past 3, the interval
+    # keeps its sign change, which the constructor in _posed accepts, its
+    # polynomial and its weight: only the prefix-sign walk refuses it, at j = 4
+    hi = Fraction(3) + Fraction(1, 10**30)
+    assert AlgebraicNumber(w.q.defining, w.q.lo, hi, float((w.q.lo + hi) / 2))
+    return _posed(w, w.q.defining, w.q.lo, hi)
+
+
 TAMPERINGS = {
     "duplicate-c wrong c_value": (
         _duplicate_c_witness, lambda w: replace(w, c_value=w.c_value + 1)),
@@ -619,9 +637,8 @@ TAMPERINGS = {
         _duplicate_c_witness, lambda w: replace(w, other_loop=None)),
     "darboux edited last entry": (
         _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
-    # the shift is read off the loop, so editing the loop edits the shift
-    "darboux loop and c edited together": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
+    "darboux interval past an inner prefix zero": (
+        _order_ten_darboux_witness, _past_an_inner_prefix_zero),
     # the witness has n = 4 and c = 4: a last entry of 5.5 gives the shift 4.5
     "darboux non-integer last entry": (
         _algebraic_darboux_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
@@ -730,6 +747,23 @@ def test_verify_witness_refuses_a_unit_weight_algebraic_loop():
     alg = q.refine(ALG_INTERVAL_WIDTH)
     assert abs(evaluate_path((alg.lo + alg.hi) / 2, loop).prefix_c[-1]) < Fraction(1, 10**12)
     assert not verify_witness(LoopWitness(q, loop, FormulaWeight(1.0), "darboux", False))
+
+
+def test_verify_witness_refuses_an_order_beyond_the_guard_before_the_prefix_walks(monkeypatch):
+    # a read-back certificate of order MAX_G_DEGREE with the weight of its
+    # shift: ratio_in_q refuses to build g_poly(n + 1), so neither the
+    # division nor the prefix walks, quadratic in n, start
+    w = _algebraic_darboux_witness()
+    n, c = MAX_G_DEGREE, w.loop[-1] - 1  # the witness has even order 4
+    long = replace(w, loop=shifted_alternating_loop(n, c), verified=False,
+                   weight_squared=FormulaWeight(lemma_weight_approx(n, c, w.q.lo, w.q.hi)))
+
+    def never(*args):
+        raise AssertionError("called past the guard")
+
+    monkeypatch.setattr("forbiddenq.loops._exact_div", never)
+    monkeypatch.setattr("forbiddenq.loops.prefix_pairs", never)
+    assert verify_witness(long) is False
 
 
 def test_huge_window_allocates_within_budget():

@@ -1,8 +1,11 @@
 """Property tests: every search witness survives a JSON round trip and still
 verifies; brute enumeration marks exactly its non-unit loops as verified;
 the search's gcd product G gives every path's telescoped weight; the
-lemma's squared weight is below 1 at every q > 0; and tampered algebraic
-Darboux certificates are refused, not raised on."""
+lemma's squared weight is below 1 at every q > 0; the integer-division
+floats of a midpoint and of the lemma's weight are the floats of the
+fractions; ``refine`` returns the cell the constructor gives, with strictly
+opposite end signs; and tampered algebraic Darboux certificates are
+refused, not raised on."""
 
 import json
 import math
@@ -17,7 +20,7 @@ from dataclasses import replace
 
 from forbiddenq import cli
 from forbiddenq.continuants import _u_brackets
-from forbiddenq.exact import AlgebraicNumber, IntPoly, NoSignChange
+from forbiddenq.exact import AlgebraicNumber, IntPoly, NoSignChange, midpoint_float, ratio_float
 from forbiddenq.families import darboux_witnesses
 from forbiddenq.loops import (
     STATUS_BROKEN,
@@ -25,6 +28,7 @@ from forbiddenq.loops import (
     SearchConfig,
     brute_enumerate_loops,
     evaluate_path,
+    lemma_weight_approx,
     lemma_weight_squared,
     search_nonunit_loop,
     shifted_alternating_loop,
@@ -95,6 +99,85 @@ def test_lemma_weight_is_below_one(n, c, q):
     # is at least 2: this is why verify_witness needs no weight enclosure
     assume(c not in (0, -(-1) ** n))
     assert lemma_weight_squared(n, c, q) < 1
+
+
+@st.composite
+def wide_ints(draw, min_value=None, bits=4000):
+    """Integers of any bit length up to ``bits``, at least ``min_value``."""
+    size = draw(st.integers(0, bits))
+    lo = -(2**size) if min_value is None else max(min_value, -(2**size))
+    return draw(st.integers(lo, max(lo, 2**size)))
+
+
+@st.composite
+def wide_rational_pairs(draw, positive=False):
+    """Rationals lo < hi whose numerators and denominators run to thousands of bits."""
+    lo, hi = (Fraction(draw(wide_ints(1 if positive else None)), draw(wide_ints(1)))
+              for _ in range(2))
+    assume(lo != hi)
+    return min(lo, hi), max(lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=wide_rational_pairs(), scale=wide_ints(1, bits=200))
+def test_integer_midpoint_float_is_the_fraction_float(ends, scale):
+    lo, hi = ends
+    mid = (lo + hi) / 2
+    try:
+        want = float(mid)
+    except OverflowError:
+        # beyond the float range: refused with the constructor's ValueError,
+        # for a root of x - mid too
+        with pytest.raises(ValueError, match="too large for a float"):
+            midpoint_float(lo, hi)
+        with pytest.raises(ValueError, match="too large for a float"):
+            AlgebraicNumber(IntPoly([-mid.numerator, mid.denominator]), lo, hi, 0.0)
+        return
+    assert midpoint_float(lo, hi) == want
+    assert ratio_float(scale * mid.numerator, scale * mid.denominator) == want
+    assert AlgebraicNumber(IntPoly([-mid.numerator, mid.denominator]), lo, hi, want).approx == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(ends=wide_rational_pairs(positive=True), n=st.integers(1, 60),
+       c=st.integers(-10**6, 10**6))
+def test_integer_weight_float_is_the_fraction_float(ends, n, c):
+    lo, hi = ends
+    assume(c not in (0, -(-1) ** n))
+    assert lemma_weight_approx(n, c, lo, hi) == float(lemma_weight_squared(n, c, (lo + hi) / 2))
+
+
+@st.composite
+def one_root_intervals(draw):
+    """(p, lo, hi): p has one simple root in (lo, hi) and none at the ends.
+
+    Either an irrational root of x**2 - d, or a rational root a/b of
+    (b x - a)(x**2 + 1) in (0, 1), dyadic (on bisection's grid) or not.
+    """
+    kind = draw(st.sampled_from(["irrational", "dyadic", "rational"]))
+    if kind == "irrational":
+        d = draw(st.integers(2, 10**12))
+        r = math.isqrt(d)
+        assume(r * r != d)
+        return IntPoly([-d, 0, 1]), Fraction(r), Fraction(r + 1)
+    if kind == "dyadic":
+        m = draw(st.integers(1, 60))
+        a, b = 2 * draw(st.integers(0, 2 ** (m - 1) - 1)) + 1, 2**m
+    else:
+        b = draw(st.integers(2, 10**9))
+        a = draw(st.integers(1, b - 1))
+    return IntPoly([-a, b]) * IntPoly([1, 0, 1]), Fraction(0), Fraction(1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_root_intervals(), eps_num=st.integers(1, 1000), eps_exp=st.integers(0, 60))
+def test_refine_returns_the_constructors_cell(case, eps_num, eps_exp):
+    p, lo, hi = case
+    eps = Fraction(eps_num, 10**eps_exp)
+    f = AlgebraicNumber(p, lo, hi, midpoint_float(lo, hi)).refine(eps)
+    assert f.width <= eps and lo <= f.lo < f.hi <= hi
+    assert p.sign_at(f.lo) * p.sign_at(f.hi) == -1
+    assert f == AlgebraicNumber(p, f.lo, f.hi, float((f.lo + f.hi) / 2))
 
 
 @st.composite
