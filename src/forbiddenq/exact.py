@@ -26,9 +26,8 @@ correctly rounded true division of two integers, the value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -55,6 +54,9 @@ class IntPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("IntPoly is immutable")
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     @property
     def degree(self) -> int:
@@ -326,8 +328,14 @@ def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fr
     return r - half, r + half
 
 
-@dataclass(frozen=True)
-class AlgebraicNumber:
+class _AlgebraicFields(NamedTuple):
+    defining: IntPoly
+    lo: Fraction
+    hi: Fraction
+    approx: float
+
+
+class AlgebraicNumber(_AlgebraicFields):
     """A real algebraic number: a root of ``defining`` in the open ``(lo, hi)``.
 
     Intervals built by :func:`real_roots`, :func:`isolate_root` and
@@ -345,12 +353,19 @@ class AlgebraicNumber:
     and a midpoint too large for a float is refused with ``ValueError``.
     """
 
-    defining: IntPoly
-    lo: Fraction
-    hi: Fraction
-    approx: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through here, so a replaced field is checked too
+        return cls(*iterable)
+
+    def _check(self):
         if not self.lo < self.hi:
             raise ValueError("empty isolating interval")
         if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
@@ -363,9 +378,7 @@ class AlgebraicNumber:
               approx: float) -> "AlgebraicNumber":
         """The interval ``(lo, hi)`` whose strictly opposite end signs the
         caller has just computed, built without evaluating them again."""
-        x = object.__new__(cls)
-        x.__dict__.update(defining=defining, lo=lo, hi=hi, approx=approx)
-        return x
+        return tuple.__new__(cls, (defining, lo, hi, approx))
 
     @property
     def width(self) -> Fraction:

@@ -27,9 +27,8 @@ module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root, midpoint_float
 from .continuants import ratio_in_q, u_point
@@ -62,8 +61,7 @@ def fibonacci(k: int) -> int:
     return b if k > 1 else a
 
 
-@dataclass(frozen=True)
-class PellWitness:
+class PellWitness(NamedTuple):
     """A rational forbidden value from a unit of the norm form."""
 
     k: int
@@ -95,7 +93,7 @@ def pell_witnesses(count: int, reciprocal: bool = False) -> list[PellWitness]:
         q = Fraction(a, b)
         wit = LoopWitness(q=q, loop=(1, -1, 1, -1, -(2 * b * b - a * b) // norm_form(a, b)),
                           weight_squared=Fraction(1, b**4), provenance="pell", verified=False)
-        wit = replace(wit, verified=verify_witness(wit))
+        wit = wit._replace(verified=verify_witness(wit))
         if not wit.verified:
             raise ArithmeticError(f"witness verification failed at (a, b)=({a}, {b})")
         out.append(PellWitness(k=k, a=a, b=b, q=q, witness=wit))
@@ -110,8 +108,7 @@ def golden_targets() -> tuple[AlgebraicNumber, AlgebraicNumber]:
     return isolate_root(p, 0, 1, eps), isolate_root(p, 2, 3, eps)
 
 
-@dataclass(frozen=True)
-class DarbouxWitness:
+class DarbouxWitness(NamedTuple):
     """A forbidden value isolated just above an accumulation point t0."""
 
     n: int
@@ -236,7 +233,7 @@ def darboux_witnesses(
             w2 = FormulaWeight(lemma_weight_approx(n, shift, qval.lo, qval.hi))
         wit = LoopWitness(q=qval, loop=shifted_alternating_loop(n, shift),
                           weight_squared=w2, provenance="darboux", verified=False)
-        wit = replace(wit, verified=verify_witness(wit))
+        wit = wit._replace(verified=verify_witness(wit))
         if not wit.verified:
             raise ArithmeticError(f"witness verification failed at level {c_k}")
         out.append(

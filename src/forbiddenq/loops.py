@@ -20,9 +20,8 @@ from __future__ import annotations
 import gc
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .continuants import prefix_pairs, ratio_in_q
 from .exact import AlgebraicNumber, RationalLike, _exact_div, _midpoint, ratio_float
@@ -71,8 +70,7 @@ class BudgetExceeded(RuntimeError):
     """Enumeration bounds exceed the hard explosion guard."""
 
 
-@dataclass(frozen=True)
-class PathEval:
+class PathEval(NamedTuple):
     """Prefix values and classification of a sequence at a fixed q.
 
     ``prefix_c[j]`` is c(q, (m_0..m_j)) for every index that is defined.
@@ -89,8 +87,7 @@ class PathEval:
     weight_squared: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class FormulaWeight:
+class FormulaWeight(NamedTuple):
     """Squared weight of a shifted alternating loop at an irrational q.
 
     Represents 1/|1 + c*q*(c + (-1)**n)|, which is irrational for algebraic
@@ -104,8 +101,7 @@ class FormulaWeight:
     approx: float
 
 
-@dataclass(frozen=True)
-class LoopWitness:
+class LoopWitness(NamedTuple):
     """A certificate that some q is forbidden (or a candidate for one).
 
     For provenance "search", "pell" and "darboux" the certificate is a loop
@@ -132,15 +128,28 @@ class LoopWitness:
     c_value: Optional[Fraction] = None
 
 
-@dataclass
-class SearchConfig:
-    """Bounds for :func:`search_nonunit_loop`."""
-
+class _SearchBounds(NamedTuple):
     max_depth: int = 5
     window: int = 4
     node_budget: int = 200_000
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchBounds):
+    """Bounds for :func:`search_nonunit_loop`."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through here, so a replaced field is checked too
+        return cls(*iterable)
+
+    def _check(self):
         if self.max_depth < 1 or self.window < 1 or self.node_budget < 1:
             raise ValueError("max_depth, window and node_budget must be >= 1")
         if self.max_depth > MAX_SEARCH_DEPTH:
@@ -155,8 +164,7 @@ class SearchConfig:
             raise ValueError(f"window={self.window} exceeds the guard {MAX_SEARCH_WINDOW}")
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     witness: Optional[LoopWitness]
     nodes: int
     budget_exhausted: bool
@@ -375,7 +383,7 @@ def brute_enumerate_loops(
     for loop, w2 in out:
         w = LoopWitness(q=q, loop=loop, weight_squared=w2, provenance="search",
                         verified=False)
-        witnesses.append(replace(w, verified=verify_witness(w)))
+        witnesses.append(w._replace(verified=verify_witness(w)))
     return witnesses
 
 
@@ -510,9 +518,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     cq = chain_length(q, max_len) if prune else 0
     budget = cfg.node_budget
 
-    # a parent counts at most `budget` children, so a wider window adds none
+    # a parent counts at most `budget` children, so a wider window adds none;
+    # a search of length 1 expands no parent and needs no offsets
     offsets = [0]
-    for d in range(1, min(cfg.window, budget) + 1):
+    for d in range(1, min(cfg.window, budget) + 1 if max_len >= 2 else 1):
         offsets.append(-d)
         offsets.append(d)
     # offsets 0 and +-1, and the number and reach of the offsets beyond them
@@ -663,7 +672,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
-        witness = replace(hit.witness, verified=verify_witness(hit.witness))
+        witness = hit.witness._replace(verified=verify_witness(hit.witness))
     finally:
         # `visit` calls itself through its closure cell, a cycle that would
         # keep it and the tables alive until a collection: free the tables and

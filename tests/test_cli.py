@@ -624,6 +624,18 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # the records are NamedTuples, so dataclasses and the inspect it loads
+    # stay out of every command's start
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, forbiddenq.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] in ('dataclasses', 'inspect')))"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+
+
 def test_unknown_flag_is_invalid_input(capsys):
     assert cli.main(["chain", "--bogus", "1"]) == 1
 

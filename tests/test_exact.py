@@ -395,9 +395,9 @@ def test_refine_evaluates_nothing_beyond_bisect(monkeypatch):
     eps = Fraction(1, 10**40)
     points = u_set(40)
     calls, checks = [], []
-    value, check = IntPoly.value_at_ratio, AlgebraicNumber.__post_init__
+    value, check = IntPoly.value_at_ratio, AlgebraicNumber._check
     monkeypatch.setattr(IntPoly, "value_at_ratio", lambda p, a, b: calls.append(1) or value(p, a, b))
-    monkeypatch.setattr(AlgebraicNumber, "__post_init__", lambda x: checks.append(1) or check(x))
+    monkeypatch.setattr(AlgebraicNumber, "_check", lambda x: checks.append(1) or check(x))
     for x in points:
         del calls[:]
         exact._bisect(x.defining, x.lo, x.hi, eps)
@@ -414,7 +414,7 @@ def test_refine_checks_a_grid_roots_bracket_in_the_constructor(monkeypatch):
     # the constructor re-checks its sign change
     x = AlgebraicNumber(IntPoly([-3, 8]), Fraction(0), Fraction(1), 0.5)
     checked = []
-    check = AlgebraicNumber.__post_init__
-    monkeypatch.setattr(AlgebraicNumber, "__post_init__", lambda x: checked.append(x) or check(x))
+    check = AlgebraicNumber._check
+    monkeypatch.setattr(AlgebraicNumber, "_check", lambda x: checked.append(x) or check(x))
     fine = x.refine(Fraction(1, 10**9))
     assert checked == [fine] and fine.lo < Fraction(3, 8) < fine.hi

@@ -4,7 +4,6 @@ import json
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ import pytest
 from forbiddenq.cli import witness_from_dict, witness_to_dict
 from forbiddenq.continuants import MAX_G_DEGREE, g_poly, ratio_in_q
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
-from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses
+from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses, pell_witnesses
 from forbiddenq.loops import (
     MAX_NODE_BUDGET,
     MAX_SEARCH_DEPTH,
@@ -578,8 +577,8 @@ def test_verify_witness_rejects_tampering():
     res = search_nonunit_loop(Fraction(5, 4), SearchConfig(max_depth=4, window=4))
     w = res.witness
     assert verify_witness(w)
-    assert not verify_witness(replace(w, weight_squared=Fraction(1, 17)))
-    assert not verify_witness(replace(w, loop=(1, -1, 5)))
+    assert not verify_witness(w._replace(weight_squared=Fraction(1, 17)))
+    assert not verify_witness(w._replace(loop=(1, -1, 5)))
 
 
 def _bump_last(seq):
@@ -627,47 +626,47 @@ def _past_an_inner_prefix_zero(w):
 
 TAMPERINGS = {
     "duplicate-c wrong c_value": (
-        _duplicate_c_witness, lambda w: replace(w, c_value=w.c_value + 1)),
+        _duplicate_c_witness, lambda w: w._replace(c_value=w.c_value + 1)),
     "duplicate-c edited other_loop": (
-        _duplicate_c_witness, lambda w: replace(w, other_loop=_bump_last(w.other_loop))),
+        _duplicate_c_witness, lambda w: w._replace(other_loop=_bump_last(w.other_loop))),
     "duplicate-c equal weights": (
         _duplicate_c_witness,
-        lambda w: replace(w, other_weight_squared=w.weight_squared)),
+        lambda w: w._replace(other_weight_squared=w.weight_squared)),
     "duplicate-c missing other_loop": (
-        _duplicate_c_witness, lambda w: replace(w, other_loop=None)),
+        _duplicate_c_witness, lambda w: w._replace(other_loop=None)),
     "darboux edited last entry": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=_bump_last(w.loop))),
+        _algebraic_darboux_witness, lambda w: w._replace(loop=_bump_last(w.loop))),
     "darboux interval past an inner prefix zero": (
         _order_ten_darboux_witness, _past_an_inner_prefix_zero),
     # the witness has n = 4 and c = 4: a last entry of 5.5 gives the shift 4.5
     "darboux non-integer last entry": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
+        _algebraic_darboux_witness, lambda w: w._replace(loop=_fractional_last(w.loop))),
     "darboux edited inner entry": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=(1, 1) + w.loop[2:])),
+        _algebraic_darboux_witness, lambda w: w._replace(loop=(1, 1) + w.loop[2:])),
     # 1.0 == 1, so only a type check refuses it
     "darboux non-integer inner entry": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=(1.0,) + w.loop[1:])),
+        _algebraic_darboux_witness, lambda w: w._replace(loop=(1.0,) + w.loop[1:])),
     "darboux loop of one entry": (
-        _algebraic_darboux_witness, lambda w: replace(w, loop=w.loop[-1:])),
-    "darboux empty loop": (_algebraic_darboux_witness, lambda w: replace(w, loop=())),
+        _algebraic_darboux_witness, lambda w: w._replace(loop=w.loop[-1:])),
+    "darboux empty loop": (_algebraic_darboux_witness, lambda w: w._replace(loop=())),
     "darboux as duplicate-c": (
-        _algebraic_darboux_witness, lambda w: replace(w, provenance="duplicate-c")),
+        _algebraic_darboux_witness, lambda w: w._replace(provenance="duplicate-c")),
     "darboux exact weight": (
-        _algebraic_darboux_witness, lambda w: replace(w, weight_squared=Fraction(1, 2))),
+        _algebraic_darboux_witness, lambda w: w._replace(weight_squared=Fraction(1, 2))),
     "rational formula weight": (
-        _rational_witness, lambda w: replace(w, weight_squared=FormulaWeight(0.5))),
+        _rational_witness, lambda w: w._replace(weight_squared=FormulaWeight(0.5))),
     "rational non-integer entry": (
-        _rational_witness, lambda w: replace(w, loop=_fractional_last(w.loop))),
+        _rational_witness, lambda w: w._replace(loop=_fractional_last(w.loop))),
     "duplicate-c non-integer entry": (
         _duplicate_c_witness,
-        lambda w: replace(w, other_loop=_fractional_last(w.other_loop))),
+        lambda w: w._replace(other_loop=_fractional_last(w.other_loop))),
     "rational unit weight": (
-        _rational_witness, lambda w: replace(w, weight_squared=Fraction(1))),
+        _rational_witness, lambda w: w._replace(weight_squared=Fraction(1))),
     # two loops (c = 0) of different weights are not a duplicate-c pair of paths
     "duplicate-c pair of loops": (
         _rational_witness,
-        lambda w: replace(w, provenance="duplicate-c", other_loop=(0,),
-                          other_weight_squared=Fraction(1), c_value=Fraction(0))),
+        lambda w: w._replace(provenance="duplicate-c", other_loop=(0,),
+                             other_weight_squared=Fraction(1), c_value=Fraction(0))),
 }
 
 
@@ -697,8 +696,8 @@ def _posed(w, defining, lo, hi):
     mid = (lo + hi) / 2
     n = len(w.loop) - 1
     approx = float(lemma_weight_squared(n, w.loop[-1] - (-1) ** n, mid))
-    return replace(w, q=AlgebraicNumber(defining, lo, hi, float(mid)), verified=False,
-                   weight_squared=FormulaWeight(approx))
+    return w._replace(q=AlgebraicNumber(defining, lo, hi, float(mid)), verified=False,
+                      weight_squared=FormulaWeight(approx))
 
 
 def test_verify_witness_refuses_the_forged_algebraic_certificate():
@@ -755,8 +754,8 @@ def test_verify_witness_refuses_an_order_beyond_the_guard_before_the_prefix_walk
     # division nor the prefix walks, quadratic in n, start
     w = _algebraic_darboux_witness()
     n, c = MAX_G_DEGREE, w.loop[-1] - 1  # the witness has even order 4
-    long = replace(w, loop=shifted_alternating_loop(n, c), verified=False,
-                   weight_squared=FormulaWeight(lemma_weight_approx(n, c, w.q.lo, w.q.hi)))
+    long = w._replace(loop=shifted_alternating_loop(n, c), verified=False,
+                      weight_squared=FormulaWeight(lemma_weight_approx(n, c, w.q.lo, w.q.hi)))
 
     def never(*args):
         raise AssertionError("called past the guard")
@@ -780,6 +779,49 @@ def test_huge_window_allocates_within_budget():
         tracemalloc.stop()
     assert res == expected
     assert peak < 2**20
+
+
+def test_length_one_search_allocates_no_window_of_offsets():
+    # a length-1 search expands no parent: a window of 10**6 under a budget
+    # of 10**6 used to build two million offsets for nothing
+    import tracemalloc
+
+    q = Fraction(9, 7)
+    tracemalloc.start()
+    try:
+        res = search_nonunit_loop(q, SearchConfig(max_depth=1, window=10**6, node_budget=10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.witness, res.nodes, res.budget_exhausted) == (None, 10**6, False)
+    assert peak < 2**20
+
+
+def test_records_pickle_to_equal_values_and_stay_read_only():
+    # the --jobs pool pickles results; an IntPoly's slot state used to be
+    # refused on the way back by its own __setattr__
+    import pickle
+
+    found = search_nonunit_loop(Fraction(7, 3), SearchConfig(max_depth=5, window=4))
+    assert found.witness.provenance == "duplicate-c"
+    darboux = darboux_witnesses(4, 1, 2)[1]
+    read_back = witness_from_dict(witness_to_dict(darboux.witness))
+    cell = isolate_root(IntPoly([-2, 0, 1]), 1, 2, Fraction(1, 2)).refine(Fraction(1, 10**30))
+    assert isinstance(read_back.q, AlgebraicNumber)
+    records = [found, found.witness, SearchConfig(max_depth=5, window=4),
+               evaluate_path(Q52, LOOP52), cell, read_back.q, read_back, darboux,
+               darboux.witness.weight_squared, pell_witnesses(1)[0]]
+    for r in records:
+        back = pickle.loads(pickle.dumps(r))
+        assert type(back) is type(r) and back == r
+        with pytest.raises(AttributeError):
+            setattr(r, r._fields[0], None)
+    assert pickle.loads(pickle.dumps(IntPoly([1, 2, 3]))) == IntPoly([1, 2, 3])
+    # a replaced field goes through the constructor's checks
+    with pytest.raises(ValueError, match="empty isolating interval"):
+        cell._replace(lo=cell.hi)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        SearchConfig()._replace(window=0)
 
 
 @pytest.fixture

@@ -16,8 +16,6 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from dataclasses import replace
-
 from forbiddenq import cli
 from forbiddenq.continuants import _u_brackets
 from forbiddenq.exact import AlgebraicNumber, IntPoly, NoSignChange, midpoint_float, ratio_float
@@ -196,8 +194,8 @@ def _posed(w, q, c):
         approx = float(lemma_weight_squared(n, c, (q.lo + q.hi) / 2))
     except ValueError:  # a unit-weight shift
         approx = 1.0
-    return replace(w, q=q, loop=shifted_alternating_loop(n, c),
-                   weight_squared=FormulaWeight(approx), verified=False)
+    return w._replace(q=q, loop=shifted_alternating_loop(n, c),
+                      weight_squared=FormulaWeight(approx), verified=False)
 
 
 def _interval(p, lo, hi):
