@@ -8,8 +8,6 @@ from .exact import (
     real_roots,
 )
 from .continuants import (
-    f_poly,
-    g_identity_check,
     g_poly,
     g_roots,
     prefix_pairs,
@@ -28,11 +26,7 @@ from .loops import (
     PathEval,
     SearchConfig,
     SearchResult,
-    ZeroDenominator,
-    brute_enumerate_loops,
     chain_length,
-    check_chain_proposition,
-    closed_form_c5,
     evaluate_path,
     lemma_weight_squared,
     search_nonunit_loop,
@@ -42,15 +36,12 @@ from .loops import (
 )
 from .families import (
     DarbouxWitness,
-    NegativeDiscriminant,
     PellWitness,
     cos2_family,
     darboux_witnesses,
-    fibonacci,
     golden_targets,
     norm_form,
     pell_witnesses,
-    quadratic_targets,
 )
 
 __version__ = "0.1.0"

@@ -33,6 +33,11 @@ from . import continuants, families, loops
 WEIGHT_FORMULA = "1/|1+c q (c+(-1)^n)|"
 EXIT_BROKEN_PIPE = 128 + 13  # the shell status of a writer killed by SIGPIPE
 
+# hard guard on the candidates of `scan`: with D = --max-den, at most
+# (hi - lo) * D(D+1)/2 + D fractions lie in [lo, hi], and that also bounds the
+# steps reduced_fractions takes to list them
+MAX_SCAN_CANDIDATES = 10**6
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "a/b" or a finite decimal, exactly; |exponent| > 4300 is refused.
@@ -281,8 +286,12 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if args.max_den < 1:
         raise ValueError(f"--max-den must be >= 1, got {args.max_den}")
+    d = args.max_den
+    if (hi - lo) * (d * (d + 1) // 2) + d > MAX_SCAN_CANDIDATES:
+        raise ValueError(f"--range {args.range} with --max-den {d} could give more "
+                         f"candidates than the guard {MAX_SCAN_CANDIDATES}")
     cfg = _search_config(args)
-    cands = reduced_fractions(lo, hi, args.max_den)
+    cands = reduced_fractions(lo, hi, d)
     tasks = [(a, b, cfg) for a, b in cands]
     # pool.map keeps task order, so rows stay in (b, a) order either way
     if args.jobs > 1:

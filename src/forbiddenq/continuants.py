@@ -2,11 +2,9 @@
 
 ``prefix_pairs`` is the continued-fraction recurrence c -> m + 1/(q c) of
 :mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
-every exact loop evaluation in the package runs through it except two
-inlined copies of its step (the search's, reduced, and the test oracle
-``brute_enumerate_loops``'s, unreduced) and ``ratio_in_q``, read off
-``g_poly``.  ``f_poly`` builds, by the three-term recurrence, the polynomial
-whose ratios reproduce those prefix values.
+every exact loop evaluation in the package runs through it except one
+inlined copy of its step, the search's, reduced, and ``ratio_in_q``, read
+off ``g_poly``.
 
 The alternating-sign specialization ``g_poly(n)`` is a rescaled Chebyshev
 polynomial of the second kind, built from its binomial coefficients: its
@@ -20,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 
@@ -51,32 +49,19 @@ def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
         yield num, den
 
 
-def f_poly(m: Sequence[int]) -> IntPoly:
-    """Continuant polynomial of ``m`` via the recurrence.
-
-    f_0 = 1, f_1 = m_0 * x, and f_{j+1} = m_j * x * f_j + f_{j-1}.  The
-    result has degree len(m) with leading coefficient prod(m) whenever all
-    entries are non-zero.
-    """
-    prev = IntPoly([1])
-    if len(m) == 0:
-        return prev
-    x = IntPoly([0, 1])
-    cur = IntPoly([0, m[0]])
-    for mj in m[1:]:
-        prev, cur = cur, int(mj) * (x * cur) + prev
-    return cur
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=3)
 def g_poly(n: int) -> IntPoly:
     """Continuant of the alternating sequence (1, -1, ..., (-1)**(n-1)).
 
     Built from its closed form, (-1)**(n//2) U_n(x/2) with U_n the Chebyshev
     polynomial of the second kind: the coefficient of x**(n-2k) is
     (-1)**(n//2 + k) * C(n-k, k), each binomial taken from the one before by
-    C(n-k, k) = C(n-k+1, k-1) (n-2k+2)(n-2k+1) / (k (n-k+1)).  Equal to
-    ``f_poly`` of the alternating sequence, in O(n) big-integer steps.
+    C(n-k, k) = C(n-k+1, k-1) (n-2k+2)(n-2k+1) / (k (n-k+1)).  Equal to the
+    three-term recurrence f_{j+1} = m_j x f_j + f_{j-1} (f_0 = 1,
+    f_1 = m_0 x) over the alternating sequence, in O(n) big-integer steps.
+    Only the last three orders asked for are cached: :func:`ratio_in_q`
+    reads two consecutive members, and a cache of every order would keep
+    141 MB after n = 1..2048.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -97,14 +82,6 @@ def g_roots(n: int) -> list[float]:
     if n > MAX_G_DEGREE:
         raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE}")
     return [2.0 * math.cos(math.pi * j / (n + 1)) for j in range(1, n + 1)]
-
-
-def g_identity_check(n: int) -> bool:
-    """Exact coefficient check of g_n**2 + g_{n+1} g_{n-1} == 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = g_poly(n)
-    return g * g + g_poly(n + 1) * g_poly(n - 1) == IntPoly([1])
 
 
 def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:

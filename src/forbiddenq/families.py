@@ -20,8 +20,7 @@ neighbour below the next pole, level c crosses once in (t0, t1) exactly when
 c > (-1)**(n+1) * c_n(t1), at the one sign change on [t0.lo, t1].
 
 A float-only enumerator of the classical dense family (4/n) cos(pi l/(2k+1))**2
-and the quadratic-target calculator for general length-5 loops round out the
-module.
+rounds out the module.
 """
 
 from __future__ import annotations
@@ -42,23 +41,9 @@ from .loops import (
 )
 
 
-class NegativeDiscriminant(ValueError):
-    """The quadratic-target discriminant is negative; no real targets."""
-
-
 def norm_form(a: int, b: int) -> int:
     """The quadratic form b**2 - 3ab + a**2 (symmetric in a and b)."""
     return b * b - 3 * a * b + a * a
-
-
-def fibonacci(k: int) -> int:
-    """F_k with F_1 = F_2 = 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    a, b = 1, 1
-    for _ in range(k - 2):
-        a, b = b, a + b
-    return b if k > 1 else a
 
 
 class PellWitness(NamedTuple):
@@ -269,25 +254,3 @@ def cos2_family(max_k: int, max_n: int) -> list[float]:
         if not out or v - out[-1] > 1e-12:
             out.append(v)
     return out
-
-
-def quadratic_targets(m0: int, m1: int, m2: int, m3: int) -> tuple[float, float]:
-    """Accumulation targets reachable by length-5 loops with these entries.
-
-    With u = 1/(m1 m2), v1 = 1/(m0 m1), v2 = 1/(m2 m3), returns the two
-    numbers w = (-u - v1 - v2 +- sqrt(disc))/2 where
-    disc = u**2 + v1**2 + v2**2 - 2 v1 v2 + 2 u v1 + 2 u v2, larger first.
-    For entries starting (e, -e, e) the larger target never exceeds
-    (3 + sqrt(5))/2.
-    """
-    if m0 * m1 * m2 * m3 == 0:
-        raise ValueError("all four entries must be non-zero")
-    u = Fraction(1, m1 * m2)
-    v1 = Fraction(1, m0 * m1)
-    v2 = Fraction(1, m2 * m3)
-    disc = u * u + v1 * v1 + v2 * v2 - 2 * v1 * v2 + 2 * u * v1 + 2 * u * v2
-    if disc < 0:
-        raise NegativeDiscriminant(f"discriminant {disc} < 0; no real targets")
-    s = float(-u - v1 - v2)
-    root = math.sqrt(float(disc))
-    return (s + root) / 2, (s - root) / 2

@@ -3,9 +3,14 @@
 Each one recomputes something the package computes another way: Horner in
 ``Fraction`` for :meth:`IntPoly.eval`, the ``prefix_pairs`` walk over
 ``IntPoly`` for ``ratio_in_q`` (which reads the parity split of ``g_poly``),
-subset enumeration for ``f_poly``, the float recurrence for the roots of
-``g_poly``, and a brute scan of the norm form for the Fibonacci pairs behind
-``pell_witnesses``.  None of them is on a path that produces a certificate.
+the three-term recurrence ``f_poly`` for the closed form of ``g_poly``, and
+subset enumeration for ``f_poly`` itself, the float recurrence for the roots
+of ``g_poly``, a brute scan of the norm form for the Fibonacci pairs behind
+``pell_witnesses``, the length-5 closed form ``closed_form_c5`` for
+``evaluate_path``, exhaustive ``brute_enumerate_loops`` (an unreduced copy of
+the ``prefix_pairs`` step) for the search, and ``check_chain_proposition``
+for the soundness of its alternating-chain cut.  None of them is on a path
+that produces a certificate.
 """
 
 from __future__ import annotations
@@ -17,12 +22,26 @@ from typing import Sequence
 from forbiddenq.continuants import prefix_pairs
 from forbiddenq.exact import IntPoly, RationalLike
 from forbiddenq.families import norm_form
+from forbiddenq.loops import (
+    BudgetExceeded,
+    LoopWitness,
+    OutOfRange,
+    _checked,
+    _positive,
+    _weight,
+    chain_length,
+    verify_witness,
+)
 
 EXPLICIT_CUTOFF = 12
 
 
 class CutoffExceeded(ValueError):
     """Subset enumeration refused: the sequence is longer than the cutoff."""
+
+
+class ZeroDenominator(ValueError):
+    """The closed-form denominator vanishes at this q."""
 
 
 def horner_eval(p: IntPoly, x: RationalLike) -> Fraction:
@@ -49,6 +68,23 @@ def ratio_by_prefix_pairs(n: int) -> tuple[IntPoly, IntPoly]:
     low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in pair)
     g = math.gcd(*(p.content() for p in pair))
     return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
+
+
+def f_poly(m: Sequence[int]) -> IntPoly:
+    """Continuant polynomial of ``m`` via the recurrence.
+
+    f_0 = 1, f_1 = m_0 * x, and f_{j+1} = m_j * x * f_j + f_{j-1}.  The
+    result has degree len(m) with leading coefficient prod(m) whenever all
+    entries are non-zero.
+    """
+    prev = IntPoly([1])
+    if len(m) == 0:
+        return prev
+    x = IntPoly([0, 1])
+    cur = IntPoly([0, m[0]])
+    for mj in m[1:]:
+        prev, cur = cur, int(mj) * (x * cur) + prev
+    return cur
 
 
 def f_explicit(m: Sequence[int], cutoff: int = EXPLICIT_CUTOFF) -> IntPoly:
@@ -106,3 +142,134 @@ def norm_unit_pairs(limit: int) -> list[tuple[int, int]]:
             if norm_form(a, b) in (-1, 1):
                 out.append((a, b))
     return sorted(out)
+
+
+def closed_form_c5(q: RationalLike, m: Sequence[int]) -> Fraction:
+    """Closed-form final value of a length-5 sequence with m_0..m_3 non-zero.
+
+    With q = a/b in lowest terms,
+
+        c = m_4 + ((m_0 + m_2) b**2 + m_0 m_1 m_2 a b)
+                / (b**2 + (m_0 m_1 + m_0 m_3 + m_2 m_3) a b + m_0 m_1 m_2 m_3 a**2).
+
+    Both displayed polynomials are homogeneous of degree two in (a, b), so
+    the value depends on q only.
+    """
+    q = _positive(q)
+    m = tuple(m)
+    if len(m) != 5:
+        raise ValueError("closed form is specific to length-5 sequences")
+    if not all(isinstance(x, int) for x in m):
+        raise ValueError(f"entries must be integers, got {m}")
+    m0, m1, m2, m3, m4 = m
+    if 0 in (m0, m1, m2, m3):
+        raise ValueError("m_0..m_3 must be non-zero")
+    a, b = q.numerator, q.denominator
+    den = b * b + (m0 * m1 + m0 * m3 + m2 * m3) * a * b + m0 * m1 * m2 * m3 * a * a
+    if den == 0:
+        raise ZeroDenominator(f"closed-form denominator vanishes at q={q}")
+    num = (m0 + m2) * b * b + m0 * m1 * m2 * a * b
+    return m4 + Fraction(num, den)
+
+
+def brute_enumerate_loops(
+    q: RationalLike, max_depth: int, coeff_bound: int
+) -> list[LoopWitness]:
+    """Every proper loop with length <= max_depth + 1 and |m_j| <= coeff_bound.
+
+    Proper means all entries non-zero, plus the single zero loop (0).  Only
+    sequences starting positive are walked; the rest follow by negating every
+    entry, which negates all prefix values and preserves the weight.
+    Exhaustive within bounds, so guarded hard: max_depth <= 8,
+    coeff_bound <= 6.
+    """
+    q = _positive(q)
+    if not 0 <= max_depth <= 8 or not 0 <= coeff_bound <= 6:
+        raise BudgetExceeded(
+            f"bounds (max_depth={max_depth}, coeff_bound={coeff_bound}) exceed "
+            "the guard (8, 6)"
+        )
+    qn, qd = q.numerator, q.denominator
+    max_len = max_depth + 1
+    entries = [e for e in range(-coeff_bound, coeff_bound + 1) if e != 0]
+    hits: list[tuple[tuple[int, ...], Fraction]] = [((0,), Fraction(1))]
+    path: list[int] = []
+
+    def dfs(cn: int, cd: int) -> None:
+        # c = cn/cd is the last prefix value, unreduced as in prefix_pairs
+        length = len(path)
+        a = qn * cn
+        b = qd * cd
+        extend = length + 1 < max_len
+        for mj in entries:
+            num = mj * a + b
+            if num == 0:
+                hits.append((tuple(path) + (mj,), _weight(qn, qd, a, length)))
+            elif extend:
+                path.append(mj)
+                dfs(num, a)
+                path.pop()
+
+    try:
+        for m0 in range(1, coeff_bound + 1):
+            path[:] = [m0]
+            dfs(m0, 1)
+    finally:
+        # `dfs` calls itself through its closure cell; without this the cycle
+        # keeps it, `hits` and `path` alive until a collection
+        dfs = None
+
+    out: list[tuple[tuple[int, ...], Fraction]] = []
+    for loop, w2 in hits:
+        out.append((loop, w2))
+        if loop != (0,):
+            out.append((tuple(-x for x in loop), w2))
+    out.sort(key=lambda t: (len(t[0]), t[0]))
+
+    witnesses = []
+    for loop, w2 in out:
+        w = LoopWitness(q=q, loop=loop, weight_squared=w2, provenance="search",
+                        verified=False)
+        witnesses.append(w._replace(verified=verify_witness(w)))
+    return witnesses
+
+
+def check_chain_proposition(q: RationalLike, witnesses: Sequence[LoopWitness]) -> bool:
+    """Check the alternating-chain necessary condition on a batch of loops.
+
+    For each non-zero proper loop m = (m_0..m_k) at q in (2, 4), with l the
+    smallest index such that |c_j| <= 1 for all l <= j <= k, require
+    k >= l + C(q) and m_j = (-1)**j * eps on l <= j <= l + C(q) - 1 for some
+    eps = +-1.  The zero loop (0) is outside the hypothesis and skipped.
+    Inputs that are not proper loops at q are rejected.
+    """
+    q = Fraction(q)
+    if not 2 < q < 4:
+        raise OutOfRange(f"chain condition applies for 2 < q < 4, got {q}")
+    cq = chain_length(q)
+    for w in witnesses:
+        loop = w.loop
+        if loop == (0,):
+            continue
+        if 0 in loop:
+            raise ValueError(f"{loop} is not a proper loop")
+        _, loop = _checked(q, loop)
+        last_violation = -1
+        for j, (num, den) in enumerate(prefix_pairs(loop, q.numerator, q.denominator)):
+            if den == 0:
+                break
+            if abs(num) > abs(den):  # |c_j| > 1
+                last_violation = j
+        if den == 0 or num != 0:
+            raise ValueError(f"{loop} is not a loop at q={q}")
+        k = len(loop) - 1
+        ell = last_violation + 1
+        if k < ell + cq:
+            return False
+        eps = loop[ell]
+        if abs(eps) != 1:
+            return False
+        for j in range(ell, ell + cq):
+            if loop[j] != eps * (-1) ** (j - ell):
+                return False
+    return True

@@ -11,22 +11,26 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 
 from forbiddenq import cli
-from forbiddenq.continuants import f_poly, g_identity_check, g_roots
-from forbiddenq.exact import AlgebraicNumber
+from forbiddenq.continuants import g_poly, g_roots
+from forbiddenq.exact import AlgebraicNumber, IntPoly
 from forbiddenq.families import darboux_witnesses, golden_targets, pell_witnesses
 from forbiddenq.loops import (
     STATUS_LOOP,
     SearchConfig,
-    brute_enumerate_loops,
     chain_length,
-    check_chain_proposition,
-    closed_form_c5,
     evaluate_path,
     lemma_weight_squared,
     search_nonunit_loop,
     weight_squared,
 )
-from oracles import eval_g_float, f_explicit
+from oracles import (
+    brute_enumerate_loops,
+    check_chain_proposition,
+    closed_form_c5,
+    eval_g_float,
+    f_explicit,
+    f_poly,
+)
 
 
 def _passed(num: int, text: str) -> None:
@@ -35,7 +39,8 @@ def _passed(num: int, text: str) -> None:
 
 def test_criterion_01_identity_suite():
     t0 = time.perf_counter()
-    assert all(g_identity_check(n) for n in range(1, 41))
+    assert all(g_poly(n) * g_poly(n) + g_poly(n + 1) * g_poly(n - 1) == IntPoly([1])
+               for n in range(1, 41))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _passed(1, f"g_n^2 + g_(n+1) g_(n-1) = 1 exactly for n = 1..40 in {elapsed:.2f}s")

@@ -82,6 +82,34 @@ def test_bad_input_is_named_plainly(capsys, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("rng,max_den", [("1,1e9", "1"), ("1,2", "1000000000")])
+def test_scan_beyond_the_candidate_guard_is_refused_before_listing(capsys, monkeypatch,
+                                                                   rng, max_den):
+    def refuse(*args):
+        raise AssertionError("the candidates were listed")
+
+    monkeypatch.setattr(cli, "reduced_fractions", refuse)
+    code = cli.main(["scan", "--range", rng, "--max-den", max_den])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: --range {rng} with --max-den {max_den} could give "
+                            f"more candidates than the guard {cli.MAX_SCAN_CANDIDATES}\n")
+
+
+def test_scan_candidate_guard_bounds_the_count(capsys, monkeypatch):
+    # (hi - lo) * D(D+1)/2 + D: 3 * 1 + 1 = 4 for [1, 4] at D = 1, and 5 for [1, 5]
+    monkeypatch.setattr(cli, "MAX_SCAN_CANDIDATES", 4)
+    argv = ["scan", "--max-den", "1", "--depth", "1", "--budget", "1", "--range"]
+    assert cli.main(argv + ["1,4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert cli.main(argv + ["1,5"]) == 1
+    assert capsys.readouterr().out == ""
+    # at D = 2, [1, 3/2] bounds at 1/2 * 3 + 2 = 7/2 and holds 1 and 3/2
+    assert cli.main(["scan", "--max-den", "2", "--depth", "1", "--budget", "1",
+                     "--range", "1,3/2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2
+
+
 def test_sequence_entries_are_read_as_int_reads_them():
     assert cli.parse_sequence(" 1,,-2, +3 ,4_0,") == (1, -2, 3, 40)
     assert cli.parse_sequence("1" * 4300) == (int("1" * 4300),)

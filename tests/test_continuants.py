@@ -6,8 +6,6 @@ import pytest
 
 from forbiddenq.continuants import (
     MAX_G_DEGREE,
-    f_poly,
-    g_identity_check,
     g_poly,
     g_roots,
     prefix_pairs,
@@ -17,7 +15,7 @@ from forbiddenq.continuants import (
 )
 from forbiddenq.exact import IntPoly
 from forbiddenq.loops import STATUS_PATH, evaluate_path
-from oracles import CutoffExceeded, eval_g_float, f_explicit, ratio_by_prefix_pairs
+from oracles import CutoffExceeded, eval_g_float, f_explicit, f_poly, ratio_by_prefix_pairs
 
 
 def test_f_poly_examples():
@@ -79,14 +77,33 @@ def test_g_poly_binomial_coefficients():
         assert list(g.coeffs) == [sign * c for c in expect]
 
 
+def _g_identity_holds(n: int) -> bool:
+    g = g_poly(n)
+    return g * g + g_poly(n + 1) * g_poly(n - 1) == IntPoly([1])
+
+
 def test_g_identity_small_cases_by_hand():
     # n=1: x**2 + (1 - x**2) * 1 = 1 ; n=2: (1-x**2)**2 + (2x - x**3) x = 1
-    assert g_identity_check(1)
-    assert g_identity_check(2)
+    assert _g_identity_holds(1)
+    assert _g_identity_holds(2)
 
 
 def test_g_identity_up_to_40():
-    assert all(g_identity_check(n) for n in range(1, 41))
+    assert all(_g_identity_holds(n) for n in range(1, 41))
+
+
+def test_g_poly_cache_keeps_a_few_orders():
+    # ratio_in_q(n) reads g_poly(n + 1) and g_poly(n): walking n upwards, as
+    # the certificate families do, builds each member once
+    g_poly.cache_clear()
+    for n in range(14, 25):
+        ratio_in_q(n)
+        ratio_in_q(n)
+    assert g_poly.cache_info().misses == 12
+    for n in range(1, 65):
+        g_poly(n)
+    info = g_poly.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_g_roots_examples():
@@ -239,7 +256,7 @@ def test_u_point_is_the_u_set_point(n):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: g_poly(-1), lambda: g_roots(0), lambda: g_identity_check(0),
+    lambda: g_poly(-1), lambda: g_roots(0),
     lambda: ratio_in_q(0), lambda: u_set(0), lambda: u_point(0, 0),
 ])
 def test_orders_below_the_least_are_refused(call):

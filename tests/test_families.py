@@ -14,16 +14,13 @@ from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
 from forbiddenq.families import (
     ALG_INTERVAL_WIDTH,
     DarbouxWitness,
-    NegativeDiscriminant,
     _root_in_interval,
     _t1_approx,
     cos2_family,
     darboux_witnesses,
-    fibonacci,
     golden_targets,
     norm_form,
     pell_witnesses,
-    quadratic_targets,
 )
 from forbiddenq.loops import (
     STATUS_LOOP,
@@ -35,17 +32,13 @@ from forbiddenq.loops import (
 from oracles import norm_unit_pairs
 
 
-def test_fibonacci_values():
-    assert [fibonacci(k) for k in range(1, 11)] == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
-
-
 def test_norm_scan_confirms_fibonacci_parametrization():
-    fib_pairs = set()
-    k = 1
-    while fibonacci(k + 2) <= 200:
-        fib_pairs.add((fibonacci(k + 2), fibonacci(k)))
-        k += 1
-    assert set(norm_unit_pairs(200)) == fib_pairs
+    # the Pell walk emits every unit pair of the norm form but the two with
+    # b = 1 (q = 2 and 3), whose loops have weight 1/b**4 = 1
+    pairs = [(w.a, w.b) for w in pell_witnesses(12)]
+    assert [(w.b, w.a) for w in pell_witnesses(12, reciprocal=True)] == pairs
+    assert pairs[-1][0] > 200
+    assert {p for p in pairs if p[0] <= 200} | {(2, 1), (3, 1)} == set(norm_unit_pairs(200))
 
 
 def test_pell_first_witnesses():
@@ -200,7 +193,7 @@ def test_darboux_bad_index():
 
 
 @pytest.mark.parametrize("call", [
-    lambda: fibonacci(0), lambda: pell_witnesses(0),
+    lambda: pell_witnesses(0),
     lambda: darboux_witnesses(0, 0, 1), lambda: darboux_witnesses(5, 0, 0),
 ])
 def test_family_inputs_below_the_least_are_refused(call):
@@ -296,32 +289,6 @@ def test_cos2_family_guards():
         cos2_family(0, 5)
     with pytest.raises(ValueError):
         cos2_family(3, 1)
-
-
-def test_quadratic_targets_examples():
-    w1, w2 = quadratic_targets(1, -1, 1, -1)
-    assert w1 == pytest.approx((3 + math.sqrt(5)) / 2)
-    assert w2 == pytest.approx((3 - math.sqrt(5)) / 2)
-    w1, w2 = quadratic_targets(1, -1, 1, 1)
-    assert w1 == pytest.approx((1 + math.sqrt(5)) / 2)
-    assert w2 == pytest.approx((1 - math.sqrt(5)) / 2)
-
-
-def test_quadratic_targets_bound_for_alternating_starts():
-    bound = (3 + math.sqrt(5)) / 2 + 1e-12
-    for eps in (1, -1):
-        for m3 in range(-5, 6):
-            if m3 == 0:
-                continue
-            w1, _ = quadratic_targets(eps, -eps, eps, m3)
-            assert w1 <= bound
-
-
-def test_quadratic_targets_negative_discriminant():
-    with pytest.raises(NegativeDiscriminant):
-        quadratic_targets(1, 1, -1, -1)
-    with pytest.raises(ValueError):
-        quadratic_targets(1, 0, 1, 1)
 
 
 def _strictly_inside(r, lo: Fraction, hi: Fraction) -> bool:

@@ -27,11 +27,7 @@ from forbiddenq.loops import (
     NonPositiveQ,
     OutOfRange,
     SearchConfig,
-    ZeroDenominator,
-    brute_enumerate_loops,
     chain_length,
-    check_chain_proposition,
-    closed_form_c5,
     evaluate_path,
     lemma_weight_approx,
     lemma_weight_squared,
@@ -40,7 +36,13 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
-from oracles import parity_split
+from oracles import (
+    ZeroDenominator,
+    brute_enumerate_loops,
+    check_chain_proposition,
+    closed_form_c5,
+    parity_split,
+)
 
 Q52 = Fraction(5, 2)
 LOOP52 = (1, -1, 1, -1, -2)
@@ -310,7 +312,7 @@ def test_check_chain_proposition_rejects_non_loops():
 
 
 def test_check_chain_proposition_walks_the_pairs_without_a_weight(monkeypatch):
-    import forbiddenq.loops as loops_mod
+    import oracles
     from forbiddenq.loops import LoopWitness
 
     ws = brute_enumerate_loops(3, 5, 3)
@@ -318,8 +320,10 @@ def test_check_chain_proposition_walks_the_pairs_without_a_weight(monkeypatch):
     def refuse(*args):
         raise AssertionError("check_chain_proposition computed a weight")
 
-    monkeypatch.setattr(loops_mod, "_weight", refuse)
-    monkeypatch.setattr(loops_mod, "evaluate_path", refuse)
+    # the globals check_chain_proposition resolves; oracles imports no
+    # evaluate_path, so that name is set, not replaced
+    monkeypatch.setattr(oracles, "_weight", refuse)
+    monkeypatch.setattr(oracles, "evaluate_path", refuse, raising=False)
     assert check_chain_proposition(3, ws)
     # c_4 = 0 before the last entry: the pair after it has den == 0
     broken = LoopWitness(q=Q52, loop=LOOP52 + (1,), weight_squared=Fraction(1),

@@ -24,7 +24,6 @@ from forbiddenq.loops import (
     STATUS_BROKEN,
     FormulaWeight,
     SearchConfig,
-    brute_enumerate_loops,
     evaluate_path,
     lemma_weight_approx,
     lemma_weight_squared,
@@ -33,6 +32,7 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
+from oracles import brute_enumerate_loops
 
 
 @st.composite
