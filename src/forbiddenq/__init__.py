@@ -5,7 +5,6 @@ from .exact import (
     IntPoly,
     NoSignChange,
     isolate_root,
-    real_roots,
 )
 from .continuants import (
     g_poly,

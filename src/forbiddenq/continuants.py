@@ -116,7 +116,7 @@ def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
     (least at n = 3, tending to pi**2/(n+1)**2; checked in floats for
     n <= 5000), and the rounding moves it by at most 1/(32*(n+1)**2).  No
     root is isolated here; :func:`isolate_root` certifies the one root of
-    the bracket it is given by a Sturm count.
+    the bracket it is given by a Sturm count at its two ends.
     """
     half, grid = (n + 1) // 2, 16 * (n + 1) ** 2
     cuts = ([Fraction(-1)]
@@ -132,13 +132,13 @@ def u_point(n: int, u_index: int, den: Optional[IntPoly] = None,
     """The index j and the certified value of the point ``u_set(n)[u_index]``.
 
     The value is 4*cos(pi*j/(n+1))**2, isolated by :func:`isolate_root` on
-    its half-angle bracket from :func:`_u_brackets`, whose Sturm count
-    certifies that the bracket holds that root of the denominator from
-    :func:`ratio_in_q` alone; the interval has width <= 1e-12
-    (``U_SET_WIDTH``).  This is the one place a point of ``u_set`` is
-    bracketed and certified.  ``den`` and ``brackets``, when given, are
-    ``ratio_in_q(n)[1]`` and ``_u_brackets(n)``, which :func:`u_set` builds
-    once for all its points.
+    its half-angle bracket from :func:`_u_brackets`: one Sturm count at the
+    bracket's two ends certifies that it holds that root of the denominator
+    from :func:`ratio_in_q` alone, and none at either end (no cut is a
+    root), and the bracket is narrowed to width <= 1e-12 (``U_SET_WIDTH``).
+    This is the one place a point of ``u_set`` is bracketed and certified.
+    ``den`` and ``brackets``, when given, are ``ratio_in_q(n)[1]`` and
+    ``_u_brackets(n)``, which :func:`u_set` builds once for all its points.
     """
     den = ratio_in_q(n)[1] if den is None else den
     brackets = _u_brackets(n) if brackets is None else brackets

@@ -2,25 +2,26 @@
 
 Scalars are `fractions.Fraction` throughout.  Nothing in this module rounds
 unless a float approximation is explicitly requested.  One isolator,
-:func:`real_roots`, finds every real root: a Sturm sequence of integer
-pseudo-remainders counts roots exactly, using the sign of the integer
-``b**d * p(a/b)`` at ``a/b``, and bisection stops when each interval holds
-one root.  So the Sturm count certifies that a root is unique in its
-interval, and the sign change at the ends, re-checkable by anyone, that it is
-there.  Each call runs one remainder sequence: the Sturm sequence of ``p``
-itself, which doubles as the square-free test and yields gcd(p, p'), and only
-for ``p`` with a repeated root a second one, of its square-free part.
-Narrowing an isolated root (:meth:`AlgebraicNumber.refine`) returns the
-cell plain bisection would end on: a cell of one dyadic grid of the interval,
-the only one there with a sign change when the interval holds one root.  It
-is reached by quadratic interval refinement, secant guesses on ever finer
-grids, each certified by two integer signs, in integers over one
-power-of-two multiple of a common denominator.  Each fact is computed once:
-the cell's end signs come from that search and are not evaluated again, and
-the :class:`AlgebraicNumber` constructor re-checks only intervals that come
-from elsewhere.  A float of a rational (:func:`ratio_float`) is one
-correctly rounded true division of two integers, the value
-``float(Fraction(num, den))`` has, with no fraction formed or reduced.
+:func:`isolate_root`, certifies that an interval holds exactly one real
+root: a Sturm sequence of integer pseudo-remainders counts roots exactly,
+using the sign of the integer ``b**d * p(a/b)`` at ``a/b``, and is evaluated
+at the two ends only.  So the Sturm count certifies that the root is unique
+in its interval, and the sign change at the ends, re-checkable by anyone,
+that it is there.  Each call runs one remainder sequence: the Sturm sequence
+of ``p`` itself, which doubles as the square-free test and yields
+gcd(p, p'), and only for ``p`` with a repeated root a second one, of its
+square-free part.  Narrowing an isolated root
+(:meth:`AlgebraicNumber.refine`) returns the cell plain bisection would end
+on: a cell of one dyadic grid of the interval, the only one there with a
+sign change when the interval holds one root.  It is reached by quadratic
+interval refinement, secant guesses on ever finer grids, each certified by
+two integer signs, in integers over one power-of-two multiple of a common
+denominator.  Each fact is computed once: the cell's end signs come from
+that search and are not evaluated again, and the :class:`AlgebraicNumber`
+constructor re-checks only intervals that come from elsewhere.  A float of a
+rational (:func:`ratio_float`) is one correctly rounded true division of two
+integers, the value ``float(Fraction(num, den))`` has, with no fraction
+formed or reduced.
 """
 
 from __future__ import annotations
@@ -245,58 +246,6 @@ def _sturm_point(seq: list[IntPoly], x: Fraction) -> tuple[int, int]:
     return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
 
 
-def real_roots(
-    p: IntPoly, lo: RationalLike, hi: RationalLike
-) -> list[Union[Fraction, AlgebraicNumber]]:
-    """Every real root of ``p`` in the closed interval ``[lo, hi]``, increasing.
-
-    Works on the square-free part of ``p``.  The Sturm sequence of
-    ``p.primitive()`` is built directly; only when it ends in the zero
-    polynomial (``p`` has a repeated root) is the square-free part taken, with
-    gcd(p, p') read off that same sequence, and the Sturm sequence rebuilt from
-    it.  For square-free ``p`` the two polynomials are equal.  By Sturm's
-    theorem the number of roots in ``(a, b]`` is ``V(a) - V(b)``, where ``V``
-    counts sign variations of the Sturm sequence; intervals are bisected until
-    each holds exactly one root and has no root at either end.  A root that is an endpoint or a bisection
-    midpoint is returned exactly as a ``Fraction``; every other root is an
-    :class:`AlgebraicNumber` whose open interval lies inside ``(lo, hi)`` and
-    holds no other root.
-    """
-    return _real_roots(p, Fraction(lo), Fraction(hi))[1]
-
-
-def _real_roots(
-    p: IntPoly, lo: Fraction, hi: Fraction
-) -> tuple[IntPoly, list[Union[Fraction, AlgebraicNumber]]]:
-    """The square-free polynomial :func:`real_roots` works on, and its roots."""
-    if lo >= hi:
-        raise ValueError("need lo < hi")
-    if p.is_zero:
-        raise ValueError("the zero polynomial has no isolated roots")
-    ps = p.primitive()
-    seq = _sturm_sequence(ps)
-    if seq[-1].is_zero:
-        ps = _square_free(ps, seq)
-        seq = _sturm_sequence(ps)
-    at_lo = _sturm_point(seq, lo)
-    out: list[Union[Fraction, AlgebraicNumber]] = [lo] if at_lo[0] == 0 else []
-    todo = [(lo, at_lo, hi, _sturm_point(seq, hi))]
-    while todo:
-        a, at_a, b, at_b = todo.pop()
-        count = at_a[1] - at_b[1] - (at_b[0] == 0)  # roots in the open (a, b)
-        if count == 0 or (count == 1 and at_a[0] and at_b[0]):
-            if count:
-                out.append(AlgebraicNumber(ps, a, b, midpoint_float(a, b)))
-            if at_b[0] == 0:
-                out.append(b)
-            continue
-        mid = (a + b) / 2
-        at_mid = _sturm_point(seq, mid)
-        todo.append((mid, at_mid, b, at_b))
-        todo.append((a, at_a, mid, at_mid))
-    return ps, out
-
-
 def ratio_float(num: int, den: int) -> float:
     """The float nearest ``num / den`` for integers ``num`` and ``den > 0``.
 
@@ -338,16 +287,16 @@ class _AlgebraicFields(NamedTuple):
 class AlgebraicNumber(_AlgebraicFields):
     """A real algebraic number: a root of ``defining`` in the open ``(lo, hi)``.
 
-    Intervals built by :func:`real_roots`, :func:`isolate_root` and
-    :meth:`refine` hold exactly one root of ``defining``, a simple one,
-    certified by a Sturm count (a Darboux level's by the families' lemma),
-    and have no root at either end.  The constructor re-checks only the
-    sign change at the endpoints, which proves an odd number of roots
-    inside, so a value read back from outside (a JSON certificate) is a
-    root, known to be the only one once
+    Intervals built by :func:`isolate_root` and :meth:`refine` hold exactly
+    one root of ``defining``, a simple one, certified by a Sturm count (a
+    Darboux level's by the families' lemma), and have no root at either
+    end.  The constructor re-checks only the sign change at the endpoints,
+    which proves an odd number of roots inside, so a value read back from
+    outside (a JSON certificate) is a root, known to be the only one once
     :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
-    cells :meth:`refine` returns skip that check: their strictly opposite
-    end signs are the ones :func:`_bisect` has just computed.  ``approx`` is
+    interval :func:`isolate_root` certifies and the cells :meth:`refine`
+    returns skip that check: their strictly opposite end signs are the ones
+    the Sturm count or :func:`_bisect` has just computed.  ``approx`` is
     a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
     exactly, which :func:`midpoint_float` computes in one integer division,
     and a midpoint too large for a float is refused with ``ValueError``.
@@ -512,22 +461,31 @@ def isolate_root(
 ) -> AlgebraicNumber:
     """The one root of ``p`` in the open ``(lo, hi)``, to width <= eps.
 
-    The root is found by :func:`real_roots`, whose Sturm count certifies that
-    it is the only root of ``p`` in ``(lo, hi)``; :class:`NoSignChange` is
-    raised when that count is not 1.  The defining polynomial of the result
-    is the square-free part of ``p`` that :func:`real_roots` worked on, so the
-    root is simple, the returned interval has strictly opposite endpoint
-    signs, and no second Sturm sequence is built for an exact rational root.
+    One Sturm count certifies the interval: the Sturm sequence of the
+    square-free part of ``p`` (rebuilt only when ``p.primitive()``'s own
+    sequence ends in zero) is evaluated at ``lo`` and ``hi`` only, and by
+    Sturm's theorem ``V(lo) - V(hi)`` roots lie in ``(lo, hi]``.  Unless that
+    count is 1 and neither end is a root, :class:`NoSignChange` is raised: a
+    root at an end is refused, not searched around.  The result's defining
+    polynomial is the square-free part, so its root is simple and the end
+    signs just computed are strictly opposite; :meth:`AlgebraicNumber.refine`
+    narrows the interval without evaluating them again.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ps, roots = _real_roots(p, lo, hi)
-    inside = [r for r in roots if not isinstance(r, Fraction) or lo < r < hi]
-    if len(inside) != 1:
-        raise NoSignChange(f"{len(inside)} roots of p in ({lo}, {hi}), need exactly one")
-    root = inside[0]
-    if isinstance(root, AlgebraicNumber):
-        return root.refine(eps)
-    a, b = _bracket(root, lo, hi, eps)
-    return AlgebraicNumber(ps, a, b, float(root))
+    if lo >= hi:
+        raise ValueError("need lo < hi")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no isolated roots")
+    ps = p.primitive()
+    seq = _sturm_sequence(ps)
+    if seq[-1].is_zero:
+        ps = _square_free(ps, seq)
+        seq = _sturm_sequence(ps)
+    (sign_lo, var_lo), (sign_hi, var_hi) = _sturm_point(seq, lo), _sturm_point(seq, hi)
+    if not sign_lo or not sign_hi:
+        raise NoSignChange(f"p has a root at an end of ({lo}, {hi})")
+    if var_lo - var_hi != 1:
+        raise NoSignChange(f"{var_lo - var_hi} roots of p in ({lo}, {hi}), need exactly one")
+    return AlgebraicNumber._cell(ps, lo, hi, midpoint_float(lo, hi)).refine(eps)

@@ -41,6 +41,17 @@ from .loops import (
 )
 
 
+# hard guards on the size of each family, checked before any work; measured
+# as `forbiddenq` commands, peak RSS of the process with its output: `pell
+# --count 5000` peaks at 149 MB (from count 5144 on, a weight 1/b**4 has
+# more digits than the default int-to-str limit and cannot print), `darboux
+# --u-index 1 --count 5000` at 73 MB for n = 4 and 137 MB for n = 40 (the
+# cost of a level grows with n), and `cos2` at 2*10**6 terms at 107-127 MB
+MAX_PELL_COUNT = 5000
+MAX_DARBOUX_COUNT = 5000
+MAX_COS2_TERMS = 2 * 10**6
+
+
 def norm_form(a: int, b: int) -> int:
     """The quadratic form b**2 - 3ab + a**2 (symmetric in a and b)."""
     return b * b - 3 * a * b + a * a
@@ -66,9 +77,12 @@ def pell_witnesses(count: int, reciprocal: bool = False) -> list[PellWitness]:
     of (3 + sqrt(5))/2.  By Cassini's identity norm_form(a, b) = (-1)**k, a
     unit, so the last entry is an integer.  Every witness carries the weight
     1/b**4, which :func:`verify_witness`, the only check, proves exact.
+    ``count`` above ``MAX_PELL_COUNT`` is refused.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_PELL_COUNT:
+        raise ValueError(f"count={count} exceeds the guard {MAX_PELL_COUNT}")
     out: list[PellWitness] = []
     fk, fk1 = 2, 3  # F_k, F_{k+1}
     for k in range(3, count + 3):
@@ -193,12 +207,15 @@ def darboux_witnesses(
     witness that does verify is still a genuine certificate.  Only the
     chosen point is isolated, by :func:`forbiddenq.continuants.u_point`,
     which :func:`u_set` calls for every point, so ``t0`` is
-    ``u_set(n)[u_index]`` by construction.
+    ``u_set(n)[u_index]`` by construction.  ``count`` above
+    ``MAX_DARBOUX_COUNT`` is refused.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
+    if count > MAX_DARBOUX_COUNT:
+        raise ValueError(f"count={count} exceeds the guard {MAX_DARBOUX_COUNT}")
     num, den = ratio_in_q(n)
     j0, t0 = u_point(n, u_index, den)
     t1f = _t1_approx(n, j0)
@@ -233,12 +250,17 @@ def cos2_family(max_k: int, max_n: int) -> list[float]:
 
     Enumerates k <= max_k, 1 <= l < 2k+1 with gcd(l, 2k+1) = 1 and
     2 <= n <= max_n; sorted and deduplicated to 1e-12.  Density evidence for
-    (0, 2), with no certificates attached.
+    (0, 2), with no certificates attached.  Each k has at most 2k values of
+    l, so at most max_k (max_k + 1) (max_n - 1) terms are listed; more than
+    ``MAX_COS2_TERMS`` is refused before any is.
     """
     if max_k < 1:
         raise ValueError("max_k must be >= 1")
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
+    if max_k * (max_k + 1) * (max_n - 1) > MAX_COS2_TERMS:
+        raise ValueError(f"max_k={max_k} with max_n={max_n} could give more terms "
+                         f"than the guard {MAX_COS2_TERMS}")
     vals = []
     for k in range(1, max_k + 1):
         mod = 2 * k + 1

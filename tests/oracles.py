@@ -1,11 +1,15 @@
 """Independent test oracles for the runtime in ``src/forbiddenq``.
 
 Each one recomputes something the package computes another way: Horner in
-``Fraction`` for :meth:`IntPoly.eval`, the ``prefix_pairs`` walk over
-``IntPoly`` for ``ratio_in_q`` (which reads the parity split of ``g_poly``),
-the three-term recurrence ``f_poly`` for the closed form of ``g_poly``, and
-subset enumeration for ``f_poly`` itself, the float recurrence for the roots
-of ``g_poly``, a brute scan of the norm form for the Fibonacci pairs behind
+``Fraction`` for :meth:`IntPoly.eval`, the root list ``real_roots`` (Sturm
+counts and bisection over the whole interval, itself checked against sympy
+in ``test_real_roots.py``) for the one-root intervals ``isolate_root``
+certifies by a single count and for the level roots of
+``darboux_witnesses``, the ``prefix_pairs`` walk over ``IntPoly`` for
+``ratio_in_q`` (which reads the parity split of ``g_poly``), the three-term
+recurrence ``f_poly`` for the closed form of ``g_poly``, and subset
+enumeration for ``f_poly`` itself, the float recurrence for the roots of
+``g_poly``, a brute scan of the norm form for the Fibonacci pairs behind
 ``pell_witnesses``, the length-5 closed form ``closed_form_c5`` for
 ``evaluate_path``, exhaustive ``brute_enumerate_loops`` (an unreduced copy of
 the ``prefix_pairs`` step) for the search, and ``check_chain_proposition``
@@ -17,10 +21,18 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Union
 
 from forbiddenq.continuants import prefix_pairs
-from forbiddenq.exact import IntPoly, RationalLike
+from forbiddenq.exact import (
+    AlgebraicNumber,
+    IntPoly,
+    RationalLike,
+    _square_free,
+    _sturm_point,
+    _sturm_sequence,
+    midpoint_float,
+)
 from forbiddenq.families import norm_form
 from forbiddenq.loops import (
     BudgetExceeded,
@@ -55,6 +67,52 @@ def horner_eval(p: IntPoly, x: RationalLike) -> Fraction:
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Split ``p(x) = even(x**2) + x * odd(x**2)`` into its parity parts."""
     return IntPoly(p.coeffs[0::2]), IntPoly(p.coeffs[1::2])
+
+
+def real_roots(
+    p: IntPoly, lo: RationalLike, hi: RationalLike
+) -> list[Union[Fraction, AlgebraicNumber]]:
+    """Every real root of ``p`` in the closed interval ``[lo, hi]``, increasing.
+
+    Works on the square-free part of ``p``.  The Sturm sequence of
+    ``p.primitive()`` is built directly; only when it ends in the zero
+    polynomial (``p`` has a repeated root) is the square-free part taken, with
+    gcd(p, p') read off that same sequence, and the Sturm sequence rebuilt from
+    it.  For square-free ``p`` the two polynomials are equal.  By Sturm's
+    theorem the number of roots in ``(a, b]`` is ``V(a) - V(b)``, where ``V``
+    counts sign variations of the Sturm sequence; intervals are bisected until
+    each holds exactly one root and has no root at either end.  A root that is
+    an endpoint or a bisection midpoint is returned exactly as a ``Fraction``;
+    every other root is an :class:`AlgebraicNumber` whose open interval lies
+    inside ``(lo, hi)`` and holds no other root.
+    """
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo >= hi:
+        raise ValueError("need lo < hi")
+    if p.is_zero:
+        raise ValueError("the zero polynomial has no isolated roots")
+    ps = p.primitive()
+    seq = _sturm_sequence(ps)
+    if seq[-1].is_zero:
+        ps = _square_free(ps, seq)
+        seq = _sturm_sequence(ps)
+    at_lo = _sturm_point(seq, lo)
+    out: list[Union[Fraction, AlgebraicNumber]] = [lo] if at_lo[0] == 0 else []
+    todo = [(lo, at_lo, hi, _sturm_point(seq, hi))]
+    while todo:
+        a, at_a, b, at_b = todo.pop()
+        count = at_a[1] - at_b[1] - (at_b[0] == 0)  # roots in the open (a, b)
+        if count == 0 or (count == 1 and at_a[0] and at_b[0]):
+            if count:
+                out.append(AlgebraicNumber(ps, a, b, midpoint_float(a, b)))
+            if at_b[0] == 0:
+                out.append(b)
+            continue
+        mid = (a + b) / 2
+        at_mid = _sturm_point(seq, mid)
+        todo.append((mid, at_mid, b, at_b))
+        todo.append((a, at_a, mid, at_mid))
+    return out
 
 
 def ratio_by_prefix_pairs(n: int) -> tuple[IntPoly, IntPoly]:

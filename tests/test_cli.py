@@ -110,6 +110,28 @@ def test_scan_candidate_guard_bounds_the_count(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["pell", "--count", str(families.MAX_PELL_COUNT + 1)],
+     f"count={families.MAX_PELL_COUNT + 1} exceeds the guard {families.MAX_PELL_COUNT}"),
+    (["darboux", "--n", "4", "--u-index", "1", "--count", str(families.MAX_DARBOUX_COUNT + 1)],
+     f"count={families.MAX_DARBOUX_COUNT + 1} exceeds the guard {families.MAX_DARBOUX_COUNT}"),
+    # 1 * 2 * (max_n - 1) terms, the least count beyond the guard
+    (["cos2", "--max-k", "1", "--max-n", str(families.MAX_COS2_TERMS // 2 + 2)],
+     f"max_k=1 with max_n={families.MAX_COS2_TERMS // 2 + 2} could give more terms "
+     f"than the guard {families.MAX_COS2_TERMS}"),
+])
+def test_family_beyond_its_guard_is_refused_before_any_work(capsys, monkeypatch, argv, message):
+    def refuse(*args):
+        raise AssertionError("the family was built")
+
+    for name in ("verify_witness", "ratio_in_q"):
+        monkeypatch.setattr(families, name, refuse)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_sequence_entries_are_read_as_int_reads_them():
     assert cli.parse_sequence(" 1,,-2, +3 ,4_0,") == (1, -2, 3, 40)
     assert cli.parse_sequence("1" * 4300) == (int("1" * 4300),)

@@ -13,6 +13,7 @@ from forbiddenq.continuants import (
     u_point,
     u_set,
 )
+from forbiddenq import exact
 from forbiddenq.exact import IntPoly
 from forbiddenq.loops import STATUS_PATH, evaluate_path
 from oracles import CutoffExceeded, eval_g_float, f_explicit, f_poly, ratio_by_prefix_pairs
@@ -253,6 +254,18 @@ def test_u_point_is_the_u_set_point(n):
         u_point(n, len(points))
     with pytest.raises(ValueError, match="out of range"):
         u_point(n, -1)
+
+
+def test_u_set_makes_one_sturm_count_per_point(monkeypatch):
+    # isolate_root evaluates the Sturm sequence at its two ends and nowhere
+    # else, so each point of u_set costs exactly two evaluations
+    calls = []
+    point = exact._sturm_point
+    monkeypatch.setattr(exact, "_sturm_point", lambda seq, x: calls.append(x) or point(seq, x))
+    for n in range(1, 41):
+        calls.clear()
+        points = u_set(n)
+        assert len(calls) == 2 * len(points), n
 
 
 @pytest.mark.parametrize("call", [

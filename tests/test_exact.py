@@ -12,9 +12,8 @@ from forbiddenq.exact import (
     IntPoly,
     NoSignChange,
     isolate_root,
-    real_roots,
 )
-from oracles import horner_eval, parity_split
+from oracles import horner_eval, parity_split, real_roots
 
 
 def rand_poly(rng, max_deg=6, bound=9):
@@ -178,24 +177,25 @@ def test_isolate_root_midpoint_hits_the_root():
     assert alg.lo < 1 < alg.hi and alg.width <= eps
 
 
+@pytest.mark.parametrize("lo,hi", [(0, 2), (-1, 1)], ids=["at_lo", "at_hi"])
 @pytest.mark.parametrize("p", [IntPoly([0, -1, 1]), IntPoly([0, 1, -2, 1])])
-def test_isolate_root_returns_a_root_hit_by_bisection(p):
-    # x(x - 1) and x(x - 1)**2 on [0, 2]: the root 0 at the end makes
-    # real_roots bisect, and the first midpoint is the root 1 itself
-    alg = isolate_root(p, 0, 2)
-    assert alg.defining == IntPoly([0, -1, 1])
-    assert alg.lo < 1 < alg.hi and alg.compare_rational(1) == 0
+def test_isolate_root_refuses_a_root_at_an_end(p, lo, hi):
+    # x(x - 1) and x(x - 1)**2: one root inside each interval and one at an
+    # end, which the single Sturm count at the ends refuses rather than searches
+    assert p.sign_at(Fraction(lo)) * p.sign_at(Fraction(hi)) == 0
+    with pytest.raises(NoSignChange, match="at an end"):
+        isolate_root(p, lo, hi)
 
 
 @pytest.mark.parametrize("p,runs", [(IntPoly([0, 1, -2, 1]), 2), (IntPoly([0, -1, 1]), 1)])
 def test_isolate_root_reuses_the_square_free_part(monkeypatch, p, runs):
-    # a root hit by bisection takes its defining polynomial from real_roots:
-    # one Sturm sequence for a square-free p, and one more for the
+    # the root 1 takes its defining polynomial from the Sturm count's
+    # sequence: one Sturm sequence for a square-free p, and one more for the
     # square-free part of x(x - 1)**2
     calls = []
     build = exact._sturm_sequence
     monkeypatch.setattr(exact, "_sturm_sequence", lambda s: calls.append(s) or build(s))
-    alg = isolate_root(p, 0, 2)
+    alg = isolate_root(p, Fraction(1, 2), 2)
     assert alg.defining == IntPoly([0, -1, 1]) and alg.compare_rational(1) == 0
     assert len(calls) == runs
 

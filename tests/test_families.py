@@ -10,7 +10,7 @@ import pytest
 from forbiddenq.cli import witness_to_dict
 from forbiddenq import exact, families
 from forbiddenq.continuants import _u_brackets, prefix_pairs, ratio_in_q, u_set
-from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root, real_roots
+from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
 from forbiddenq.families import (
     ALG_INTERVAL_WIDTH,
     DarbouxWitness,
@@ -29,7 +29,7 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
-from oracles import norm_unit_pairs
+from oracles import norm_unit_pairs, real_roots
 
 
 def test_norm_scan_confirms_fibonacci_parametrization():
@@ -199,6 +199,21 @@ def test_darboux_bad_index():
 def test_family_inputs_below_the_least_are_refused(call):
     with pytest.raises(ValueError, match="must be >= 1"):
         call()
+
+
+def test_family_guards_bound_the_count(monkeypatch):
+    # each guard admits its bound and refuses one more; cos2 lists at most
+    # max_k (max_k + 1) (max_n - 1) terms: 12 at (2, 3), 18 at (2, 4), 14 at (1, 8)
+    monkeypatch.setattr(families, "MAX_PELL_COUNT", 3)
+    monkeypatch.setattr(families, "MAX_DARBOUX_COUNT", 2)
+    monkeypatch.setattr(families, "MAX_COS2_TERMS", 12)
+    assert len(pell_witnesses(3)) == 3
+    assert len(darboux_witnesses(4, 1, 2)) == 2
+    assert len(cos2_family(2, 3)) > 0
+    for call in (lambda: pell_witnesses(4), lambda: darboux_witnesses(4, 1, 3),
+                 lambda: cos2_family(2, 4), lambda: cos2_family(1, 8)):
+        with pytest.raises(ValueError, match="exceeds the guard|than the guard"):
+            call()
 
 
 @pytest.mark.parametrize("call", [lambda: pell_witnesses(3), lambda: darboux_witnesses(4, 1, 2)])

@@ -1,17 +1,22 @@
-"""``real_roots`` against sympy's real-root counts, an independent oracle.
+"""``real_roots`` and ``isolate_root`` against sympy's real-root counts, an
+independent oracle.
 
-Together, the three checks below pin the output down completely: the number
-of roots equals the oracle's count on the whole interval, each returned
-interval holds exactly one root (and each returned rational is a root), and
-the returned sets are disjoint and increasing.
+For ``real_roots``, the three checks below pin the output down completely:
+the number of roots equals the oracle's count on the whole interval, each
+returned interval holds exactly one root (and each returned rational is a
+root), and the returned sets are disjoint and increasing.  For
+``isolate_root``, the oracle decides when it must succeed, and checks the
+interval it returns.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from forbiddenq.continuants import ratio_in_q
-from forbiddenq.exact import IntPoly, real_roots
+from forbiddenq.exact import IntPoly, NoSignChange, isolate_root
+from oracles import real_roots
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -54,3 +59,38 @@ def test_level_targets_match_sympy(n, c):
     num, den = ratio_in_q(n)
     check_against_sympy(num - c * den, Fraction(0), Fraction(4))
     check_against_sympy(num - c * den, Fraction(5, 2), Fraction(7, 2))
+
+
+ENDS = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+WIDTHS = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(-9, 9), min_size=1, max_size=8).filter(any),
+    ENDS,
+    WIDTHS,
+    st.sampled_from([Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 10**30)]),
+)
+@example([-2, 0, 1], Fraction(1), Fraction(1), Fraction(1, 10**30))  # one root inside
+@example([0, -1, 1], Fraction(0), Fraction(2), Fraction(1, 3))  # a root at lo
+@example([0, 1, -2, 1], Fraction(-1), Fraction(2), Fraction(1, 3))  # a double root at hi
+@example([-6, 11, -6, 1], Fraction(0), Fraction(4), Fraction(1, 3))  # three roots inside
+def test_isolate_root_matches_sympy(coeffs, lo, width, eps):
+    # isolate_root succeeds exactly when p, whose distinct roots are those of
+    # its square-free part, has none at either end and one inside; its
+    # interval then lies in [lo, hi], has width <= eps, and holds that root
+    hi = lo + width
+    p = IntPoly(coeffs)
+    oracle = sympy.Poly(list(reversed(p.coeffs)), X)
+    one = (oracle.eval(rat(lo)) != 0 and oracle.eval(rat(hi)) != 0
+           and oracle.count_roots(rat(lo), rat(hi)) == 1)
+    try:
+        alg = isolate_root(p, lo, hi, eps)
+    except NoSignChange:
+        assert not one
+        return
+    assert one
+    assert lo <= alg.lo < alg.hi <= hi and alg.width <= eps
+    assert oracle.eval(rat(alg.lo)) != 0 and oracle.eval(rat(alg.hi)) != 0
+    assert oracle.count_roots(rat(alg.lo), rat(alg.hi)) == 1
