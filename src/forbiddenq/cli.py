@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .exact import AlgebraicNumber, IntPoly
 from . import continuants, families, loops
@@ -260,14 +260,12 @@ def cmd_search(args) -> int:
     return 0
 
 
-def reduced_fractions(lo: Fraction, hi: Fraction, max_den: int) -> list[tuple[int, int]]:
+def reduced_fractions(lo: Fraction, hi: Fraction, max_den: int) -> Iterator[tuple[int, int]]:
     """Reduced fractions a/b in [lo, hi] with b <= max_den, generated in (b, a) order."""
-    out = []
     for b in range(1, max_den + 1):
         for a in range(max(1, math.ceil(lo * b)), math.floor(hi * b) + 1):
             if math.gcd(a, b) == 1:
-                out.append((a, b))
-    return out
+                yield a, b
 
 
 def _scan_candidate(task):
@@ -291,17 +289,34 @@ def cmd_scan(args) -> int:
         raise ValueError(f"--range {args.range} with --max-den {d} could give more "
                          f"candidates than the guard {MAX_SCAN_CANDIDATES}")
     cfg = _search_config(args)
-    cands = reduced_fractions(lo, hi, d)
-    tasks = [(a, b, cfg) for a, b in cands]
-    # pool.map keeps task order, so rows stay in (b, a) order either way
+    tasks = ((a, b, cfg) for a, b in reduced_fractions(lo, hi, d))
+    # pool.map keeps task order, so rows stay in (b, a) order either way; it
+    # submits every task up front, so only the serial path streams
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
-            results = list(pool.map(_scan_candidate, tasks, chunksize=8))
+            text = _scan_text(args, lo, hi, pool.map(_scan_candidate, tasks, chunksize=8))
     else:
-        results = [_scan_candidate(t) for t in tasks]
+        text = _scan_text(args, lo, hi, map(_scan_candidate, tasks))
+    sys.stdout.write(text)
+    return 0
 
+
+def _scan_text(args, lo: Fraction, hi: Fraction, results) -> str:
+    """The scan report, rendered as each result arrives and kept no longer.
+
+    The JSON report keeps only its found certificates, its budget-exhausted
+    values and a count; CSV rows go into the buffer one by one.  The caller
+    writes the text after the last result, so a budget fault prints nothing.
+    """
     if args.json:
+        found, exhausted, examined = [], [], 0
+        for a, b, res in results:
+            examined += 1
+            if res.witness:
+                found.append(witness_to_dict(res.witness))
+            if res.budget_exhausted:
+                exhausted.append(frac_str(Fraction(a, b)))
         report = {
             "interval": [frac_str(lo), frac_str(hi)],
             "max_denominator": args.max_den,
@@ -311,16 +326,11 @@ def cmd_scan(args) -> int:
                 "node_budget": args.budget,
                 "use_chain_pruning": True,
             },
-            "found": [
-                witness_to_dict(res.witness) for _, _, res in results if res.witness
-            ],
-            "examined": len(results),
-            "budget_exhausted": [
-                frac_str(Fraction(a, b)) for a, b, res in results if res.budget_exhausted
-            ],
+            "found": found,
+            "examined": examined,
+            "budget_exhausted": exhausted,
         }
-        _emit(report)
-        return 0
+        return json.dumps(report, indent=2) + "\n"
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -347,8 +357,7 @@ def cmd_scan(args) -> int:
              w2n, w2d, res.nodes, "true" if res.budget_exhausted else "false",
              prov, other_s]
         )
-    sys.stdout.write(buf.getvalue())
-    return 0
+    return buf.getvalue()
 
 
 def cmd_pell(args) -> int:
@@ -386,10 +395,7 @@ def cmd_darboux(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    n = loops.chain_length(parse_rational(args.q), loops.MAX_CHAIN_LENGTH + 1)
-    if n > loops.MAX_CHAIN_LENGTH:
-        raise loops.BudgetExceeded(f"chain length exceeds the guard {loops.MAX_CHAIN_LENGTH}")
-    print(n)
+    print(loops.chain_length(parse_rational(args.q)))
     return 0
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 
@@ -84,6 +84,15 @@ def g_roots(n: int) -> list[float]:
     return [2.0 * math.cos(math.pi * j / (n + 1)) for j in range(1, n + 1)]
 
 
+def _check_ratio_order(n: int) -> None:
+    """Refuse an order ``n`` outside 1 <= n < MAX_G_DEGREE, before any work."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n >= MAX_G_DEGREE:
+        raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE - 1}: "
+                         f"the ratio builds g_poly(n + 1)")
+
+
 def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     """Numerator and denominator in q of g_{n+1}(x) / (x g_n(x)) with q = x**2.
 
@@ -94,11 +103,7 @@ def ratio_in_q(n: int) -> tuple[IntPoly, IntPoly]:
     +-C(n+1-k, k) with k = floor((n+1)/2), not zero.  As it builds
     g_poly(n + 1), n must be below ``MAX_G_DEGREE``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n >= MAX_G_DEGREE:
-        raise ValueError(f"n={n} exceeds the guard {MAX_G_DEGREE - 1}: "
-                         f"the ratio builds g_poly(n + 1)")
+    _check_ratio_order(n)
     r = (n + 1) % 2
     return IntPoly(g_poly(n + 1).coeffs[r::2]), IntPoly(((0,) + g_poly(n).coeffs)[r::2])
 
@@ -116,8 +121,10 @@ def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
     (least at n = 3, tending to pi**2/(n+1)**2; checked in floats for
     n <= 5000), and the rounding moves it by at most 1/(32*(n+1)**2).  No
     root is isolated here; :func:`isolate_root` certifies the one root of
-    the bracket it is given by a Sturm count at its two ends.
+    the bracket it is given by a Sturm count at its two ends.  ``n`` is
+    checked as :func:`ratio_in_q` checks it, before the O(n) cuts are listed.
     """
+    _check_ratio_order(n)
     half, grid = (n + 1) // 2, 16 * (n + 1) ** 2
     cuts = ([Fraction(-1)]
             + [Fraction(round(grid * 4 * math.cos(math.pi * (j + 0.5) / (n + 1)) ** 2), grid)
@@ -127,8 +134,7 @@ def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
             for i in range(half) if math.gcd(half - i, n + 1) == 1]
 
 
-def u_point(n: int, u_index: int, den: Optional[IntPoly] = None,
-            brackets: Optional[list] = None) -> tuple[int, AlgebraicNumber]:
+def u_point(n: int, u_index: int) -> tuple[int, AlgebraicNumber]:
     """The index j and the certified value of the point ``u_set(n)[u_index]``.
 
     The value is 4*cos(pi*j/(n+1))**2, isolated by :func:`isolate_root` on
@@ -136,16 +142,15 @@ def u_point(n: int, u_index: int, den: Optional[IntPoly] = None,
     bracket's two ends certifies that it holds that root of the denominator
     from :func:`ratio_in_q` alone, and none at either end (no cut is a
     root), and the bracket is narrowed to width <= 1e-12 (``U_SET_WIDTH``).
-    This is the one place a point of ``u_set`` is bracketed and certified.
-    ``den`` and ``brackets``, when given, are ``ratio_in_q(n)[1]`` and
-    ``_u_brackets(n)``, which :func:`u_set` builds once for all its points.
+    This is the one place a point of ``u_set`` is bracketed and certified,
+    and it builds the denominator and the brackets itself, so no caller can
+    hand it others.
     """
-    den = ratio_in_q(n)[1] if den is None else den
-    brackets = _u_brackets(n) if brackets is None else brackets
+    brackets = _u_brackets(n)
     if not 0 <= u_index < len(brackets):
         raise ValueError(f"u_index {u_index} out of range for {len(brackets)} points")
     j, lo, hi = brackets[u_index]
-    return j, isolate_root(den, lo, hi, U_SET_WIDTH)
+    return j, isolate_root(ratio_in_q(n)[1], lo, hi, U_SET_WIDTH)
 
 
 def u_set(n: int) -> list[AlgebraicNumber]:
@@ -156,8 +161,7 @@ def u_set(n: int) -> list[AlgebraicNumber]:
     polynomial is the denominator from :func:`ratio_in_q` (the parity part of
     g_n rewritten in q).  That polynomial has one simple root in [0, 4) for
     each j = 1..ceil(n/2), decreasing in j; each kept root is certified by
-    :func:`u_point`.  Sorted increasing.
+    :func:`u_point`, which rebuilds the brackets (O(n) floats) and reads the
+    cached denominator per point.  Sorted increasing.
     """
-    _, den = ratio_in_q(n)
-    brackets = _u_brackets(n)
-    return [u_point(n, i, den, brackets)[1] for i in range(len(brackets))]
+    return [u_point(n, i)[1] for i in range(len(_u_brackets(n)))]

@@ -27,6 +27,7 @@ formed or reduced.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Union
 
@@ -42,13 +43,15 @@ class IntPoly:
 
     ``coeffs[i]`` is the coefficient of ``x**i``.  The representation is
     canonical: no trailing zero coefficient is stored, and the zero polynomial
-    is the empty tuple.  Instances are immutable and hashable.
+    is the empty tuple.  Instances are immutable and hashable.  Each
+    coefficient must be an integer (``operator.index``): a float, string or
+    ``Fraction`` raises ``TypeError`` rather than being truncated.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = [int(c) for c in coeffs]
+        cs = list(map(operator.index, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -133,17 +136,10 @@ class IntPoly:
         """Sign (-1, 0 or 1) of the value at ``x = a/b``.
 
         Computed as the sign of the integer ``b**d * p(a/b)``
-        (:meth:`value_at_ratio`), so no fraction is ever reduced.
+        (:meth:`value_at_ratio`), which has the sign of ``p(a/b)`` since
+        ``b > 0``, so no fraction is ever formed or reduced.
         """
-        return self.sign_at_ratio(x.numerator, x.denominator)
-
-    def sign_at_ratio(self, a: int, b: int) -> int:
-        """Sign of the value at ``a/b`` for integers ``a`` and ``b > 0``.
-
-        ``a/b`` need not be in lowest terms: the sign of ``b**d * p(a/b)``
-        does not depend on the representation.
-        """
-        v = self.value_at_ratio(a, b)
+        v = self.value_at_ratio(x.numerator, x.denominator)
         return (v > 0) - (v < 0)
 
     def value_at_ratio(self, a: int, b: int) -> int:
@@ -269,12 +265,6 @@ def _midpoint(lo: RationalLike, hi: RationalLike) -> tuple[int, int]:
 def midpoint_float(lo: RationalLike, hi: RationalLike) -> float:
     """``float((lo + hi) / 2)``, by :func:`ratio_float` of the unreduced midpoint."""
     return ratio_float(*_midpoint(lo, hi))
-
-
-def _bracket(r: Fraction, lo: Fraction, hi: Fraction, eps: Fraction) -> tuple[Fraction, Fraction]:
-    """An interval of width <= eps around ``r``, strictly inside ``(lo, hi)``."""
-    half = min(eps, r - lo, hi - r) / 2
-    return r - half, r + half
 
 
 class _AlgebraicFields(NamedTuple):
@@ -444,13 +434,15 @@ def _grid_root(p: IntPoly, a: int, w: int, d: int, g: int, level: int,
     Stripping the trailing zeros of ``g`` gives the point's own level and its
     odd index there; bisection meets the point as the midpoint of the cell
     one level up, which reaches ``w / (d 2**level)`` to either side.  The
-    constructor checks the sign change of the interval returned.
+    interval returned is centred on the root, of half-width
+    ``min(eps, w / (d 2**level)) / 2``: width <= eps, strictly inside that
+    cell.  The constructor checks its sign change.
     """
     zeros = (g & -g).bit_length() - 1
     level -= zeros
     num, den = (a << level) + (g >> zeros) * w, d << level
-    lo, hi = _bracket(Fraction(num, den), Fraction(num - w, den), Fraction(num + w, den), eps)
-    return AlgebraicNumber(p, lo, hi, midpoint_float(lo, hi))
+    r, half = Fraction(num, den), min(eps, Fraction(w, den)) / 2
+    return AlgebraicNumber(p, r - half, r + half, ratio_float(num, den))
 
 
 def isolate_root(

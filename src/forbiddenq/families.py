@@ -45,11 +45,27 @@ from .loops import (
 # as `forbiddenq` commands, peak RSS of the process with its output: `pell
 # --count 5000` peaks at 149 MB (from count 5144 on, a weight 1/b**4 has
 # more digits than the default int-to-str limit and cannot print), `darboux
-# --u-index 1 --count 5000` at 73 MB for n = 4 and 137 MB for n = 40 (the
-# cost of a level grows with n), and `cos2` at 2*10**6 terms at 107-127 MB
+# --u-index 1 --count 5000` at 73 MB for n = 4 and 139 MB for n = 40, and
+# `cos2` at 2*10**6 terms at 107-127 MB; the Darboux guard shrinks with n
+# beyond 40 (:func:`_most_levels`)
 MAX_PELL_COUNT = 5000
 MAX_DARBOUX_COUNT = 5000
 MAX_COS2_TERMS = 2 * 10**6
+
+
+def _most_levels(n: int) -> int:
+    """The guard on the Darboux ``count`` at order ``n``.
+
+    A level's memory grows with n: the peak RSS of `darboux --u-index 1`
+    rises by about 11.5, 24.7, 105, 252 and 960 KB per level at n = 4, 40,
+    200, 400 and 1000, which n**2 + 670 n + 15000 follows within 3% from
+    n = 40 on.  So up to n = 40 the guard is ``MAX_DARBOUX_COUNT``, and beyond
+    it the count whose levels take no more than that many take at n = 40:
+    1148 at n = 200, 128 at n = 1000, 11 at n = 4095.  It is at least 1, so a
+    single level reaches the order's own guard.
+    """
+    m = max(n, 40)
+    return max(1, MAX_DARBOUX_COUNT * 43_400 // (m * m + 670 * m + 15_000))  # 43,400 at m = 40
 
 
 def norm_form(a: int, b: int) -> int:
@@ -208,16 +224,17 @@ def darboux_witnesses(
     chosen point is isolated, by :func:`forbiddenq.continuants.u_point`,
     which :func:`u_set` calls for every point, so ``t0`` is
     ``u_set(n)[u_index]`` by construction.  ``count`` above
-    ``MAX_DARBOUX_COUNT`` is refused.
+    :func:`_most_levels` of n is refused before any work, and ``n`` by
+    :func:`forbiddenq.continuants.ratio_in_q`.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
-    if count > MAX_DARBOUX_COUNT:
-        raise ValueError(f"count={count} exceeds the guard {MAX_DARBOUX_COUNT}")
+    most = _most_levels(n)
+    if count > most:
+        raise ValueError(f"count={count} exceeds the guard {most}"
+                         + (f" at n={n}" if most < MAX_DARBOUX_COUNT else ""))
     num, den = ratio_in_q(n)
-    j0, t0 = u_point(n, u_index, den)
+    j0, t0 = u_point(n, u_index)
     t1f = _t1_approx(n, j0)
     t1 = Fraction(t1f)
     epsilon = (-1) ** (n + 1)

@@ -40,8 +40,8 @@ MAX_NODE_BUDGET = 10**7
 # offsets, and the first entries run up to the window
 MAX_SEARCH_WINDOW = 10**6
 
-# hard guard on the chain length `forbiddenq chain` walks to: the walk takes
-# about pi/sqrt(4 - q) steps on integers that grow at each step
+# hard guard on the chain length `chain_length` walks to without a limit: the
+# walk takes about pi/sqrt(4 - q) steps on integers that grow at each step
 MAX_CHAIN_LENGTH = 2**14
 
 
@@ -281,7 +281,9 @@ def chain_length(q: RationalLike, limit: Optional[int] = None) -> int:
     c_j = (-1)**j x_{j+1}, so the walk stops at the first pair with
     |N| qn < |D| qd.  Non-zero proper loops at q in (2, 4) must carry this
     many consecutive alternating +-1 entries.  With ``limit`` the walk stops
-    there: the result is min(n, limit).
+    there: the result is min(n, limit).  Without it, a walk that passes
+    ``MAX_CHAIN_LENGTH`` raises :class:`BudgetExceeded` (n grows without
+    bound as q nears 4).
     """
     q = Fraction(q)
     if q <= 0 or q >= 4:
@@ -290,6 +292,8 @@ def chain_length(q: RationalLike, limit: Optional[int] = None) -> int:
     for j, (num, den) in enumerate(prefix_pairs(itertools.cycle((1, -1)), qn, qd)):
         if j == limit or abs(num) * qn < abs(den) * qd:
             return j
+        if limit is None and j == MAX_CHAIN_LENGTH:
+            raise BudgetExceeded(f"chain length exceeds the guard {MAX_CHAIN_LENGTH}")
 
 
 class _BudgetHit(Exception):

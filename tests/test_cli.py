@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,11 +111,32 @@ def test_scan_candidate_guard_bounds_the_count(capsys, monkeypatch):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2
 
 
+@pytest.mark.parametrize("fmt", [[], ["--json"]])
+def test_scan_streams_its_candidates(capsys, monkeypatch, fmt):
+    # 10**5 one-node searches: the scan keeps the rendered report, not every
+    # candidate, task and result (about 42 MiB traced when it listed them)
+    monkeypatch.setattr(loops, "search_nonunit_loop",
+                        lambda q, cfg: loops.SearchResult(None, 1, True))
+    tracemalloc.start()
+    try:
+        code = cli.main(["scan", "--range", "1,100000", "--max-den", "1",
+                         "--depth", "1", "--budget", "1", *fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and len(out.splitlines()) > 10**5
+    assert peak < 24 * 2**20
+
+
 @pytest.mark.parametrize("argv,message", [
     (["pell", "--count", str(families.MAX_PELL_COUNT + 1)],
      f"count={families.MAX_PELL_COUNT + 1} exceeds the guard {families.MAX_PELL_COUNT}"),
     (["darboux", "--n", "4", "--u-index", "1", "--count", str(families.MAX_DARBOUX_COUNT + 1)],
      f"count={families.MAX_DARBOUX_COUNT + 1} exceeds the guard {families.MAX_DARBOUX_COUNT}"),
+    # a level's memory grows with n, so the guard falls beyond n = 40
+    (["darboux", "--n", "200", "--u-index", "1", "--count", "1149"],
+     "count=1149 exceeds the guard 1148 at n=200"),
     # 1 * 2 * (max_n - 1) terms, the least count beyond the guard
     (["cos2", "--max-k", "1", "--max-n", str(families.MAX_COS2_TERMS // 2 + 2)],
      f"max_k=1 with max_n={families.MAX_COS2_TERMS // 2 + 2} could give more terms "

@@ -256,6 +256,16 @@ def test_u_point_is_the_u_set_point(n):
         u_point(n, -1)
 
 
+def test_u_point_takes_no_denominator_or_brackets_of_the_caller():
+    # x - 1 has its root 1 in the one bracket of n = 7, where u_set(7)[0] is
+    # 4cos^2(3pi/8) ~ 0.586; a point is certified only on its own denominator
+    with pytest.raises(TypeError):
+        u_point(7, 0, den=IntPoly([-1, 1]))
+    with pytest.raises(TypeError):
+        u_point(7, 0, IntPoly([-1, 1]), [])
+    assert u_point(7, 0)[1] == u_set(7)[0]
+
+
 def test_u_set_makes_one_sturm_count_per_point(monkeypatch):
     # isolate_root evaluates the Sturm sequence at its two ends and nowhere
     # else, so each point of u_set costs exactly two evaluations

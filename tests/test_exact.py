@@ -32,6 +32,15 @@ def test_intpoly_canonical():
     assert IntPoly().degree == -1
 
 
+def test_intpoly_refuses_coefficients_that_are_not_integers():
+    # they used to be truncated: [1.9, 2.5, '3', 7/2] became (1, 2, 3, 3)
+    for bad in (1.9, 2.5, "3", Fraction(7, 2), Fraction(3)):
+        with pytest.raises(TypeError):
+            IntPoly([1, bad])
+    assert IntPoly([True, False, 2**100, -3]).coeffs == (1, 0, 2**100, -3)
+    assert all(type(c) is int for c in IntPoly([True, 2]).coeffs)
+
+
 def test_poly_eval_examples():
     assert IntPoly([1]).eval(Fraction(7, 3)) == 1
     assert IntPoly([1, -3, 1]).eval(Fraction(3)) == 1
@@ -286,6 +295,12 @@ def _fraction_bisection(p, lo, hi, eps):
     return lo, hi
 
 
+def _bracket(r, lo, hi, eps):
+    """Oracle: an interval of width <= eps around ``r``, strictly inside ``(lo, hi)``."""
+    half = min(eps, r - lo, hi - r) / 2
+    return r - half, r + half
+
+
 def test_refine_matches_rational_bisection():
     # refine must give the very intervals of rational bisection on every
     # interval that holds one root, for ends on different denominators,
@@ -321,7 +336,8 @@ def test_sign_at_ratio_ignores_the_representation():
     rng = random.Random(306)
     for _ in range(200):
         p, x, k = rand_poly(rng, max_deg=9), rand_frac(rng), rng.randint(1, 2**40)
-        assert p.sign_at_ratio(x.numerator * k, x.denominator * k) == p.sign_at(x)
+        v = p.value_at_ratio(x.numerator * k, x.denominator * k)
+        assert (v > 0) - (v < 0) == p.sign_at(x)
 
 
 EPS_DEEP = [Fraction(1, 10**12), Fraction(1, 10**20), Fraction(1, 10**40)]
@@ -354,7 +370,7 @@ def test_refine_returns_bisections_interval_for_a_root_on_the_grid(p, eps):
     want = _fraction_bisection(p, Fraction(0), Fraction(1), eps)
     if want[0] == "hit":
         assert want[1:] == (Fraction(3, 8), Fraction(1, 4), Fraction(1, 2))
-        want = exact._bracket(*want[1:], eps)
+        want = _bracket(*want[1:], eps)
     assert (alg.lo, alg.hi) == want
 
 
@@ -366,7 +382,7 @@ def test_refine_meets_a_root_at_the_neighbour_grid_point():
     alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
     want = _fraction_bisection(p, lo, hi, eps)
     assert want[:2] == ("hit", Fraction(11, 8))
-    assert (alg.lo, alg.hi) == exact._bracket(*want[1:], eps)
+    assert (alg.lo, alg.hi) == _bracket(*want[1:], eps)
 
 
 def test_isolation_refuses_an_empty_interval_and_a_width_not_positive():

@@ -216,6 +216,28 @@ def test_family_guards_bound_the_count(monkeypatch):
             call()
 
 
+def test_darboux_count_guard_shrinks_with_n(monkeypatch):
+    # up to n = 40 the guard is MAX_DARBOUX_COUNT; beyond, it falls as the
+    # measured memory of a level rises, and it is checked before any work
+    class Started(Exception):
+        pass
+
+    def started(n):
+        raise Started
+
+    monkeypatch.setattr(families, "ratio_in_q", started)
+    most = [families._most_levels(n) for n in range(1, 4096)]
+    assert most[:40] == [families.MAX_DARBOUX_COUNT] * 40
+    assert all(a >= b for a, b in zip(most, most[1:]))
+    assert (most[199], most[999], most[4094]) == (1148, 128, 11)
+    for n in (4, 24, 40, 41, 200, 1000, 4095):
+        with pytest.raises(Started):
+            darboux_witnesses(n, 0, families._most_levels(n))
+        with pytest.raises(ValueError, match="exceeds the guard"):
+            darboux_witnesses(n, 0, families._most_levels(n) + 1)
+    assert families._most_levels(10**6) == 1
+
+
 @pytest.mark.parametrize("call", [lambda: pell_witnesses(3), lambda: darboux_witnesses(4, 1, 2)])
 def test_families_raise_only_when_verify_witness_refuses(call, monkeypatch):
     call()

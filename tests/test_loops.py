@@ -4,15 +4,18 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from forbiddenq import loops
 from forbiddenq.cli import witness_from_dict, witness_to_dict
 from forbiddenq.continuants import MAX_G_DEGREE, g_poly, ratio_in_q
 from forbiddenq.exact import AlgebraicNumber, IntPoly, isolate_root
 from forbiddenq.families import ALG_INTERVAL_WIDTH, darboux_witnesses, pell_witnesses
 from forbiddenq.loops import (
+    MAX_CHAIN_LENGTH,
     MAX_NODE_BUDGET,
     MAX_SEARCH_DEPTH,
     MAX_SEARCH_WINDOW,
@@ -182,6 +185,26 @@ def test_chain_length_limit_caps_the_walk():
             assert chain_length(q, limit) == min(full, max(limit, 0))
     # C(3.9999999) = 19867, but the capped walk stops after 9 steps
     assert chain_length(Fraction("3.9999999"), 9) == 9
+
+
+def test_chain_length_without_a_limit_stops_at_the_guard(monkeypatch):
+    # C(q) grows like pi/sqrt(4 - q) (C(3.999999999999) is about 3 million):
+    # the walk is refused once it passes MAX_CHAIN_LENGTH, in a few seconds
+    # on integers that grow at each step, while a capped walk still answers
+    q = Fraction("3.999999999999")
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=f"exceeds the guard {MAX_CHAIN_LENGTH}"):
+        chain_length(q)
+    assert time.perf_counter() - t0 < 20
+    assert chain_length(q, 300) == 300
+    assert chain_length(Fraction("3.9999999"), MAX_CHAIN_LENGTH + 1) == MAX_CHAIN_LENGTH + 1
+    # C(3) = 4: answered at a guard of 4, refused at a guard of 3
+    monkeypatch.setattr(loops, "MAX_CHAIN_LENGTH", 4)
+    assert chain_length(3) == 4
+    monkeypatch.setattr(loops, "MAX_CHAIN_LENGTH", 3)
+    with pytest.raises(BudgetExceeded, match="exceeds the guard 3"):
+        chain_length(3)
+    assert chain_length(3, 5) == 4
 
 
 def test_search_near_four_stops_at_the_root_cut():
