@@ -134,13 +134,13 @@ def test_scan_streams_its_candidates(capsys, monkeypatch, fmt):
      f"count={families.MAX_PELL_COUNT + 1} exceeds the guard {families.MAX_PELL_COUNT}"),
     (["darboux", "--n", "4", "--u-index", "1", "--count", str(families.MAX_DARBOUX_COUNT + 1)],
      f"count={families.MAX_DARBOUX_COUNT + 1} exceeds the guard {families.MAX_DARBOUX_COUNT}"),
-    # a level's memory grows with n, so the guard falls beyond n = 40
-    (["darboux", "--n", "200", "--u-index", "1", "--count", "1149"],
-     "count=1149 exceeds the guard 1148 at n=200"),
     # 1 * 2 * (max_n - 1) terms, the least count beyond the guard
     (["cos2", "--max-k", "1", "--max-n", str(families.MAX_COS2_TERMS // 2 + 2)],
      f"max_k=1 with max_n={families.MAX_COS2_TERMS // 2 + 2} could give more terms "
      f"than the guard {families.MAX_COS2_TERMS}"),
+    # a level's memory grows with n, so the guard falls beyond n = 40
+    (["darboux", "--n", "200", "--u-index", "1", "--count", "1149"],
+     "count=1149 exceeds the guard 1148 at n=200"),
 ])
 def test_family_beyond_its_guard_is_refused_before_any_work(capsys, monkeypatch, argv, message):
     def refuse(*args):
