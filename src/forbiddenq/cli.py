@@ -24,7 +24,9 @@ import math
 import os
 import re
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .exact import AlgebraicNumber, IntPoly
@@ -273,6 +275,31 @@ def _scan_candidate(task):
     return a, b, loops.search_nonunit_loop(Fraction(a, b), cfg)
 
 
+def _scan_chunk(tasks):
+    return [_scan_candidate(task) for task in tasks]
+
+
+def _pooled(pool, workers: int, tasks):
+    """``_scan_candidate`` over ``tasks`` in the pool, results in task order.
+
+    Tasks go out in chunks of 8, at most two chunks per worker in flight: the
+    next is submitted as the oldest one's results are taken, so the parent
+    holds a bounded number of tasks and results however many candidates the
+    scan has.
+    """
+    tasks = iter(tasks)
+    pending = deque()
+    while True:
+        while len(pending) < 2 * workers:
+            chunk = list(islice(tasks, 8))
+            if not chunk:
+                break
+            pending.append(pool.submit(_scan_chunk, chunk))
+        if not pending:
+            return
+        yield from pending.popleft().result()
+
+
 def cmd_scan(args) -> int:
     ends = args.range.split(",")
     if len(ends) != 2:
@@ -290,12 +317,13 @@ def cmd_scan(args) -> int:
                          f"candidates than the guard {MAX_SCAN_CANDIDATES}")
     cfg = _search_config(args)
     tasks = ((a, b, cfg) for a, b in reduced_fractions(lo, hi, d))
-    # pool.map keeps task order, so rows stay in (b, a) order either way; it
-    # submits every task up front, so only the serial path streams
+    # results keep task order, so rows stay in (b, a) order either way, and
+    # both paths stream their candidates
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(args.jobs, os.cpu_count() or 1)) as pool:
-            text = _scan_text(args, lo, hi, pool.map(_scan_candidate, tasks, chunksize=8))
+        workers = min(args.jobs, os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            text = _scan_text(args, lo, hi, _pooled(pool, workers, tasks))
     else:
         text = _scan_text(args, lo, hi, map(_scan_candidate, tasks))
     sys.stdout.write(text)

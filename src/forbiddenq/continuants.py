@@ -45,7 +45,8 @@ def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
     num, den = next(it), 1
     yield num, den
     for mj in it:
-        num, den = mj * (qn * num) + qd * den, qn * num
+        step = qn * num
+        num, den = mj * step + qd * den, step
         yield num, den
 
 

@@ -331,14 +331,16 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     a chain cut drops the child, and a child at the maximal length only has
     its value looked up among the c-values seen so far.  Only the remaining
     interior children are descended into.  A parent reduces its step once,
-    after which every child's value is in lowest terms; only the centre child
-    can close a loop; and under a chain cut only offsets 0 and +-1 are
-    examined, while the children further out, all with |c| > 1, are counted in
-    one step.  No weight is reduced: a path of k + 1 entries to the reduced
-    value cn/cd has the prefix_pairs pair +-G (cn, cd), G the product of the
-    gcds its steps divided out, so its squared weight is (cd G)**2 / P**k with
-    P = qn qd; two paths to one value, k1 <= k2, have one weight iff G2 = G1
-    sqrt(P**(k2 - k1)).  One table ``seen`` maps each c-value to its first
+    after which every child's value is in lowest terms, and only the centre
+    child can close a loop.  Under a chain cut a parent keeps two children,
+    known from the centre child's numerator r0 alone: the centre and the side
+    child toward zero, or for a = 1 both sides of the closing centre.  It
+    settles them directly and counts the others, all with |c| > 1, in offset
+    order without forming them.  No weight is reduced: a path of k + 1
+    entries to the reduced value cn/cd has the prefix_pairs pair +-G (cn, cd),
+    G the product of the gcds its steps divided out, so its squared weight is
+    (cd G)**2 / P**k with P = qn qd; two paths to one value, k1 <= k2, have
+    one weight iff G2 = G1 sqrt(P**(k2 - k1)).  One table ``seen`` maps each c-value to its first
     path, its G and k, and its shortest expanded length (the maximal length for
     a leaf): a different weight ends the walk as a duplicate-c pair, so the
     weight is fixed by c, and a state is skipped when its c was expanded at a
@@ -362,12 +364,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     walk at the centre child, whose first path is its own in ``seen`` or else
     the class's.  Otherwise (a new class, or the same G) the parent's
     children are counted in one step, as chain-cut children are, the budget
-    stop included.  The per-child loop still registers leaves in pruned
-    searches, whose leaves are chain-cut and whose skipped entry 0 depends on
-    the parent; for a <= 2, where the centre child can close a loop (a = 1)
-    or a value lies in two classes (a = 2, r0 = +-1); and for a new class of
-    which ``seen`` already holds a value (the set ``mixed``).  Node counts, budget stops and the pair a certificate
-    reports are those of registering each leaf in turn.
+    stop included.  Leaves are still registered one by one in pruned
+    searches, where every leaf parent is chain-cut and keeps two children; for
+    a <= 2, where the centre child can close a loop (a = 1) or a value lies in
+    two classes (a = 2, r0 = +-1); and for a new class of which ``seen``
+    already holds a value (the set ``mixed``).  Node counts, budget stops and
+    the pair a certificate reports are those of registering each leaf in
+    turn.
 
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
@@ -384,6 +387,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     # every test below is `x + cq > max_k` with x >= 0, so cq capped at max_len
     # decides each as the exact C(q) would
     cq = chain_length(q, max_len) if prune else 0
+    # a parent at length >= cut_from, where length + 1 + cq > max_k, is chain-cut
+    cut_from = max_k - cq if prune else max_len
     budget = cfg.node_budget
 
     # a parent counts at most `budget` children, so a wider window adds none;
@@ -392,8 +397,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     for d in range(1, min(cfg.window, budget) + 1 if max_len >= 2 else 1):
         offsets.append(-d)
         offsets.append(d)
-    # offsets 0 and +-1, and the number and reach of the offsets beyond them
-    near, far, reach = offsets[:3], len(offsets) - 3, len(offsets) // 2
+    # the number of offsets beyond 0 and +-1, and the reach of them all
+    far, reach = len(offsets) - 3, len(offsets) // 2
     width = len(offsets)
 
     # c-value -> (G, k, path, expanded length, b): by the prefix_pairs telescoping
@@ -422,10 +427,18 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             provenance="duplicate-c", verified=False, other_loop=second,
             other_weight_squared=Fraction((cd * G) ** 2, P ** k), c_value=Fraction(cn, cd)))
 
-    def visit(here: tuple[int, ...], cn: int, cd: int, G: int) -> None:
-        # an interior state: len(here) < max_len and not chain-cut
+    def meet(here: tuple[int, ...], mj: int, num: int, a: int, G: int, k: int) -> None:
+        # the leaf here + (mj,), of value num/a, meets a value `seen` holds, at a k
+        # no greater than its own: a different weight ends the walk.  A leaf
+        # looks itself up inline and calls this only on a hit, as a call per
+        # leaf costs measurable time
+        prev = seen[num, a]
+        if prev[0] * rt[k - prev[1]] != G:
+            raise duplicate(prev, here + (mj,), num, a, G, k)
+
+    def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int) -> None:
+        # an interior state: length = len(here) < max_len and not chain-cut
         nonlocal nodes
-        length = len(here)
         rec = (G, length - 1, here, length, None)
         prev = seen.setdefault((cn, cd), rec)
         if prev is rec and not prune and cd > 2:
@@ -461,18 +474,16 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         center, r = divmod(-b, a)
         if 2 * r > a or (2 * r == a and center & 1):
             center += 1
-        # a child with |c| > 1 moves the last violation to index `length`.  The
-        # centre child's numerator r0 = center a + b has |r0| <= a/2, so a child
-        # at offset off has |num| >= (|off| - 1/2) a: only the centre can close,
-        # and every child with |off| >= 2 has |c| > 1
-        cut_big = prune and length + 1 + cq > max_k
-        leaf = length + 1 >= max_len
+        # the centre child's numerator r0 = center a + b has |r0| <= a/2, and it
+        # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
+        # so only the centre can close, and every child with |off| >= 2 has |c| > 1
+        r0 = center * a + b
+        leaf = length >= max_k
         if leaf:
             rec = (G, length, here, max_len, b)
             if not prune and a > 2:
                 # the leaf children are the values (r0 + t a)/a, |t| <= reach, none
-                # zero: r0 = center a + b is b's centred residue, unique for a > 2
-                r0 = center * a + b
+                # zero: r0 is b's centred residue, unique for a > 2
                 cls = classes.setdefault((a, r0), rec)
                 # a new class whose values `seen` may hold is left to the loop below
                 if cls is not rec or (a, r0) not in mixed:
@@ -487,7 +498,58 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                         nodes = budget + 1
                         raise _BudgetHit
                     return
-        for off in near if cut_big else offsets:
+        if a == 1:
+            # r0 = 0: the centre child, whose entry -b is not 0, closes a loop
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            if G != rt[length]:
+                raise _Found(LoopWitness(
+                    q=q, loop=here + (center,), provenance="search", verified=False,
+                    weight_squared=Fraction(G ** 2, P ** length)))
+        if length >= cut_from:
+            # a child with |c| > 1 moves the last violation to index `length`, and
+            # the chain cut drops it.  Two children are kept: for a = 1 the sides
+            # -1 and +1, with c = -+1; otherwise the centre and, since |r0 - a| <= a
+            # iff r0 > 0, the side toward zero.  The other side is counted in
+            # offset order: -1 between the two, +1 with the far children
+            if r0 > 0:
+                mj, side, between = center, center - 1, False
+            elif r0:
+                mj, side, between = center, center + 1, center != 1
+            else:
+                mj, side, between = center - 1, center + 1, False
+            if mj:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                num = mj * a + b
+                if not leaf:
+                    visit(here + (mj,), num, a, G, length + 1)
+                elif seen.setdefault((num, a), rec) is not rec:
+                    meet(here, mj, num, a, G, length)
+            if between:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+            if side:
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                num = side * a + b
+                if not leaf:
+                    visit(here + (side,), num, a, G, length + 1)
+                elif seen.setdefault((num, a), rec) is not rec:
+                    meet(here, side, num, a, G, length)
+            # the chain-cut children at |off| >= 2, and at +1 when r0 > 0, counted in
+            # one step; the skipped entry 0 is among them when 2 <= |center| <= reach
+            nodes += far - (2 <= abs(center) <= reach) + (r0 > 0 and center != -1)
+            if nodes > budget:
+                nodes = budget + 1
+                raise _BudgetHit
+            return
+        # every child but a closing centre is kept
+        for off in offsets[1:] if a == 1 else offsets:
             mj = center + off
             if mj == 0 and prune:
                 continue
@@ -495,30 +557,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             if nodes > budget:
                 raise _BudgetHit
             num = mj * a + b
-            if num == 0:
-                if a * G != rt[length]:
-                    raise _Found(LoopWitness(
-                        q=q, loop=here + (mj,), provenance="search", verified=False,
-                        weight_squared=Fraction((a * G) ** 2, P ** length)))
-                continue
-            if cut_big and abs(num) > a:
-                continue
-            if leaf:
-                # inline: a call per leaf costs measurable time.  `prev is rec`:
-                # the value is new and holds the shared record; no k exceeds a leaf's
-                prev = seen.setdefault((num, a), rec)
-                if prev is not rec and (prev[0] != G if prev[1] == length
-                                        else prev[0] * rt[length - prev[1]] != G):
-                    raise duplicate(prev, here + (mj,), num, a, G, length)
-                continue
-            visit(here + (mj,), num, a, G)
-        if cut_big:
-            # the chain-cut children at |off| >= 2, counted in one step; the
-            # skipped entry 0 is among them when 2 <= |center| <= reach
-            nodes += far - (2 <= abs(center) <= reach)
-            if nodes > budget:
-                nodes = budget + 1
-                raise _BudgetHit
+            if not leaf:
+                visit(here + (mj,), num, a, G, length + 1)
+            elif seen.setdefault((num, a), rec) is not rec:
+                meet(here, mj, num, a, G, length)
 
     witness = None
     exhausted = False
@@ -536,7 +578,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             # a root with |m0| > 1 is a chain violation at index 0
             if max_len < 2 or (prune and (m0 > 1) + cq > max_k):
                 continue
-            visit((m0,), m0, 1, 1)
+            visit((m0,), m0, 1, 1, 1)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:

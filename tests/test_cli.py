@@ -129,6 +129,28 @@ def test_scan_streams_its_candidates(capsys, monkeypatch, fmt):
     assert peak < 24 * 2**20
 
 
+def test_scan_jobs_keeps_a_bounded_number_of_tasks_in_flight(capsys):
+    # 10**4 one-node searches in the pool: the parent holds two chunks per
+    # worker, not every task, future and result (about 4 MiB more traced than
+    # the serial scan when every chunk was submitted up front)
+    argv = ["scan", "--max-den", "1", "--depth", "1", "--budget", "1", "--range"]
+    # a first pool imports the modules it needs, which would count in the peak
+    assert cli.main([*argv, "1,2", "--jobs", "2"]) == 0
+    capsys.readouterr()
+    peaks, outs = [], []
+    for jobs in ("1", "2"):
+        tracemalloc.start()
+        try:
+            code = cli.main([*argv, "1,10000", "--jobs", jobs])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        outs.append(capsys.readouterr().out)
+        assert code == 0
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1 + 10**4
+    assert peaks[1] < peaks[0] + 2**20
+
+
 @pytest.mark.parametrize("argv,message", [
     (["pell", "--count", str(families.MAX_PELL_COUNT + 1)],
      f"count={families.MAX_PELL_COUNT + 1} exceeds the guard {families.MAX_PELL_COUNT}"),
@@ -660,8 +682,10 @@ def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     args = ["scan", "--range", "2,3", "--max-den", "5", "--depth", "4", "--window", "2"]
     _, serial = run(capsys, *args)

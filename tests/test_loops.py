@@ -534,6 +534,34 @@ def test_search_grid_matches_pinned_results():
         "4326ed02e147e8847ec0476a0192bafd09d24b0c1352bf76da4fa768af184469")
 
 
+def _pruned_budget_sweep_digest() -> str:
+    # every q = p/d in (2, 4) with d <= 6, and 37/10, of C(q) 2 to 9; each
+    # search is rerun at budgets 1, 2, ... until one does not run out
+    qs = {Fraction(p, d) for d in range(1, 7) for p in range(2 * d + 1, 4 * d)}
+    qs = sorted(q for q in qs | {Fraction(37, 10)} if chain_length(q) <= 9)
+    h = hashlib.sha256()
+    for q in qs:
+        for depth in (4, 6, 9, 10):
+            for window in (1, 2, 3):
+                for budget in range(1, 200):
+                    cfg = SearchConfig(max_depth=depth, window=window, node_budget=budget)
+                    res = search_nonunit_loop(q, cfg)
+                    h.update(repr(res).encode() + b"\n")
+                    if not res.budget_exhausted:
+                        break
+    return h.hexdigest()
+
+
+def test_pruned_search_budget_sweep_matches_pinned_results():
+    # chain-cut parents keep two children and count the rest in offset order.
+    # The sweep holds cut parents with a = 1, with a centre of -1, 0 or 1
+    # (entry 0 among offsets 0 and +-1), with r0 of each sign, and budgets that
+    # stop on the cut child -1 counted between the centre and the side +1;
+    # pinned from the search that tested offsets 0, -1 and +1 in turn
+    assert _pruned_budget_sweep_digest() == (
+        "d0a9b9337a8fe0397e54a9add7a04e4c455c1cbfa54bb420d650c5972da83bd0")
+
+
 def test_negation_symmetry():
     rng = random.Random(13)
     checked = 0
