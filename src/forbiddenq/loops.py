@@ -20,6 +20,7 @@ import gc
 import itertools
 import math
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .continuants import prefix_pairs, ratio_in_q
@@ -355,22 +356,26 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     unique and non-zero since gcd(a, b) = 1; so (a, r0) fixes the set, and a
     second table ``classes`` maps it to the record of its first parent.  A
     value is looked up in ``seen`` first, then in its class: an interior state
-    cn/cd new to ``seen`` with cd >= 3 checks the class (cd, r) of the centred
-    residue r of cn, which holds it (the state is a child of a parent with
-    a = cd and r0 = r), and on a hit compares weights and is stored with the
-    class record's G, k, path and b, as a value a leaf registered would be.
-    Every leaf has k = max_len - 1 and a class's values share one weight, so
-    a parent meeting an existing class compares one G: a mismatch ends the
-    walk at the centre child, whose first path is its own in ``seen`` or else
-    the class's.  Otherwise (a new class, or the same G) the parent's
-    children are counted in one step, as chain-cut children are, the budget
-    stop included.  Leaves are still registered one by one in pruned
-    searches, where every leaf parent is chain-cut and keeps two children; for
-    a <= 2, where the centre child can close a loop (a = 1) or a value lies in
-    two classes (a = 2, r0 = +-1); and for a new class of which ``seen``
-    already holds a value (the set ``mixed``).  Node counts, budget stops and
-    the pair a certificate reports are those of registering each leaf in
-    turn.
+    cn/cd new to ``seen`` with cd >= 3 lies in the class (cd, r), r the
+    centred residue of cn (the state is a child of a parent with a = cd and
+    r0 = r).  Only if a class has the denominator cd (the set ``class_dens``)
+    does it look the class up, and on a hit it compares weights and is stored
+    with the class record's G, k, path and b, as a registered leaf would be;
+    a miss puts cd in the set ``mixed``.  Every leaf has k = max_len - 1 and
+    a class's values share one weight, so a parent meeting an existing class
+    compares one G: a mismatch ends the walk at the centre child, whose first
+    path is its own in ``seen`` or else the class's.  Otherwise (a new class,
+    or the same G) the parent's children are counted in one step, as
+    chain-cut children are, the budget stop included.  Leaves are still
+    registered one by one in pruned searches, where every leaf parent is
+    chain-cut and keeps two children; for a <= 2, where the centre child can
+    close a loop (a = 1) or a value lies in two classes (a = 2, r0 = +-1);
+    and for a new class (a, r0) with a in ``mixed``.  A value of a new class
+    in ``seen`` has the denominator a and entered as an interior state no
+    class held, so every such class is among them; one marked by a alone
+    changes nothing, as the one-step count is that of registering each leaf
+    in turn.  Node counts, budget stops and the pair a certificate reports
+    are those of registering each leaf in turn.
 
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
@@ -400,6 +405,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     # the number of offsets beyond 0 and +-1, and the reach of them all
     far, reach = len(offsets) - 3, len(offsets) // 2
     width = len(offsets)
+    # entry 0, at offset -center, has 2 <= |off| <= reach iff center**2 is here
+    zero_far = range(4, reach * reach + 1)
 
     # c-value -> (G, k, path, expanded length, b): by the prefix_pairs telescoping
     # the path's weight is (cd G)**2 / P**k; b is None for a path of its own, and
@@ -407,11 +414,12 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     seen: dict[tuple[int, int],
                tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
     # leaf class (a, r0) -> the record its first parent shares with its leaf
-    # children (unpruned searches only), and the keys of classes not yet made
-    # of which `seen` holds a value
+    # children (unpruned searches only); the denominators a of its keys; and
+    # the denominators of the values `seen` holds that no class held
     classes: dict[tuple[int, int],
                   tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
-    mixed: set[tuple[int, int]] = set()
+    class_dens: set[int] = set()
+    mixed: set[int] = set()
     nodes = 0
     # rt[d] = sqrt(P**d) where that is an integer, else 0, up to the largest k < budget
     P = qn * qd
@@ -441,16 +449,19 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         nonlocal nodes
         rec = (G, length - 1, here, length, None)
         prev = seen.setdefault((cn, cd), rec)
-        if prev is rec and not prune and cd > 2:
+        if not prune and prev is rec and cd > 2:
             # a value new to `seen` lies in the leaf class (cd, r), r the centred
             # residue of cn: the state is a child at offset |t| <= reach of a
             # parent whose step has a = cd and r0 = r
-            r = cn % cd
-            if r + r > cd:
-                r -= cd
-            prev = classes.get((cd, r), rec)
-            if prev is rec:
-                mixed.add((cd, r))
+            if cd not in class_dens:
+                mixed.add(cd)
+            else:
+                r = cn % cd
+                if r + r > cd:
+                    r -= cd
+                prev = classes.get((cd, r), rec)
+                if prev is rec:
+                    mixed.add(cd)
         if prev is not rec:
             d = length - 1 - prev[1]
             if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
@@ -466,14 +477,16 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         b = qd * cd
         if a < 0:
             a, b = -a, -b
-        g = math.gcd(a, b)
-        a //= g
-        b //= g
-        G *= g
-        # round(-b/a) with halves to even, as Fraction.__round__
-        center, r = divmod(-b, a)
-        if 2 * r > a or (2 * r == a and center & 1):
-            center += 1
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+            G *= g
+        # round(-b/a), halves to even: the floor rounds a half up, and -b/a is a
+        # half only if a divides 2b but not b, so a = 2 since gcd(a, b) = 1
+        center = (a - 2 * b) // (2 * a)
+        if a == 2 and center & 1:
+            center -= 1
         # the centre child's numerator r0 = center a + b has |r0| <= a/2, and it
         # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
         # so only the centre can close, and every child with |off| >= 2 has |c| > 1
@@ -485,14 +498,16 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 # the leaf children are the values (r0 + t a)/a, |t| <= reach, none
                 # zero: r0 is b's centred residue, unique for a > 2
                 cls = classes.setdefault((a, r0), rec)
-                # a new class whose values `seen` may hold is left to the loop below
-                if cls is not rec or (a, r0) not in mixed:
+                if cls is rec:
+                    class_dens.add(a)
+                elif cls[0] != G and nodes < budget:
                     # every value of an existing class has its weight, and every
                     # leaf has k = length: only the centre child can be a mismatch
-                    if cls[0] != G and nodes < budget:
-                        nodes += 1
-                        raise duplicate(seen.get((r0, a)) or cls, here + (center,),
-                                        r0, a, G, length)
+                    nodes += 1
+                    raise duplicate(seen.get((r0, a)) or cls, here + (center,),
+                                    r0, a, G, length)
+                # a new class whose values `seen` may hold is left to the loop below
+                if cls is not rec or a not in mixed:
                     nodes += width
                     if nodes > budget:
                         nodes = budget + 1
@@ -515,10 +530,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             # offset order: -1 between the two, +1 with the far children
             if r0 > 0:
                 mj, side, between = center, center - 1, False
+                cut = far + (center != -1)
             elif r0:
                 mj, side, between = center, center + 1, center != 1
+                cut = far
             else:
                 mj, side, between = center - 1, center + 1, False
+                cut = far
             if mj:
                 nodes += 1
                 if nodes > budget:
@@ -543,7 +561,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     meet(here, side, num, a, G, length)
             # the chain-cut children at |off| >= 2, and at +1 when r0 > 0, counted in
             # one step; the skipped entry 0 is among them when 2 <= |center| <= reach
-            nodes += far - (2 <= abs(center) <= reach) + (r0 > 0 and center != -1)
+            nodes += cut - (center * center in zero_far)
             if nodes > budget:
                 nodes = budget + 1
                 raise _BudgetHit
@@ -589,6 +607,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         # break the cycle before the collector may run again
         seen.clear()
         classes.clear()
+        class_dens.clear()
         mixed.clear()
         visit = None
         if collecting:

@@ -562,6 +562,33 @@ def test_pruned_search_budget_sweep_matches_pinned_results():
         "d0a9b9337a8fe0397e54a9add7a04e4c455c1cbfa54bb420d650c5972da83bd0")
 
 
+def _unpruned_budget_sweep_digest() -> str:
+    # every q = p/d in (0, 2) with d <= 7; each search is rerun at budgets
+    # 1, 2, ... until one does not run out (23,618 searches)
+    qs = sorted({Fraction(p, d) for d in range(1, 8) for p in range(1, 2 * d)})
+    h = hashlib.sha256()
+    for q in qs:
+        for depth in (3, 4, 5, 6):
+            for window in (1, 2, 3, 4):
+                for budget in range(1, 200):
+                    cfg = SearchConfig(max_depth=depth, window=window, node_budget=budget)
+                    res = search_nonunit_loop(q, cfg)
+                    h.update(repr(res).encode() + b"\n")
+                    if not res.budget_exhausted:
+                        break
+    return h.hexdigest()
+
+
+def test_unpruned_search_budget_sweep_matches_pinned_results():
+    # leaf parents count a whole leaf class in one step, or register its
+    # leaves in turn; a mismatch on the class's centre child is found only
+    # while a node is left, and a = 2 rounds its centre half to even.  Every
+    # budget stop and found-or-exhausted edge is pinned from the search that
+    # marked the classes to register leaf by leaf by their key (a, r0)
+    assert _unpruned_budget_sweep_digest() == (
+        "c74c5dc8d0656dee1fc6b72ff021c91c17842028e04a647d9baf3d95a18039f4")
+
+
 def test_negation_symmetry():
     rng = random.Random(13)
     checked = 0
