@@ -516,10 +516,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built by the first `main` call, not at import, and reused by every later call
+# in the process; it holds no input or output
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:

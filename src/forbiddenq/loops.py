@@ -351,31 +351,33 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     certificate.
 
     Outside (2, 4) that record is stored once per leaf class, not once per
-    leaf.  A leaf parent with a >= 3 has the leaf children (r0 + t a)/a for
+    leaf.  A parent with a >= 3 has the children (r0 + t a)/a for
     |t| <= reach, where r0 = center a + b is the centred residue of b mod a,
     unique and non-zero since gcd(a, b) = 1; so (a, r0) fixes the set, and a
-    second table ``classes`` maps it to the record of its first parent.  A
-    value is looked up in ``seen`` first, then in its class: an interior state
-    cn/cd new to ``seen`` with cd >= 3 lies in the class (cd, r), r the
-    centred residue of cn (the state is a child of a parent with a = cd and
-    r0 = r).  Only if a class has the denominator cd (the set ``class_dens``)
-    does it look the class up, and on a hit it compares weights and is stored
-    with the class record's G, k, path and b, as a registered leaf would be;
-    a miss puts cd in the set ``mixed``.  Every leaf has k = max_len - 1 and
-    a class's values share one weight, so a parent meeting an existing class
-    compares one G: a mismatch ends the walk at the centre child, whose first
-    path is its own in ``seen`` or else the class's.  Otherwise (a new class,
-    or the same G) the parent's children are counted in one step, as
-    chain-cut children are, the budget stop included.  Leaves are still
-    registered one by one in pruned searches, where every leaf parent is
-    chain-cut and keeps two children; for a <= 2, where the centre child can
-    close a loop (a = 1) or a value lies in two classes (a = 2, r0 = +-1);
-    and for a new class (a, r0) with a in ``mixed``.  A value of a new class
-    in ``seen`` has the denominator a and entered as an interior state no
-    class held, so every such class is among them; one marked by a alone
-    changes nothing, as the one-step count is that of registering each leaf
-    in turn.  Node counts, budget stops and the pair a certificate reports
-    are those of registering each leaf in turn.
+    second table ``classes`` maps it to the record of its first leaf parent.
+    A value is looked up in ``seen`` first, then in its class.  Each child of
+    an interior parent has cd = a and the centred residue r0, so the parent
+    looks its class up once for all of them: on a hit a child new to ``seen``
+    compares weights with the class record and is stored with its G, k, path
+    and b, as a registered leaf would be; a miss puts a in the set ``mixed``.
+    Every leaf has k = max_len - 1 and a class's values share one weight, so
+    a leaf parent meeting an existing class compares one G: a mismatch ends
+    the walk at the centre child, whose first path is its own in ``seen`` or
+    else the class's.  Otherwise (a new class, or the same G) the parent's
+    children are counted in one step, as chain-cut children are, the budget
+    stop included.  Leaves are still registered one by one in pruned
+    searches, where every leaf parent is chain-cut and keeps two children;
+    for a <= 2, where the centre child can close a loop (a = 1) or a value
+    lies in two classes (a = 2, r0 = +-1); and for a new class (a, r0) with
+    a in ``mixed``.  A value of a new class in ``seen`` has the denominator a
+    and entered as the child of an interior parent that found the class
+    missing, so every such class is among them.  A class that first appears
+    in an earlier sibling's subtree thus has its leaves registered one by
+    one, and a later sibling meets its value in ``seen`` with the comparison
+    the class would give.  A parent none of whose children is new marks a
+    for nothing, which only sends some classes the slow way: node counts,
+    budget stops and the pair a certificate reports are those of
+    registering each leaf in turn.
 
     The walk builds no reference cycles, and it runs with the cyclic garbage
     collector paused; the caller's collector state is restored on every exit.
@@ -385,6 +387,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     q = _positive(q)
     if cfg is None:
         cfg = SearchConfig()
+    if cfg.max_depth < 2:
+        # every root m0 >= 1 is a new c-value of weight 1: nothing closes or meets
+        nodes = min(cfg.window, cfg.node_budget + 1)
+        return SearchResult(witness=None, nodes=nodes, budget_exhausted=nodes > cfg.node_budget)
     qn, qd = q.numerator, q.denominator
     prune = 2 < q < 4
     max_len = cfg.max_depth
@@ -396,10 +402,9 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     cut_from = max_k - cq if prune else max_len
     budget = cfg.node_budget
 
-    # a parent counts at most `budget` children, so a wider window adds none;
-    # a search of length 1 expands no parent and needs no offsets
+    # a parent counts at most `budget` children, so a wider window adds none
     offsets = [0]
-    for d in range(1, min(cfg.window, budget) + 1 if max_len >= 2 else 1):
+    for d in range(1, min(cfg.window, budget) + 1):
         offsets.append(-d)
         offsets.append(d)
     # the number of offsets beyond 0 and +-1, and the reach of them all
@@ -414,11 +419,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     seen: dict[tuple[int, int],
                tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
     # leaf class (a, r0) -> the record its first parent shares with its leaf
-    # children (unpruned searches only); the denominators a of its keys; and
-    # the denominators of the values `seen` holds that no class held
+    # children (unpruned searches only); and the a of every interior parent
+    # that found its class (a, r0) missing, whose children `seen` may hold
     classes: dict[tuple[int, int],
                   tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
-    class_dens: set[int] = set()
     mixed: set[int] = set()
     nodes = 0
     # rt[d] = sqrt(P**d) where that is an integer, else 0, up to the largest k < budget
@@ -444,24 +448,14 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         if prev[0] * rt[k - prev[1]] != G:
             raise duplicate(prev, here + (mj,), num, a, G, k)
 
-    def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int) -> None:
-        # an interior state: length = len(here) < max_len and not chain-cut
+    def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
+              cls: Optional[tuple]) -> None:
+        # an interior state: length = len(here) < max_len and not chain-cut.  cls
+        # is the record of the leaf class its parent found, or None: a value new
+        # to `seen` enters as that record and is met as the class holds it
         nonlocal nodes
         rec = (G, length - 1, here, length, None)
-        prev = seen.setdefault((cn, cd), rec)
-        if not prune and prev is rec and cd > 2:
-            # a value new to `seen` lies in the leaf class (cd, r), r the centred
-            # residue of cn: the state is a child at offset |t| <= reach of a
-            # parent whose step has a = cd and r0 = r
-            if cd not in class_dens:
-                mixed.add(cd)
-            else:
-                r = cn % cd
-                if r + r > cd:
-                    r -= cd
-                prev = classes.get((cd, r), rec)
-                if prev is rec:
-                    mixed.add(cd)
+        prev = seen.setdefault((cn, cd), cls or rec)
         if prev is not rec:
             d = length - 1 - prev[1]
             if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
@@ -498,9 +492,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 # the leaf children are the values (r0 + t a)/a, |t| <= reach, none
                 # zero: r0 is b's centred residue, unique for a > 2
                 cls = classes.setdefault((a, r0), rec)
-                if cls is rec:
-                    class_dens.add(a)
-                elif cls[0] != G and nodes < budget:
+                if cls is not rec and cls[0] != G and nodes < budget:
                     # every value of an existing class has its weight, and every
                     # leaf has k = length: only the centre child can be a mismatch
                     nodes += 1
@@ -543,7 +535,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     raise _BudgetHit
                 num = mj * a + b
                 if not leaf:
-                    visit(here + (mj,), num, a, G, length + 1)
+                    visit(here + (mj,), num, a, G, length + 1, None)
                 elif seen.setdefault((num, a), rec) is not rec:
                     meet(here, mj, num, a, G, length)
             if between:
@@ -556,7 +548,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     raise _BudgetHit
                 num = side * a + b
                 if not leaf:
-                    visit(here + (side,), num, a, G, length + 1)
+                    visit(here + (side,), num, a, G, length + 1, None)
                 elif seen.setdefault((num, a), rec) is not rec:
                     meet(here, side, num, a, G, length)
             # the chain-cut children at |off| >= 2, and at +1 when r0 > 0, counted in
@@ -566,7 +558,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 nodes = budget + 1
                 raise _BudgetHit
             return
-        # every child but a closing centre is kept
+        # every child but a closing centre is kept.  An interior parent's children
+        # (r0 + t a)/a lie in the leaf class (a, r0) when a > 2; a class still
+        # missing marks a for the leaf parents that may create it later
+        if prune or a < 3 or leaf:
+            cls = None
+        else:
+            cls = classes.get((a, r0))
+            if cls is None:
+                mixed.add(a)
         for off in offsets[1:] if a == 1 else offsets:
             mj = center + off
             if mj == 0 and prune:
@@ -576,7 +576,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 raise _BudgetHit
             num = mj * a + b
             if not leaf:
-                visit(here + (mj,), num, a, G, length + 1)
+                visit(here + (mj,), num, a, G, length + 1, cls)
             elif seen.setdefault((num, a), rec) is not rec:
                 meet(here, mj, num, a, G, length)
 
@@ -592,11 +592,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
-            # a length-1 root is a leaf: each m0 is a new c-value of weight 1;
             # a root with |m0| > 1 is a chain violation at index 0
-            if max_len < 2 or (prune and (m0 > 1) + cq > max_k):
+            if prune and (m0 > 1) + cq > max_k:
                 continue
-            visit((m0,), m0, 1, 1, 1)
+            visit((m0,), m0, 1, 1, 1, None)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
@@ -607,7 +606,6 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         # break the cycle before the collector may run again
         seen.clear()
         classes.clear()
-        class_dens.clear()
         mixed.clear()
         visit = None
         if collecting:

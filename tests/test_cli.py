@@ -736,6 +736,42 @@ def test_unknown_flag_is_invalid_input(capsys):
     assert cli.main(["chain", "--bogus", "1"]) == 1
 
 
+def test_main_called_again_in_one_process_answers_as_a_fresh_process(capsys, monkeypatch):
+    # `main` reuses its parser: no call may leave state that a later one sees.
+    # COLUMNS fixes the help's line width on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    scan = ["scan", "--range", "1,2", "--max-den", "6", "--depth", "5",
+            "--window", "3", "--budget", "2000"]
+    calls = [
+        [*scan, "--json"],
+        scan,
+        ["scan", "--range", "2,1", "--max-den", "3"],
+        ["search", "--q", "7/5", "--depth", "6", "--window", "4", "--budget", "5000"],
+        ["--help"],
+    ]
+    got = []
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        got.append((code, captured.out, captured.err))
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "forbiddenq.cli", *argv],
+                              capture_output=True, text=True)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in got] == [0, 0, 1, 0, 0]
+    assert got == fresh
+
+
+def test_cli_import_builds_no_parser():
+    # the first `main` call builds it, so an import and its start-up pay nothing
+    proc = subprocess.run(
+        [sys.executable, "-c", "import forbiddenq.cli as cli; print(cli._parser)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "None"
+
+
 def test_isolation_fault_exits_2(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise NoSignChange("forced isolation fault")

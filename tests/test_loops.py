@@ -484,6 +484,9 @@ GOLDEN_SEARCHES = [
     (("12/7", 6, 2, 5_000), (63, False, "duplicate-c", (1, -1))),
     (("12/7", 6, 2, 62), (63, True, None, None)),
     (("5/3", 4, 2, 100), (99, False, "duplicate-c", (1, -1, 1, 1))),
+    # max_depth 1, counted in one step: the budget stop at its edge
+    (("5/4", 1, 4, 3), (4, True, None, None)),
+    (("5/4", 1, 4, 4), (4, False, None, None)),
 ]
 
 # the second path of a duplicate-c row above, where it is pinned
@@ -511,6 +514,21 @@ def test_search_golden_table(case, expected):
         assert w.other_loop == GOLDEN_OTHER_LOOPS[case]
     if w is not None:
         assert w.verified and verify_witness(w)
+
+
+def test_interior_state_meets_the_leaf_class_of_its_parent():
+    # an interior state new to `seen` is compared with the leaf class its
+    # parent found: here that class's first path, the leaf (1, -1, 0, 1, -3, 0),
+    # is the pair's first path.  Without the class lookup the interior state
+    # is stored as a path of its own and the pair reports (1, 0, -3, 0)
+    res = search_nonunit_loop(Fraction(29, 21), SearchConfig(6, 4, 50_000))
+    w = res.witness
+    assert (res.nodes, res.budget_exhausted, w.provenance) == (19_391, False, "duplicate-c")
+    assert (w.loop, w.other_loop) == ((1, -1, 0, 1, -3, 0), (1, -3, -2, 1, -1, -14))
+    assert (w.weight_squared, w.other_weight_squared) == (
+        Fraction(116, 21), Fraction(3132, 16807))
+    assert w.c_value == Fraction(-21, 58)
+    assert w.verified
 
 
 def _search_grid_digest() -> str:
