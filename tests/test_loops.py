@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import random
 import subprocess
@@ -487,6 +488,13 @@ GOLDEN_SEARCHES = [
     # max_depth 1, counted in one step: the budget stop at its edge
     (("5/4", 1, 4, 3), (4, True, None, None)),
     (("5/4", 1, 4, 4), (4, False, None, None)),
+    # leaf parents of an unpruned walk: a pair whose first path is a leaf
+    # parent's, rebuilt from the record its parent shares with its children;
+    # the budget running out on a leaf parent's own node, and on the count of
+    # its leaves
+    (("25/18", 5, 3, 5_000), (2_449, False, "duplicate-c", (1, 0, 2, 0))),
+    (("13/11", 6, 4, 997), (998, True, None, None)),
+    (("13/11", 6, 4, 998), (999, True, None, None)),
 ]
 
 # the second path of a duplicate-c row above, where it is pinned
@@ -498,6 +506,7 @@ GOLDEN_OTHER_LOOPS = {
     ("17/20", 6, 2, 5_000): (1, -1, -8, 1),
     ("12/7", 6, 2, 5_000): (1, -1, 1, 2, -1, -8),
     ("5/3", 4, 2, 100): (1, -3, 1, -1),
+    ("25/18", 5, 3, 5_000): (2, -1, 1, 6),
 }
 
 
@@ -605,6 +614,33 @@ def test_unpruned_search_budget_sweep_matches_pinned_results():
     # marked the classes to register leaf by leaf by their key (a, r0)
     assert _unpruned_budget_sweep_digest() == (
         "c74c5dc8d0656dee1fc6b72ff021c91c17842028e04a647d9baf3d95a18039f4")
+
+
+def _shallow_budget_sweep_digest() -> str:
+    # every q = p/d in (0, 2) and in (4, 6) with d <= 9, at depths 2 and 3,
+    # where the roots or their children are leaf parents; each search is rerun
+    # at budgets 1, 2, ... until one does not run out (53,962 searches)
+    qs = sorted({Fraction(p, d) for d in range(1, 10) for p in range(1, 6 * d)
+                 if not 2 * d <= p <= 4 * d})
+    h = hashlib.sha256()
+    for q in qs:
+        for depth in (2, 3):
+            for window in (1, 2, 3, 4):
+                for budget in itertools.count(1):
+                    cfg = SearchConfig(max_depth=depth, window=window, node_budget=budget)
+                    res = search_nonunit_loop(q, cfg)
+                    h.update(repr(res).encode() + b"\n")
+                    if not res.budget_exhausted:
+                        break
+    return h.hexdigest()
+
+
+def test_shallow_unpruned_search_budget_sweep_matches_pinned_results():
+    # roots that are leaf parents (depth 2) and roots whose children are
+    # (depth 3): every budget stop and found-or-exhausted edge is pinned from
+    # the search that visited each leaf parent in a call of its own
+    assert _shallow_budget_sweep_digest() == (
+        "4d32d6f0106c5a446f3206876fa48d1fd38039706ee2e070727625468b546abc")
 
 
 def test_negation_symmetry():
