@@ -341,17 +341,18 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     entries to the reduced value cn/cd has the prefix_pairs pair +-G (cn, cd),
     G the product of the gcds its steps divided out, so its squared weight is
     (cd G)**2 / P**k with P = qn qd; two paths to one value, k1 <= k2, have
-    one weight iff G2 = G1 sqrt(P**(k2 - k1)).  One table ``seen`` maps each c-value to its first
-    path, its G and k, and its shortest expanded length (the maximal length for
-    a leaf): a different weight ends the walk as a duplicate-c pair, so the
-    weight is fixed by c, and a state is skipped when its c was expanded at a
-    length no greater than its own.  A parent's leaf children share one record,
-    which holds the parent's path and its reduced b: a leaf with value num/a
-    has the entry (num - b) // a, and its own path is rebuilt only for a
-    certificate.
+    one weight iff G2 = G1 sqrt(P**(k2 - k1)).  One table ``seen`` maps each
+    c-value to its first path, its G and k, and its shortest expanded length
+    (the maximal length for a leaf): a different weight ends the walk as a
+    duplicate-c pair, so the weight is fixed by c, and a state is skipped when
+    its c was expanded at a length no greater than its own.  The leaf children
+    of a parent share one record, and so do the leaf parents of one parent in
+    an unpruned search: (G, k, the parent's path, expanded length, the
+    parent's reduced b).  A child with value num/a has the entry
+    (num - b) // a, and its own path is rebuilt only for a certificate.
 
-    Outside (2, 4) that record is stored once per leaf class, not once per
-    leaf.  A parent with a >= 3 has the children (r0 + t a)/a for
+    Outside (2, 4) a leaf parent's record is stored once per leaf class, not
+    once per leaf.  A leaf parent with a >= 3 has the leaves (r0 + t a)/a for
     |t| <= reach, where r0 = center a + b is the centred residue of b mod a,
     unique and non-zero since gcd(a, b) = 1; so (a, r0) fixes the set, and a
     second table ``classes`` maps it to the record of its first leaf parent.
@@ -360,29 +361,38 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     looks its class up once for all of them: on a hit a child new to ``seen``
     compares weights with the class record and is stored with its G, k, path
     and b, as a registered leaf would be; a miss puts a in the set ``mixed``.
-    Every leaf has k = max_len - 1 and a class's values share one weight, so
-    a leaf parent meeting an existing class compares one G: a mismatch ends
-    the walk at the centre child, whose first path is its own in ``seen`` or
-    else the class's.  Otherwise (a new class, or the same G) the parent's
-    children are counted in one step, as chain-cut children are, the budget
-    stop included.  Leaves are still registered one by one in pruned
-    searches, where every leaf parent is chain-cut and keeps two children;
-    for a <= 2, where the centre child can close a loop (a = 1) or a value
-    lies in two classes (a = 2, r0 = +-1); and for a new class (a, r0) with
-    a in ``mixed``.  A value of a new class in ``seen`` has the denominator a
-    and entered as the child of an interior parent that found the class
-    missing, so every such class is among them.  A class that first appears
-    in an earlier sibling's subtree thus has its leaves registered one by
-    one, and a later sibling meets its value in ``seen`` with the comparison
-    the class would give.  A parent none of whose children is new marks a
-    for nothing, which only sends some classes the slow way: node counts,
-    budget stops and the pair a certificate reports are those of
-    registering each leaf in turn.
+    A leaf parent has no visit of its own: ``settle`` settles it in its
+    parent's child loop, for the children of a parent at length max_k - 1 and
+    for the roots when max_depth = 2 (the children of the empty path, with
+    a = 1 and b = 0).  It takes one ``seen`` step against the shared record
+    (or the class record its parent found), its own reduced step and one
+    ``classes.setdefault``.  Every leaf has k = max_k and a class's values
+    share one weight, so a leaf parent meeting an existing class compares one
+    G: a mismatch ends the walk at the centre child, whose first path is its
+    own in ``seen`` or else the class's.  Otherwise (a new class, or the same
+    G) its leaves are counted in one step, as chain-cut children are, the
+    budget stop included.  ``leaves`` registers them one by one instead for
+    a <= 2, where the centre child can close a loop (a = 1) or a value lies in
+    two classes (a = 2, r0 = +-1), and for a new class (a, r0) with a in
+    ``mixed``; in pruned searches every leaf parent is chain-cut, keeps two
+    children and looks them up in ``visit``.  A value of a new class in
+    ``seen`` has the denominator a and entered as the child of an interior
+    parent that found the class missing, so every such class is among them.
+    A class that first appears in an earlier sibling's subtree thus has its
+    leaves registered one by one, and a later sibling meets its value in
+    ``seen`` with the comparison the class would give.  A parent none of whose
+    children is new marks a for nothing, which only sends some classes the
+    slow way: node counts, budget stops and the pair a certificate reports
+    are those of registering each leaf in turn.
 
-    The walk builds no reference cycles, and it runs with the cyclic garbage
-    collector paused; the caller's collector state is restored on every exit.
-    The tables, bounded by ``cfg.node_budget`` (at most ``MAX_NODE_BUDGET``),
-    are freed by reference counting on return.
+    ``visit`` calls itself through its closure cell, so it, its closure and
+    the cell form a reference cycle; ``settle``, ``leaves``, ``meet`` and
+    ``duplicate`` call no closure that refers back to them, and form none.
+    The ``finally`` block breaks the cycle on every exit (a return, a budget
+    stop, a certificate or an error) and clears the tables, which are bounded
+    by ``cfg.node_budget`` (at most ``MAX_NODE_BUDGET``), so nothing is left
+    for the cyclic garbage collector.  The walk runs with that collector
+    paused; the caller's collector state is restored on every exit.
     """
     q = _positive(q)
     if cfg is None:
@@ -432,7 +442,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         rt.append(rt[-2] * P)
 
     def duplicate(prev, second: tuple[int, ...], cn, cd, G, k) -> _Found:
-        # a leaf's own entry is (num - b) // a, exactly: its key is (m a + b, a)
+        # a child's own entry, in a shared record, is (num - b) // a, exactly: its
+        # key is (m a + b, a)
         first = prev[2] if prev[4] is None else prev[2] + ((cn - prev[4]) // cd,)
         return _Found(LoopWitness(
             q=q, loop=first, weight_squared=Fraction((cd * prev[0]) ** 2, P ** prev[1]),
@@ -450,9 +461,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
 
     def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
               cls: Optional[tuple]) -> None:
-        # an interior state: length = len(here) < max_len and not chain-cut.  cls
-        # is the record of the leaf class its parent found, or None: a value new
-        # to `seen` enters as that record and is met as the class holds it
+        # an interior state: length = len(here) < max_len, not chain-cut, and a
+        # leaf parent only in a pruned search.  cls is the record of the leaf
+        # class its parent found, or None: a value new to `seen` enters as that
+        # record and is met as the class holds it
         nonlocal nodes
         rec = (G, length - 1, here, length, None)
         prev = seen.setdefault((cn, cd), cls or rec)
@@ -485,26 +497,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
         # so only the centre can close, and every child with |off| >= 2 has |c| > 1
         r0 = center * a + b
+        # a leaf parent here is chain-cut: an unpruned one is settled by its parent
         leaf = length >= max_k
         if leaf:
             rec = (G, length, here, max_len, b)
-            if not prune and a > 2:
-                # the leaf children are the values (r0 + t a)/a, |t| <= reach, none
-                # zero: r0 is b's centred residue, unique for a > 2
-                cls = classes.setdefault((a, r0), rec)
-                if cls is not rec and cls[0] != G and nodes < budget:
-                    # every value of an existing class has its weight, and every
-                    # leaf has k = length: only the centre child can be a mismatch
-                    nodes += 1
-                    raise duplicate(seen.get((r0, a)) or cls, here + (center,),
-                                    r0, a, G, length)
-                # a new class whose values `seen` may hold is left to the loop below
-                if cls is not rec or a not in mixed:
-                    nodes += width
-                    if nodes > budget:
-                        nodes = budget + 1
-                        raise _BudgetHit
-                    return
         if a == 1:
             # r0 = 0: the centre child, whose entry -b is not 0, closes a loop
             nodes += 1
@@ -561,24 +557,116 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         # every child but a closing centre is kept.  An interior parent's children
         # (r0 + t a)/a lie in the leaf class (a, r0) when a > 2; a class still
         # missing marks a for the leaf parents that may create it later
-        if prune or a < 3 or leaf:
+        if prune or a < 3:
             cls = None
         else:
             cls = classes.get((a, r0))
             if cls is None:
                 mixed.add(a)
-        for off in offsets[1:] if a == 1 else offsets:
+        offs = offsets[1:] if a == 1 else offsets
+        if length == max_k - 1:
+            # only unpruned: a pruned parent at this length is chain-cut
+            settle(here, a, b, G, center, offs, cls)
+            return
+        for off in offs:
             mj = center + off
             if mj == 0 and prune:
                 continue
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
+            visit(here + (mj,), mj * a + b, a, G, length + 1, cls)
+
+    def settle(here: tuple[int, ...], a: int, b: int, G: int, center: int,
+               offs: Sequence[int], cls: Optional[tuple]) -> None:
+        # the children (center + off)/a of an unpruned parent here at length
+        # max_k - 1, or the roots for here = () and max_k = 1, are leaf parents,
+        # settled in this loop without a visit each.  New to `seen`, a child enters
+        # as cls or as one record shared by all of them, the form of a leaf
+        # record: a child of value num/a has the entry (num - b) // a
+        nonlocal nodes
+        k = max_k - 1
+        shared = (G, k, here, max_k, b)
+        entry = cls or shared
+        qda = qd * a
+        for off in offs:
+            mj = center + off
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
             num = mj * a + b
-            if not leaf:
-                visit(here + (mj,), num, a, G, length + 1, cls)
-            elif seen.setdefault((num, a), rec) is not rec:
-                meet(here, mj, num, a, G, length)
+            prev = seen.setdefault((num, a), entry)
+            if prev is not shared:
+                d = k - prev[1]
+                if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
+                    raise duplicate(prev, here + (mj,), num, a, G, k)
+                if prev[3] <= max_k:
+                    continue
+                seen[num, a] = (prev[0], prev[1], prev[2], max_k, prev[4])
+            # the child's step, as in visit: its children are the leaves
+            # (ca mj' + cb)/ca, of weight (ca cG)**2 / P**max_k
+            if num < 0:
+                ca, cb = -qn * num, -qda
+            else:
+                ca, cb = qn * num, qda
+            g = gcd(ca, cb)
+            if g == 1:
+                cG = G
+            else:
+                ca //= g
+                cb //= g
+                cG = G * g
+            cc = (ca - 2 * cb) // (2 * ca)
+            path = here + (mj,)
+            rec = (cG, max_k, path, max_len, cb)
+            if ca > 2:
+                # the leaves are the values (r0 + t ca)/ca, |t| <= reach, none zero:
+                # r0 is cb's centred residue, unique for ca > 2
+                r0 = cc * ca + cb
+                prev = classes.setdefault((ca, r0), rec)
+                if prev is not rec:
+                    if prev[0] != cG and nodes < budget:
+                        # every value of an existing class has its weight, and every
+                        # leaf has k = max_k: only the centre leaf can be a mismatch
+                        nodes += 1
+                        raise duplicate(seen.get((r0, ca)) or prev, path + (cc,),
+                                        r0, ca, cG, max_k)
+                elif ca in mixed:
+                    # a new class whose values `seen` may hold
+                    leaves(path, ca, cb, cG, cc, rec)
+                    continue
+                nodes += width
+                if nodes > budget:
+                    nodes = budget + 1
+                    raise _BudgetHit
+                continue
+            if ca == 2 and cc & 1:
+                # round(-cb/ca) halves to even, as in visit
+                cc -= 1
+            leaves(path, ca, cb, cG, cc, rec)
+
+    def leaves(here: tuple[int, ...], a: int, b: int, G: int, center: int,
+               rec: tuple) -> None:
+        # the leaves (center + off)/a of the unpruned leaf parent here, registered
+        # one by one: for a = 1, whose centre closes a loop, a = 2, where a value
+        # lies in two classes, and a new class (a, r0) with a in `mixed`
+        nonlocal nodes
+        if a == 1:
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            if G != rt[max_k]:
+                raise _Found(LoopWitness(
+                    q=q, loop=here + (center,), provenance="search", verified=False,
+                    weight_squared=Fraction(G ** 2, P ** max_k)))
+        for off in offsets[1:] if a == 1 else offsets:
+            mj = center + off
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            num = mj * a + b
+            if seen.setdefault((num, a), rec) is not rec:
+                meet(here, mj, num, a, G, max_k)
 
     witness = None
     exhausted = False
@@ -588,22 +676,27 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for m0 in range(1, cfg.window + 1):
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            # a root with |m0| > 1 is a chain violation at index 0
-            if prune and (m0 > 1) + cq > max_k:
-                continue
-            visit((m0,), m0, 1, 1, 1, None)
+        if max_k == 1 and not prune:
+            # the roots m0/1 are leaf parents, the children of () with a = 1, b = 0
+            settle((), 1, 0, 1, 0, range(1, cfg.window + 1), None)
+        else:
+            for m0 in range(1, cfg.window + 1):
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                # a root with |m0| > 1 is a chain violation at index 0
+                if prune and (m0 > 1) + cq > max_k:
+                    continue
+                visit((m0,), m0, 1, 1, 1, None)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
         witness = hit.witness._replace(verified=verify_witness(hit.witness))
     finally:
         # `visit` calls itself through its closure cell, a cycle that would
-        # keep it and the tables alive until a collection: free the tables and
-        # break the cycle before the collector may run again
+        # keep it and the tables alive until a collection (the other closures
+        # form none): free the tables and break the cycle before the collector
+        # may run again
         seen.clear()
         classes.clear()
         mixed.clear()
