@@ -495,6 +495,12 @@ GOLDEN_SEARCHES = [
     (("25/18", 5, 3, 5_000), (2_449, False, "duplicate-c", (1, 0, 2, 0))),
     (("13/11", 6, 4, 997), (998, True, None, None)),
     (("13/11", 6, 4, 998), (999, True, None, None)),
+    # chain-cut counts that follow a parent's last kept child: two finds made
+    # before the counts of their ancestors' cut children are taken, and a
+    # budget stop on those counts
+    (("8/3", 6, 3, 30_000), (5, False, "search", (1, -1, 1, -1, 6))),
+    (("13/4", 9, 3, 30_000), (44, False, "search", (1, -1, 1, -1, 1, -1, 36))),
+    (("42/17", 9, 3, 10), (11, True, None, None)),
 ]
 
 # the second path of a duplicate-c row above, where it is pinned
