@@ -397,6 +397,9 @@ def test_search_depth_guard():
     cfg = SearchConfig(max_depth=MAX_SEARCH_DEPTH, window=1, node_budget=20_000)
     res = search_nonunit_loop(Fraction(9, 2), cfg)
     assert res.witness is None and res.budget_exhausted
+    # C(3999/1000) = 196: every state from length 59 on is chain-cut
+    res = search_nonunit_loop(Fraction(3999, 1000), cfg)
+    assert res.witness is None and res.budget_exhausted
 
 
 def test_search_budget_guard():
@@ -985,6 +988,8 @@ ACYCLIC_SEARCHES = [
     (("5/2", 5, 3, 200_000), (False, "search")),      # a loop found
     (("5/2", 4, 3, 5_000), (False, "duplicate-c")),   # a duplicate-c pair
     (("7/2", 9, 3, 3_000), (False, None)),            # chain-cut siblings in (3,4)
+    (("8/3", 6, 3, 30_000), (False, "search")),       # a loop found inside a chain
+    (("42/17", 9, 3, 10), (True, None)),              # a budget stop inside a chain
 ]
 
 
