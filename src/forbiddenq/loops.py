@@ -30,7 +30,8 @@ STATUS_PATH = "path"
 STATUS_LOOP = "loop"
 STATUS_BROKEN = "broken"
 
-# hard guard on SearchConfig.max_depth: the search recurses once per level
+# hard guard on SearchConfig.max_depth: the search recurses at most once per
+# level, and not at all along a chain-cut state's one-child chain
 MAX_SEARCH_DEPTH = 256
 
 # hard guard on SearchConfig.node_budget: the search's table grows with the
@@ -337,15 +338,26 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     known from the centre child's numerator r0 alone: the centre and the side
     child toward zero, or for a = 1 both sides of the closing centre.  It
     settles them directly and counts the others, all with |c| > 1, in offset
-    order without forming them.  No weight is reduced: a path of k + 1
-    entries to the reduced value cn/cd has the prefix_pairs pair +-G (cn, cd),
-    G the product of the gcds its steps divided out, so its squared weight is
-    (cd G)**2 / P**k with P = qn qd; two paths to one value, k1 <= k2, have
-    one weight iff G2 = G1 sqrt(P**(k2 - k1)).  One table ``seen`` maps each
-    c-value to its first path, its G and k, and its shortest expanded length
-    (the maximal length for a leaf): a different weight ends the walk as a
-    duplicate-c pair, so the weight is fixed by c, and a state is skipped when
-    its c was expanded at a length no greater than its own.  The leaf children
+    order without forming them.  The chain-cut states (length >= cut_from,
+    pruned searches only) are walked by ``chain`` in one loop, not in a call
+    each: nearly every one keeps a single child, and a parent's last kept
+    child continues in the loop, while the first of two is walked by a call
+    of its own.  The counts that follow the last kept child's subtree (the
+    cut children, and the -1 child when the side child is 0) have nothing
+    but returns after them, so they wait in a running total that is added,
+    with the same budget stop, when the chain ends at a leaf parent or a
+    skipped repeat: node counts, budget stops and the nodes a certificate
+    reports are those of counting each child in turn.
+
+    No weight is reduced: a path of k + 1 entries to the reduced value cn/cd
+    has the prefix_pairs pair +-G (cn, cd), G the product of the gcds its
+    steps divided out, so its squared weight is (cd G)**2 / P**k with
+    P = qn qd; two paths to one value, k1 <= k2, have one weight iff
+    G2 = G1 sqrt(P**(k2 - k1)).  One table ``seen`` maps each c-value to its
+    first path, its G and k, and its shortest expanded length (the maximal
+    length for a leaf): a different weight ends the walk as a duplicate-c
+    pair, so the weight is fixed by c, and a state is skipped when its c was
+    expanded at a length no greater than its own.  The leaf children
     of a parent share one record, and so do the leaf parents of one parent in
     an unpruned search: (G, k, the parent's path, expanded length, the
     parent's reduced b).  A child with value num/a has the entry
@@ -375,9 +387,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     a <= 2, where the centre child can close a loop (a = 1) or a value lies in
     two classes (a = 2, r0 = +-1), and for a new class (a, r0) with a in
     ``mixed``; in pruned searches every leaf parent is chain-cut, keeps two
-    children and looks them up in ``visit``.  A value of a new class in
-    ``seen`` has the denominator a and entered as the child of an interior
-    parent that found the class missing, so every such class is among them.
+    children and looks them up in ``chain``, so ``visit`` sees neither a
+    chain-cut state nor a leaf parent.  A value of a new class in ``seen``
+    has the denominator a and entered as the child of an interior parent
+    that found the class missing, so every such class is among them.
     A class that first appears in an earlier sibling's subtree thus has its
     leaves registered one by one, and a later sibling meets its value in
     ``seen`` with the comparison the class would give.  A parent none of whose
@@ -385,14 +398,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     slow way: node counts, budget stops and the pair a certificate reports
     are those of registering each leaf in turn.
 
-    ``visit`` calls itself through its closure cell, so it, its closure and
-    the cell form a reference cycle; ``settle``, ``leaves``, ``meet`` and
-    ``duplicate`` call no closure that refers back to them, and form none.
-    The ``finally`` block breaks the cycle on every exit (a return, a budget
-    stop, a certificate or an error) and clears the tables, which are bounded
-    by ``cfg.node_budget`` (at most ``MAX_NODE_BUDGET``), so nothing is left
-    for the cyclic garbage collector.  The walk runs with that collector
-    paused; the caller's collector state is restored on every exit.
+    ``visit`` and ``chain`` each call themselves through their closure cells,
+    so each forms a reference cycle with its closure and cell; ``settle``,
+    ``leaves``, ``meet`` and ``duplicate`` call no closure that refers back to
+    them, and form none.  The ``finally`` block breaks both cycles on every
+    exit (a return, a budget stop, a certificate or an error) and clears the
+    tables, which are bounded by ``cfg.node_budget`` (at most
+    ``MAX_NODE_BUDGET``), so nothing is left for the cyclic garbage
+    collector.  The walk runs with that collector paused; the caller's
+    collector state is restored on every exit.
     """
     q = _positive(q)
     if cfg is None:
@@ -461,10 +475,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
 
     def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
               cls: Optional[tuple]) -> None:
-        # an interior state: length = len(here) < max_len, not chain-cut, and a
-        # leaf parent only in a pruned search.  cls is the record of the leaf
-        # class its parent found, or None: a value new to `seen` enters as that
-        # record and is met as the class holds it
+        # an interior state that is neither chain-cut nor a leaf parent: length =
+        # len(here) < min(cut_from, max_k).  cls is the record of the leaf class its
+        # parent found, or None: a value new to `seen` enters as that record and
+        # is met as the class holds it
         nonlocal nodes
         rec = (G, length - 1, here, length, None)
         prev = seen.setdefault((cn, cd), cls or rec)
@@ -493,16 +507,9 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         center = (a - 2 * b) // (2 * a)
         if a == 2 and center & 1:
             center -= 1
-        # the centre child's numerator r0 = center a + b has |r0| <= a/2, and it
-        # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
-        # so only the centre can close, and every child with |off| >= 2 has |c| > 1
-        r0 = center * a + b
-        # a leaf parent here is chain-cut: an unpruned one is settled by its parent
-        leaf = length >= max_k
-        if leaf:
-            rec = (G, length, here, max_len, b)
         if a == 1:
-            # r0 = 0: the centre child, whose entry -b is not 0, closes a loop
+            # the centre child, whose entry -b is not 0, closes a loop; no other
+            # child can (see `chain`)
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
@@ -510,7 +517,82 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 raise _Found(LoopWitness(
                     q=q, loop=here + (center,), provenance="search", verified=False,
                     weight_squared=Fraction(G ** 2, P ** length)))
-        if length >= cut_from:
+        # every child but a closing centre is kept.  An interior parent's children
+        # (r0 + t a)/a, with r0 = center a + b, lie in the leaf class (a, r0) when
+        # a > 2; a class still missing marks a for the leaf parents that may
+        # create it later
+        if prune or a < 3:
+            cls = None
+        else:
+            cls = classes.get((a, center * a + b))
+            if cls is None:
+                mixed.add(a)
+        offs = offsets[1:] if a == 1 else offsets
+        if length == max_k - 1:
+            # only unpruned: a pruned parent at this length is chain-cut
+            settle(here, a, b, G, center, offs, cls)
+            return
+        if length + 1 >= cut_from:
+            # only pruned: the children are chain-cut, and the entry 0 is skipped
+            for off in offs:
+                mj = center + off
+                if mj:
+                    nodes += 1
+                    if nodes > budget:
+                        raise _BudgetHit
+                    chain(here + (mj,), mj * a + b, a, G, length + 1)
+            return
+        for off in offs:
+            mj = center + off
+            if mj == 0 and prune:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise _BudgetHit
+            visit(here + (mj,), mj * a + b, a, G, length + 1, cls)
+
+    def chain(here: tuple[int, ...], cn: int, cd: int, G: int, length: int) -> None:
+        # a chain-cut state, length = len(here) >= cut_from in a pruned search, and
+        # the chain below it: the last kept child continues in the loop, and the
+        # counts that follow it wait in `pending` until the chain ends
+        nonlocal nodes
+        pending = 0
+        while True:
+            # the `seen` step and the reduced step of `visit`, with no leaf class
+            rec = (G, length - 1, here, length, None)
+            prev = seen.setdefault((cn, cd), rec)
+            if prev is not rec:
+                d = length - 1 - prev[1]
+                if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
+                    raise duplicate(prev, here, cn, cd, G, length - 1)
+                if prev[3] <= length:
+                    break
+                seen[cn, cd] = (prev[0], prev[1], prev[2], length, prev[4])
+            a = qn * cn
+            b = qd * cd
+            if a < 0:
+                a, b = -a, -b
+            g = gcd(a, b)
+            if g != 1:
+                a //= g
+                b //= g
+                G *= g
+            center = (a - 2 * b) // (2 * a)
+            if a == 2 and center & 1:
+                center -= 1
+            # the centre child's numerator r0 = center a + b has |r0| <= a/2, and it
+            # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
+            # so only the centre can close, and every child with |off| >= 2 has |c| > 1
+            r0 = center * a + b
+            if a == 1:
+                # r0 = 0: the centre child, whose entry -b is not 0, closes a loop
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                if G != rt[length]:
+                    raise _Found(LoopWitness(
+                        q=q, loop=here + (center,), provenance="search", verified=False,
+                        weight_squared=Fraction(G ** 2, P ** length)))
             # a child with |c| > 1 moves the last violation to index `length`, and
             # the chain cut drops it.  Two children are kept: for a = 1 the sides
             # -1 and +1, with c = -+1; otherwise the centre and, since |r0 - a| <= a
@@ -525,14 +607,39 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             else:
                 mj, side, between = center - 1, center + 1, False
                 cut = far
+            # the chain-cut children at |off| >= 2, and at +1 when r0 > 0, counted in
+            # one step; the skipped entry 0 is among them when 2 <= |center| <= reach
+            pending += cut - (center * center in zero_far)
+            if length < max_k:
+                if side:
+                    if mj:
+                        nodes += 1
+                        if nodes > budget:
+                            raise _BudgetHit
+                        chain(here + (mj,), mj * a + b, a, G, length + 1)
+                    if between:
+                        nodes += 1
+                        if nodes > budget:
+                            raise _BudgetHit
+                    mj = side
+                elif between:
+                    pending += 1
+                nodes += 1
+                if nodes > budget:
+                    raise _BudgetHit
+                here += (mj,)
+                cn, cd = mj * a + b, a
+                length += 1
+                continue
+            # a leaf parent: its kept children are only looked up, in one record
+            # they share, and the chain ends
+            rec = (G, length, here, max_len, b)
             if mj:
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
                 num = mj * a + b
-                if not leaf:
-                    visit(here + (mj,), num, a, G, length + 1, None)
-                elif seen.setdefault((num, a), rec) is not rec:
+                if seen.setdefault((num, a), rec) is not rec:
                     meet(here, mj, num, a, G, length)
             if between:
                 nodes += 1
@@ -543,39 +650,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 if nodes > budget:
                     raise _BudgetHit
                 num = side * a + b
-                if not leaf:
-                    visit(here + (side,), num, a, G, length + 1, None)
-                elif seen.setdefault((num, a), rec) is not rec:
+                if seen.setdefault((num, a), rec) is not rec:
                     meet(here, side, num, a, G, length)
-            # the chain-cut children at |off| >= 2, and at +1 when r0 > 0, counted in
-            # one step; the skipped entry 0 is among them when 2 <= |center| <= reach
-            nodes += cut - (center * center in zero_far)
-            if nodes > budget:
-                nodes = budget + 1
-                raise _BudgetHit
-            return
-        # every child but a closing centre is kept.  An interior parent's children
-        # (r0 + t a)/a lie in the leaf class (a, r0) when a > 2; a class still
-        # missing marks a for the leaf parents that may create it later
-        if prune or a < 3:
-            cls = None
-        else:
-            cls = classes.get((a, r0))
-            if cls is None:
-                mixed.add(a)
-        offs = offsets[1:] if a == 1 else offsets
-        if length == max_k - 1:
-            # only unpruned: a pruned parent at this length is chain-cut
-            settle(here, a, b, G, center, offs, cls)
-            return
-        for off in offs:
-            mj = center + off
-            if mj == 0 and prune:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            visit(here + (mj,), mj * a + b, a, G, length + 1, cls)
+            break
+        nodes += pending
+        if nodes > budget:
+            nodes = budget + 1
+            raise _BudgetHit
 
     def settle(here: tuple[int, ...], a: int, b: int, G: int, center: int,
                offs: Sequence[int], cls: Optional[tuple]) -> None:
@@ -687,20 +768,23 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 # a root with |m0| > 1 is a chain violation at index 0
                 if prune and (m0 > 1) + cq > max_k:
                     continue
-                visit((m0,), m0, 1, 1, 1, None)
+                if cut_from > 1:
+                    visit((m0,), m0, 1, 1, 1, None)
+                else:
+                    chain((m0,), m0, 1, 1, 1)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
         witness = hit.witness._replace(verified=verify_witness(hit.witness))
     finally:
-        # `visit` calls itself through its closure cell, a cycle that would
-        # keep it and the tables alive until a collection (the other closures
-        # form none): free the tables and break the cycle before the collector
-        # may run again
+        # `visit` and `chain` call themselves through their closure cells, two
+        # cycles that would keep them and the tables alive until a collection
+        # (the other closures form none): free the tables and break the cycles
+        # before the collector may run again
         seen.clear()
         classes.clear()
         mixed.clear()
-        visit = None
+        visit = chain = None
         if collecting:
             gc.enable()
     if witness is not None and not witness.verified:
