@@ -1004,6 +1004,21 @@ def test_search_leaves_nothing_for_the_collector(collector_off, case, expected):
     assert gc.collect() == 0
 
 
+def test_search_leaves_nothing_for_the_collector_after_an_error(collector_off, monkeypatch):
+    # an error that leaves the walk through its `finally` frees the table too:
+    # a find at the root's depth, one inside a chain, and an unpruned one
+    def fail(w):
+        raise ArithmeticError("verification failed")
+
+    monkeypatch.setattr(loops, "verify_witness", fail)
+    for q, depth, window, budget in (("5/2", 5, 3, 200_000), ("8/3", 6, 3, 30_000),
+                                     ("7/5", 6, 4, 5_000)):
+        cfg = SearchConfig(max_depth=depth, window=window, node_budget=budget)
+        with pytest.raises(ArithmeticError):
+            search_nonunit_loop(Fraction(q), cfg)
+        assert gc.collect() == 0
+
+
 def test_brute_enumeration_leaves_nothing_for_the_collector(collector_off):
     assert any(w.verified for w in brute_enumerate_loops(Q52, 4, 3))
     assert gc.collect() == 0
