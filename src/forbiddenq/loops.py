@@ -338,16 +338,22 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     known from the centre child's numerator r0 alone: the centre and the side
     child toward zero, or for a = 1 both sides of the closing centre.  It
     settles them directly and counts the others, all with |c| > 1, in offset
-    order without forming them.  The chain-cut states (length >= cut_from,
-    pruned searches only) are walked by ``chain`` in one loop, not in a call
-    each: nearly every one keeps a single child, and a parent's last kept
-    child continues in the loop, while the first of two is walked by a call
-    of its own.  The counts that follow the last kept child's subtree (the
-    cut children, and the -1 child when the side child is 0) have nothing
-    but returns after them, so they wait in a running total that is added,
-    with the same budget stop, when the chain ends at a leaf parent or a
-    skipped repeat: node counts, budget stops and the nodes a certificate
-    reports are those of counting each child in turn.
+    order without forming them.
+
+    One closure, ``walk``, expands every state in one loop: the ``seen``
+    step, the reduced step and the closing test exist once, and the state
+    then branches on its length.  An interior state (length < cut_from)
+    walks each kept child by a call, or hands its children to ``settle``,
+    and returns.  A chain-cut state (length >= cut_from, pruned searches
+    only) keeps at most two children, nearly always one: the last kept child
+    continues in the loop, and the first of two is walked by a call of its
+    own, so the calls nest at most once per level.  The counts that follow
+    the last kept child's subtree (the cut children, and the -1 child when
+    the side child is 0) have nothing but returns after them, so they wait
+    in a running total that is added, with the same budget stop, when the
+    chain ends at a leaf parent or a skipped repeat: node counts, budget
+    stops and the nodes a certificate reports are those of counting each
+    child in turn.
 
     No weight is reduced: a path of k + 1 entries to the reduced value cn/cd
     has the prefix_pairs pair +-G (cn, cd), G the product of the gcds its
@@ -373,7 +379,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     looks its class up once for all of them: on a hit a child new to ``seen``
     compares weights with the class record and is stored with its G, k, path
     and b, as a registered leaf would be; a miss puts a in the set ``mixed``.
-    A leaf parent has no visit of its own: ``settle`` settles it in its
+    A leaf parent is not expanded by ``walk``: ``settle`` settles it in its
     parent's child loop, for the children of a parent at length max_k - 1 and
     for the roots when max_depth = 2 (the children of the empty path, with
     a = 1 and b = 0).  It takes one ``seen`` step against the shared record
@@ -386,9 +392,9 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     budget stop included.  ``leaves`` registers them one by one instead for
     a <= 2, where the centre child can close a loop (a = 1) or a value lies in
     two classes (a = 2, r0 = +-1), and for a new class (a, r0) with a in
-    ``mixed``; in pruned searches every leaf parent is chain-cut, keeps two
-    children and looks them up in ``chain``, so ``visit`` sees neither a
-    chain-cut state nor a leaf parent.  A value of a new class in ``seen``
+    ``mixed``; in pruned searches every leaf parent is chain-cut, and
+    ``walk`` looks its two kept children up as the chain ends, so it expands
+    no leaf parent as an interior state.  A value of a new class in ``seen``
     has the denominator a and entered as the child of an interior parent
     that found the class missing, so every such class is among them.
     A class that first appears in an earlier sibling's subtree thus has its
@@ -398,11 +404,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     slow way: node counts, budget stops and the pair a certificate reports
     are those of registering each leaf in turn.
 
-    ``visit`` and ``chain`` each call themselves through their closure cells,
-    so each forms a reference cycle with its closure and cell; ``settle``,
-    ``leaves``, ``meet`` and ``duplicate`` call no closure that refers back to
-    them, and form none.  The ``finally`` block breaks both cycles on every
-    exit (a return, a budget stop, a certificate or an error) and clears the
+    ``walk`` calls itself through its closure cell, so it forms a reference
+    cycle with its closure and cell; ``settle``, ``leaves``, ``meet`` and
+    ``duplicate`` call no closure that refers back to them, and form none.
+    The ``finally`` block breaks that cycle on every exit (a return, a
+    budget stop, a certificate or an error) and clears the
     tables, which are bounded by ``cfg.node_budget`` (at most
     ``MAX_NODE_BUDGET``), so nothing is left for the cyclic garbage
     collector.  The walk runs with that collector paused; the caller's
@@ -473,94 +479,18 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         if prev[0] * rt[k - prev[1]] != G:
             raise duplicate(prev, here + (mj,), num, a, G, k)
 
-    def visit(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
-              cls: Optional[tuple]) -> None:
-        # an interior state that is neither chain-cut nor a leaf parent: length =
-        # len(here) < min(cut_from, max_k).  cls is the record of the leaf class its
-        # parent found, or None: a value new to `seen` enters as that record and
-        # is met as the class holds it
-        nonlocal nodes
-        rec = (G, length - 1, here, length, None)
-        prev = seen.setdefault((cn, cd), cls or rec)
-        if prev is not rec:
-            d = length - 1 - prev[1]
-            if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
-                raise duplicate(prev, here, cn, cd, G, length - 1)
-            if prev[3] <= length:
-                return
-            seen[cn, cd] = (prev[0], prev[1], prev[2], length, prev[4])
-        # the step of continuants.prefix_pairs, inlined; verify_witness re-checks
-        # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
-        # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
-        # so every child's value is already in lowest terms, and its G is G g
-        a = qn * cn
-        b = qd * cd
-        if a < 0:
-            a, b = -a, -b
-        g = gcd(a, b)
-        if g != 1:
-            a //= g
-            b //= g
-            G *= g
-        # round(-b/a), halves to even: the floor rounds a half up, and -b/a is a
-        # half only if a divides 2b but not b, so a = 2 since gcd(a, b) = 1
-        center = (a - 2 * b) // (2 * a)
-        if a == 2 and center & 1:
-            center -= 1
-        if a == 1:
-            # the centre child, whose entry -b is not 0, closes a loop; no other
-            # child can (see `chain`)
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            if G != rt[length]:
-                raise _Found(LoopWitness(
-                    q=q, loop=here + (center,), provenance="search", verified=False,
-                    weight_squared=Fraction(G ** 2, P ** length)))
-        # every child but a closing centre is kept.  An interior parent's children
-        # (r0 + t a)/a, with r0 = center a + b, lie in the leaf class (a, r0) when
-        # a > 2; a class still missing marks a for the leaf parents that may
-        # create it later
-        if prune or a < 3:
-            cls = None
-        else:
-            cls = classes.get((a, center * a + b))
-            if cls is None:
-                mixed.add(a)
-        offs = offsets[1:] if a == 1 else offsets
-        if length == max_k - 1:
-            # only unpruned: a pruned parent at this length is chain-cut
-            settle(here, a, b, G, center, offs, cls)
-            return
-        if length + 1 >= cut_from:
-            # only pruned: the children are chain-cut, and the entry 0 is skipped
-            for off in offs:
-                mj = center + off
-                if mj:
-                    nodes += 1
-                    if nodes > budget:
-                        raise _BudgetHit
-                    chain(here + (mj,), mj * a + b, a, G, length + 1)
-            return
-        for off in offs:
-            mj = center + off
-            if mj == 0 and prune:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise _BudgetHit
-            visit(here + (mj,), mj * a + b, a, G, length + 1, cls)
-
-    def chain(here: tuple[int, ...], cn: int, cd: int, G: int, length: int) -> None:
-        # a chain-cut state, length = len(here) >= cut_from in a pruned search, and
-        # the chain below it: the last kept child continues in the loop, and the
-        # counts that follow it wait in `pending` until the chain ends
+    def walk(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
+             cls: Optional[tuple]) -> None:
+        # an expanded state, length = len(here) <= max_k, and in a pruned search the
+        # chain below it: a chain-cut state's last kept child continues in the loop,
+        # and the counts that follow it wait in `pending` until the chain ends.  cls
+        # is the record of the leaf class an interior parent found, or None: a value
+        # new to `seen` enters as that record and is met as the class holds it
         nonlocal nodes
         pending = 0
         while True:
-            # the `seen` step and the reduced step of `visit`, with no leaf class
             rec = (G, length - 1, here, length, None)
-            prev = seen.setdefault((cn, cd), rec)
+            prev = seen.setdefault((cn, cd), cls or rec)
             if prev is not rec:
                 d = length - 1 - prev[1]
                 if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
@@ -568,6 +498,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 if prev[3] <= length:
                     break
                 seen[cn, cd] = (prev[0], prev[1], prev[2], length, prev[4])
+            # the step of continuants.prefix_pairs, inlined; verify_witness re-checks
+            # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
+            # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
+            # so every child's value is already in lowest terms, and its G is G g
             a = qn * cn
             b = qd * cd
             if a < 0:
@@ -577,6 +511,8 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 a //= g
                 b //= g
                 G *= g
+            # round(-b/a), halves to even: the floor rounds a half up, and -b/a is a
+            # half only if a divides 2b but not b, so a = 2 since gcd(a, b) = 1
             center = (a - 2 * b) // (2 * a)
             if a == 2 and center & 1:
                 center -= 1
@@ -593,11 +529,36 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     raise _Found(LoopWitness(
                         q=q, loop=here + (center,), provenance="search", verified=False,
                         weight_squared=Fraction(G ** 2, P ** length)))
-            # a child with |c| > 1 moves the last violation to index `length`, and
-            # the chain cut drops it.  Two children are kept: for a = 1 the sides
-            # -1 and +1, with c = -+1; otherwise the centre and, since |r0 - a| <= a
-            # iff r0 > 0, the side toward zero.  The other side is counted in
-            # offset order: -1 between the two, +1 with the far children
+            if length < cut_from:
+                # an interior state: every child but a closing centre is kept, and
+                # walked by a call.  Its children (r0 + t a)/a lie in the leaf class
+                # (a, r0) when a > 2; a class still missing marks a for the leaf
+                # parents that may create it later
+                if prune or a < 3:
+                    cls = None
+                else:
+                    cls = classes.get((a, r0))
+                    if cls is None:
+                        mixed.add(a)
+                offs = offsets[1:] if a == 1 else offsets
+                if length == max_k - 1:
+                    # only unpruned: a pruned parent at this length is chain-cut
+                    settle(here, a, b, G, center, offs, cls)
+                    return
+                for off in offs:
+                    mj = center + off
+                    if mj == 0 and prune:
+                        continue
+                    nodes += 1
+                    if nodes > budget:
+                        raise _BudgetHit
+                    walk(here + (mj,), mj * a + b, a, G, length + 1, cls)
+                return
+            # a chain-cut state: a child with |c| > 1 moves the last violation to
+            # index `length`, and the chain cut drops it.  Two children are kept: for
+            # a = 1 the sides -1 and +1, with c = -+1; otherwise the centre and, since
+            # |r0 - a| <= a iff r0 > 0, the side toward zero.  The other side is
+            # counted in offset order: -1 between the two, +1 with the far children
             if r0 > 0:
                 mj, side, between = center, center - 1, False
                 cut = far + (center != -1)
@@ -616,7 +577,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                         nodes += 1
                         if nodes > budget:
                             raise _BudgetHit
-                        chain(here + (mj,), mj * a + b, a, G, length + 1)
+                        walk(here + (mj,), mj * a + b, a, G, length + 1, None)
                     if between:
                         nodes += 1
                         if nodes > budget:
@@ -662,9 +623,13 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                offs: Sequence[int], cls: Optional[tuple]) -> None:
         # the children (center + off)/a of an unpruned parent here at length
         # max_k - 1, or the roots for here = () and max_k = 1, are leaf parents,
-        # settled in this loop without a visit each.  New to `seen`, a child enters
-        # as cls or as one record shared by all of them, the form of a leaf
-        # record: a child of value num/a has the entry (num - b) // a
+        # settled in this loop without a `walk` each.  New to `seen`, a child
+        # enters as cls or as one record shared by all of them, the form of a leaf
+        # record: a child of value num/a has the entry (num - b) // a.  cls is None
+        # unless q = 1/d: for a prime p of qn, of exponent e, v_p(1/(q c)) =
+        # -e - v_p(c), so v_p(c_j) < 0 exactly at odd j, and p divides the
+        # denominator a of these children (index max_k - 1) or that of a leaf
+        # (index max_k), never both, so no leaf class (a, r0) can hold them
         nonlocal nodes
         k = max_k - 1
         shared = (G, k, here, max_k, b)
@@ -684,7 +649,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 if prev[3] <= max_k:
                     continue
                 seen[num, a] = (prev[0], prev[1], prev[2], max_k, prev[4])
-            # the child's step, as in visit: its children are the leaves
+            # the child's step, as in walk: its children are the leaves
             # (ca mj' + cb)/ca, of weight (ca cG)**2 / P**max_k
             if num < 0:
                 ca, cb = -qn * num, -qda
@@ -722,7 +687,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     raise _BudgetHit
                 continue
             if ca == 2 and cc & 1:
-                # round(-cb/ca) halves to even, as in visit
+                # round(-cb/ca) halves to even, as in walk
                 cc -= 1
             leaves(path, ca, cb, cG, cc, rec)
 
@@ -768,23 +733,19 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 # a root with |m0| > 1 is a chain violation at index 0
                 if prune and (m0 > 1) + cq > max_k:
                     continue
-                if cut_from > 1:
-                    visit((m0,), m0, 1, 1, 1, None)
-                else:
-                    chain((m0,), m0, 1, 1, 1)
+                walk((m0,), m0, 1, 1, 1, None)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
         witness = hit.witness._replace(verified=verify_witness(hit.witness))
     finally:
-        # `visit` and `chain` call themselves through their closure cells, two
-        # cycles that would keep them and the tables alive until a collection
-        # (the other closures form none): free the tables and break the cycles
-        # before the collector may run again
+        # `walk` calls itself through its closure cell, a cycle that would keep it
+        # and the tables alive until a collection (the other closures form none):
+        # free the tables and break the cycle before the collector may run again
         seen.clear()
         classes.clear()
         mixed.clear()
-        visit = chain = None
+        walk = None
         if collecting:
             gc.enable()
     if witness is not None and not witness.verified:
