@@ -408,11 +408,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     cycle with its closure and cell; ``settle``, ``leaves``, ``meet`` and
     ``duplicate`` call no closure that refers back to them, and form none.
     The ``finally`` block breaks that cycle on every exit (a return, a
-    budget stop, a certificate or an error) and clears the
-    tables, which are bounded by ``cfg.node_budget`` (at most
-    ``MAX_NODE_BUDGET``), so nothing is left for the cyclic garbage
-    collector.  The walk runs with that collector paused; the caller's
-    collector state is restored on every exit.
+    budget stop, a certificate or an error) and clears the tables, which
+    are bounded by ``cfg.node_budget`` (at most ``MAX_NODE_BUDGET``), so
+    nothing is left for the cyclic garbage collector.  The walk runs with
+    that collector paused; the caller's collector state is restored on
+    every exit.
     """
     q = _positive(q)
     if cfg is None:
