@@ -35,7 +35,7 @@ STATUS_BROKEN = "broken"
 MAX_SEARCH_DEPTH = 256
 
 # hard guard on SearchConfig.node_budget: the search's table grows with the
-# nodes it counts
+# nodes it counts, by records of a size that does not grow with depth
 MAX_NODE_BUDGET = 10**7
 
 # hard guard on SearchConfig.window: the search builds 2*min(window, budget)+1
@@ -307,6 +307,16 @@ class _Found(Exception):
         self.witness = witness
 
 
+def _entries(cell: tuple) -> tuple[int, ...]:
+    """The entries of a search path held as linked cells (parent, entry), () empty."""
+    out = []
+    while cell:
+        cell, m = cell
+        out.append(m)
+    out.reverse()
+    return tuple(out)
+
+
 def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> SearchResult:
     """Bounded depth-first search for a certificate that q is forbidden.
 
@@ -368,6 +378,11 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     an unpruned search: (G, k, the parent's path, expanded length, the
     parent's reduced b).  A child with value num/a has the entry
     (num - b) // a, and its own path is rebuilt only for a certificate.
+    A path is held as a linked cell (parent's cell, last entry), () for the
+    empty path, so a state extends its parent's path and a record holds it
+    at a cost that does not grow with the length; the tuple of entries is
+    built only for a certificate, a closing loop or both paths of a
+    duplicate-c pair.
 
     Outside (2, 4) a leaf parent's record is stored once per leaf class, not
     once per leaf.  A leaf parent with a >= 3 has the leaves (r0 + t a)/a for
@@ -443,17 +458,20 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     # entry 0, at offset -center, has 2 <= |off| <= reach iff center**2 is here
     zero_far = range(4, reach * reach + 1)
 
-    # c-value -> (G, k, path, expanded length, b): by the prefix_pairs telescoping
-    # the path's weight is (cd G)**2 / P**k; b is None for a path of its own, and
-    # the parent's reduced b in the record it shares with its leaf children
-    seen: dict[tuple[int, int],
-               tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
+    # c-value -> (G, k, path cell, expanded length, b): by the prefix_pairs
+    # telescoping the path's weight is (cd G)**2 / P**k; b is None for a path of
+    # its own, and the parent's reduced b in the record it shares with its leaf
+    # children, whose path cell is the parent's
+    seen: dict[tuple[int, int], tuple[int, int, tuple, int, Optional[int]]] = {}
     # leaf class (a, r0) -> the record its first parent shares with its leaf
     # children (unpruned searches only); and the a of every interior parent
     # that found its class (a, r0) missing, whose children `seen` may hold
-    classes: dict[tuple[int, int],
-                  tuple[int, int, tuple[int, ...], int, Optional[int]]] = {}
+    classes: dict[tuple[int, int], tuple[int, int, tuple, int, Optional[int]]] = {}
     mixed: set[int] = set()
+    seen_at = seen.setdefault
+    class_at = classes.setdefault
+    # the sign-normalised step takes -qn and -qd for a negative value
+    nqn, nqd = -qn, -qd
     nodes = 0
     # rt[d] = sqrt(P**d) where that is an integer, else 0, up to the largest k < budget
     P = qn * qd
@@ -461,36 +479,37 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
     while len(rt) < min(max_len, budget):
         rt.append(rt[-2] * P)
 
-    def duplicate(prev, second: tuple[int, ...], cn, cd, G, k) -> _Found:
-        # a child's own entry, in a shared record, is (num - b) // a, exactly: its
-        # key is (m a + b, a)
-        first = prev[2] if prev[4] is None else prev[2] + ((cn - prev[4]) // cd,)
+    def duplicate(prev, second: tuple, cn, cd, G, k) -> _Found:
+        # second is the other path's cell; a child's own entry, in a shared record,
+        # is (num - b) // a, exactly: its key is (m a + b, a)
+        first = prev[2] if prev[4] is None else (prev[2], (cn - prev[4]) // cd)
         return _Found(LoopWitness(
-            q=q, loop=first, weight_squared=Fraction((cd * prev[0]) ** 2, P ** prev[1]),
-            provenance="duplicate-c", verified=False, other_loop=second,
+            q=q, loop=_entries(first), weight_squared=Fraction((cd * prev[0]) ** 2, P ** prev[1]),
+            provenance="duplicate-c", verified=False, other_loop=_entries(second),
             other_weight_squared=Fraction((cd * G) ** 2, P ** k), c_value=Fraction(cn, cd)))
 
-    def meet(here: tuple[int, ...], mj: int, num: int, a: int, G: int, k: int) -> None:
-        # the leaf here + (mj,), of value num/a, meets a value `seen` holds, at a k
+    def meet(here: tuple, mj: int, num: int, a: int, G: int, k: int) -> None:
+        # the leaf (here, mj), of value num/a, meets a value `seen` holds, at a k
         # no greater than its own: a different weight ends the walk.  A leaf
         # looks itself up inline and calls this only on a hit, as a call per
         # leaf costs measurable time
         prev = seen[num, a]
         if prev[0] * rt[k - prev[1]] != G:
-            raise duplicate(prev, here + (mj,), num, a, G, k)
+            raise duplicate(prev, (here, mj), num, a, G, k)
 
-    def walk(here: tuple[int, ...], cn: int, cd: int, G: int, length: int,
+    def walk(here: tuple, cn: int, cd: int, G: int, length: int,
              cls: Optional[tuple]) -> None:
-        # an expanded state, length = len(here) <= max_k, and in a pruned search the
-        # chain below it: a chain-cut state's last kept child continues in the loop,
-        # and the counts that follow it wait in `pending` until the chain ends.  cls
-        # is the record of the leaf class an interior parent found, or None: a value
-        # new to `seen` enters as that record and is met as the class holds it
+        # an expanded state, whose path cell here holds length <= max_k entries, and
+        # in a pruned search the chain below it: a chain-cut state's last kept child
+        # continues in the loop, and the counts that follow it wait in `pending`
+        # until the chain ends.  cls is the record of the leaf class an interior
+        # parent found, or None: a value new to `seen` enters as that record and
+        # is met as the class holds it
         nonlocal nodes
         pending = 0
         while True:
             rec = (G, length - 1, here, length, None)
-            prev = seen.setdefault((cn, cd), cls or rec)
+            prev = seen_at((cn, cd), cls or rec)
             if prev is not rec:
                 d = length - 1 - prev[1]
                 if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
@@ -502,33 +521,37 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             # every witness.  The child value is (m a + b)/a with a = qn cn, b = qd cd,
             # signed so that a > 0 and reduced once: gcd(m a + b, a) = gcd(b, a) = 1,
             # so every child's value is already in lowest terms, and its G is G g
-            a = qn * cn
-            b = qd * cd
-            if a < 0:
-                a, b = -a, -b
+            if cn < 0:
+                a, b = nqn * cn, nqd * cd
+            else:
+                a, b = qn * cn, qd * cd
             g = gcd(a, b)
             if g != 1:
                 a //= g
                 b //= g
                 G *= g
             # round(-b/a), halves to even: the floor rounds a half up, and -b/a is a
-            # half only if a divides 2b but not b, so a = 2 since gcd(a, b) = 1
+            # half only if a divides 2b but not b, so a = 2 since gcd(a, b) = 1.  The
+            # centre child's numerator r0 = center a + b has |r0| <= a/2, and it is 0
+            # only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a, so
+            # only the centre can close, and every child with |off| >= 2 has |c| > 1
             center = (a - 2 * b) // (2 * a)
-            if a == 2 and center & 1:
-                center -= 1
-            # the centre child's numerator r0 = center a + b has |r0| <= a/2, and it
-            # is 0 only for a = 1: a child at offset off has |num| >= (|off| - 1/2) a,
-            # so only the centre can close, and every child with |off| >= 2 has |c| > 1
-            r0 = center * a + b
-            if a == 1:
+            if a > 2:
+                r0 = center * a + b
+            elif a == 2:
+                if center & 1:
+                    center -= 1
+                r0 = 2 * center + b
+            else:
                 # r0 = 0: the centre child, whose entry -b is not 0, closes a loop
+                r0 = 0
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
                 if G != rt[length]:
                     raise _Found(LoopWitness(
-                        q=q, loop=here + (center,), provenance="search", verified=False,
-                        weight_squared=Fraction(G ** 2, P ** length)))
+                        q=q, loop=_entries((here, center)), provenance="search",
+                        verified=False, weight_squared=Fraction(G ** 2, P ** length)))
             if length < cut_from:
                 # an interior state: every child but a closing centre is kept, and
                 # walked by a call.  Its children (r0 + t a)/a lie in the leaf class
@@ -552,7 +575,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                     nodes += 1
                     if nodes > budget:
                         raise _BudgetHit
-                    walk(here + (mj,), mj * a + b, a, G, length + 1, cls)
+                    walk((here, mj), mj * a + b, a, G, length + 1, cls)
                 return
             # a chain-cut state: a child with |c| > 1 moves the last violation to
             # index `length`, and the chain cut drops it.  Two children are kept: for
@@ -577,7 +600,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                         nodes += 1
                         if nodes > budget:
                             raise _BudgetHit
-                        walk(here + (mj,), mj * a + b, a, G, length + 1, None)
+                        walk((here, mj), mj * a + b, a, G, length + 1, None)
                     if between:
                         nodes += 1
                         if nodes > budget:
@@ -588,7 +611,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 nodes += 1
                 if nodes > budget:
                     raise _BudgetHit
-                here += (mj,)
+                here = (here, mj)
                 cn, cd = mj * a + b, a
                 length += 1
                 continue
@@ -600,7 +623,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 if nodes > budget:
                     raise _BudgetHit
                 num = mj * a + b
-                if seen.setdefault((num, a), rec) is not rec:
+                if seen_at((num, a), rec) is not rec:
                     meet(here, mj, num, a, G, length)
             if between:
                 nodes += 1
@@ -611,7 +634,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 if nodes > budget:
                     raise _BudgetHit
                 num = side * a + b
-                if seen.setdefault((num, a), rec) is not rec:
+                if seen_at((num, a), rec) is not rec:
                     meet(here, side, num, a, G, length)
             break
         nodes += pending
@@ -619,14 +642,14 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             nodes = budget + 1
             raise _BudgetHit
 
-    def settle(here: tuple[int, ...], a: int, b: int, G: int, center: int,
+    def settle(here: tuple, a: int, b: int, G: int, center: int,
                offs: Sequence[int], cls: Optional[tuple]) -> None:
-        # the children (center + off)/a of an unpruned parent here at length
-        # max_k - 1, or the roots for here = () and max_k = 1, are leaf parents,
-        # settled in this loop without a `walk` each.  New to `seen`, a child
-        # enters as cls or as one record shared by all of them, the form of a leaf
-        # record: a child of value num/a has the entry (num - b) // a.  cls is None
-        # unless q = 1/d: for a prime p of qn, of exponent e, v_p(1/(q c)) =
+        # the children (center + off)/a of an unpruned parent, of path cell here at
+        # length max_k - 1, or the roots for here = () and max_k = 1, are leaf
+        # parents, settled in this loop without a `walk` each.  New to `seen`, a
+        # child enters as cls or as one record shared by all of them, the form of a
+        # leaf record: a child of value num/a has the entry (num - b) // a.  cls is
+        # None unless q = 1/d: for a prime p of qn, of exponent e, v_p(1/(q c)) =
         # -e - v_p(c), so v_p(c_j) < 0 exactly at odd j, and p divides the
         # denominator a of these children (index max_k - 1) or that of a leaf
         # (index max_k), never both, so no leaf class (a, r0) can hold them
@@ -635,24 +658,25 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
         shared = (G, k, here, max_k, b)
         entry = cls or shared
         qda = qd * a
+        nqda = nqd * a
         for off in offs:
             mj = center + off
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
             num = mj * a + b
-            prev = seen.setdefault((num, a), entry)
+            prev = seen_at((num, a), entry)
             if prev is not shared:
                 d = k - prev[1]
                 if prev[0] * rt[d] != G if d >= 0 else G * rt[-d] != prev[0]:
-                    raise duplicate(prev, here + (mj,), num, a, G, k)
+                    raise duplicate(prev, (here, mj), num, a, G, k)
                 if prev[3] <= max_k:
                     continue
                 seen[num, a] = (prev[0], prev[1], prev[2], max_k, prev[4])
             # the child's step, as in walk: its children are the leaves
             # (ca mj' + cb)/ca, of weight (ca cG)**2 / P**max_k
             if num < 0:
-                ca, cb = -qn * num, -qda
+                ca, cb = nqn * num, nqda
             else:
                 ca, cb = qn * num, qda
             g = gcd(ca, cb)
@@ -662,40 +686,42 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 ca //= g
                 cb //= g
                 cG = G * g
-            cc = (ca - 2 * cb) // (2 * ca)
-            path = here + (mj,)
+            path = (here, mj)
             rec = (cG, max_k, path, max_len, cb)
             if ca > 2:
                 # the leaves are the values (r0 + t ca)/ca, |t| <= reach, none zero:
-                # r0 is cb's centred residue, unique for ca > 2
-                r0 = cc * ca + cb
-                prev = classes.setdefault((ca, r0), rec)
+                # r0 is cb's centred residue, unique for ca > 2, as gcd(ca, cb) = 1
+                # rules out r0 = +-ca/2; so r0 = cc ca + cb for the centre entry cc
+                h = ca >> 1
+                r0 = (cb + h) % ca - h
+                prev = class_at((ca, r0), rec)
                 if prev is not rec:
                     if prev[0] != cG and nodes < budget:
                         # every value of an existing class has its weight, and every
                         # leaf has k = max_k: only the centre leaf can be a mismatch
                         nodes += 1
-                        raise duplicate(seen.get((r0, ca)) or prev, path + (cc,),
-                                        r0, ca, cG, max_k)
+                        raise duplicate(seen.get((r0, ca)) or prev,
+                                        (path, (r0 - cb) // ca), r0, ca, cG, max_k)
                 elif ca in mixed:
                     # a new class whose values `seen` may hold
-                    leaves(path, ca, cb, cG, cc, rec)
+                    leaves(path, ca, cb, cG, (r0 - cb) // ca, rec)
                     continue
                 nodes += width
                 if nodes > budget:
                     nodes = budget + 1
                     raise _BudgetHit
                 continue
+            # round(-cb/ca), halves to even, as in walk
+            cc = (ca - 2 * cb) // (2 * ca)
             if ca == 2 and cc & 1:
-                # round(-cb/ca) halves to even, as in walk
                 cc -= 1
             leaves(path, ca, cb, cG, cc, rec)
 
-    def leaves(here: tuple[int, ...], a: int, b: int, G: int, center: int,
-               rec: tuple) -> None:
-        # the leaves (center + off)/a of the unpruned leaf parent here, registered
-        # one by one: for a = 1, whose centre closes a loop, a = 2, where a value
-        # lies in two classes, and a new class (a, r0) with a in `mixed`
+    def leaves(here: tuple, a: int, b: int, G: int, center: int, rec: tuple) -> None:
+        # the leaves (center + off)/a of the unpruned leaf parent of path cell here,
+        # registered one by one: for a = 1, whose centre closes a loop, a = 2,
+        # where a value lies in two classes, and a new class (a, r0) with a in
+        # `mixed`
         nonlocal nodes
         if a == 1:
             nodes += 1
@@ -703,15 +729,15 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 raise _BudgetHit
             if G != rt[max_k]:
                 raise _Found(LoopWitness(
-                    q=q, loop=here + (center,), provenance="search", verified=False,
-                    weight_squared=Fraction(G ** 2, P ** max_k)))
+                    q=q, loop=_entries((here, center)), provenance="search",
+                    verified=False, weight_squared=Fraction(G ** 2, P ** max_k)))
         for off in offsets[1:] if a == 1 else offsets:
             mj = center + off
             nodes += 1
             if nodes > budget:
                 raise _BudgetHit
             num = mj * a + b
-            if seen.setdefault((num, a), rec) is not rec:
+            if seen_at((num, a), rec) is not rec:
                 meet(here, mj, num, a, G, max_k)
 
     witness = None
@@ -733,7 +759,7 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
                 # a root with |m0| > 1 is a chain violation at index 0
                 if prune and (m0 > 1) + cq > max_k:
                     continue
-                walk((m0,), m0, 1, 1, 1, None)
+                walk(((), m0), m0, 1, 1, 1, None)
     except _BudgetHit:
         exhausted = True
     except _Found as hit:
