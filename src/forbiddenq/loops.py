@@ -308,7 +308,7 @@ class _Found(Exception):
 
 
 def _entries(cell: tuple) -> tuple[int, ...]:
-    """The entries of a search path held as linked cells (parent, entry), () empty."""
+    """The entries, root first, of a search path held as cells (parent, entry)."""
     out = []
     while cell:
         cell, m = cell
@@ -718,10 +718,10 @@ def search_nonunit_loop(q: RationalLike, cfg: Optional[SearchConfig] = None) -> 
             leaves(path, ca, cb, cG, cc, rec)
 
     def leaves(here: tuple, a: int, b: int, G: int, center: int, rec: tuple) -> None:
-        # the leaves (center + off)/a of the unpruned leaf parent of path cell here,
-        # registered one by one: for a = 1, whose centre closes a loop, a = 2,
-        # where a value lies in two classes, and a new class (a, r0) with a in
-        # `mixed`
+        # the leaves (center + off)/a of the unpruned leaf parent of path cell
+        # here, registered one by one: for a = 1, whose centre closes a loop,
+        # a = 2, where a value lies in two classes, and a new class (a, r0) with
+        # a in `mixed`
         nonlocal nodes
         if a == 1:
             nodes += 1
