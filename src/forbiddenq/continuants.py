@@ -2,8 +2,9 @@
 
 ``prefix_pairs`` is the continued-fraction recurrence c -> m + 1/(q c) of
 :mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
-every exact loop evaluation in the package runs through it except one
-inlined copy of its step, the search's, reduced, and ``ratio_in_q``, read
+every exact loop evaluation in the package runs through it except the
+search's step, inlined and reduced in two copies (``walk`` and ``settle``
+in :func:`forbiddenq.loops.search_nonunit_loop`), and ``ratio_in_q``, read
 off ``g_poly``.
 
 The alternating-sign specialization ``g_poly(n)`` is a rescaled Chebyshev
@@ -122,8 +123,9 @@ def _u_brackets(n: int) -> list[tuple[int, Fraction, Fraction]]:
     (least at n = 3, tending to pi**2/(n+1)**2; checked in floats for
     n <= 5000), and the rounding moves it by at most 1/(32*(n+1)**2).  No
     root is isolated here; :func:`isolate_root` certifies the one root of
-    the bracket it is given by a Sturm count at its two ends.  ``n`` is
-    checked as :func:`ratio_in_q` checks it, before the O(n) cuts are listed.
+    the bracket it is given by one Descartes count, which is exact since
+    every root of the denominator is real and simple.  ``n`` is checked as
+    :func:`ratio_in_q` checks it, before the O(n) cuts are listed.
     """
     _check_ratio_order(n)
     half, grid = (n + 1) // 2, 16 * (n + 1) ** 2
@@ -139,10 +141,11 @@ def u_point(n: int, u_index: int) -> tuple[int, AlgebraicNumber]:
     """The index j and the certified value of the point ``u_set(n)[u_index]``.
 
     The value is 4*cos(pi*j/(n+1))**2, isolated by :func:`isolate_root` on
-    its half-angle bracket from :func:`_u_brackets`: one Sturm count at the
-    bracket's two ends certifies that it holds that root of the denominator
-    from :func:`ratio_in_q` alone, and none at either end (no cut is a
-    root), and the bracket is narrowed to width <= 1e-12 (``U_SET_WIDTH``).
+    its half-angle bracket from :func:`_u_brackets`: one Descartes count on
+    the bracket certifies that it holds that root of the denominator from
+    :func:`ratio_in_q` alone, two signs that none is at either end (no cut
+    is a root), and the bracket is narrowed to width <= 1e-12
+    (``U_SET_WIDTH``).
     This is the one place a point of ``u_set`` is bracketed and certified,
     and it builds the denominator and the brackets itself, so no caller can
     hand it others.

@@ -3,14 +3,14 @@
 Scalars are `fractions.Fraction` throughout.  Nothing in this module rounds
 unless a float approximation is explicitly requested.  One isolator,
 :func:`isolate_root`, certifies that an interval holds exactly one real
-root: a Sturm sequence of integer pseudo-remainders counts roots exactly,
-using the sign of the integer ``b**d * p(a/b)`` at ``a/b``, and is evaluated
-at the two ends only.  So the Sturm count certifies that the root is unique
-in its interval, and the sign change at the ends, re-checkable by anyone,
-that it is there.  Each call runs one remainder sequence: the Sturm sequence
-of ``p`` itself, which doubles as the square-free test and yields
-gcd(p, p'), and only for ``p`` with a repeated root a second one, of its
-square-free part.  Narrowing an isolated root
+root: Descartes' rule of signs, on the polynomial that a Möbius map of the
+interval onto the positive reals turns ``p`` into, counts one sign
+variation in its integer coefficients (:func:`_variations`).  So the count
+certifies that the root is unique in its interval and simple, and the sign
+change at the ends, re-checkable by anyone, that it is there.  A count of 2
+or more is refused, not searched; for a polynomial with only real roots,
+such as every one the package isolates, the count is the number of roots
+inside.  Narrowing an isolated root
 (:meth:`AlgebraicNumber.refine`) returns the cell plain bisection would end
 on: a cell of one dyadic grid of the interval, the only one there with a
 sign change when the interval holds one root.  It is reached by quadratic
@@ -155,9 +155,6 @@ class IntPoly:
             scale *= b
         return acc
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def content(self) -> int:
         return math.gcd(*self.coeffs)
 
@@ -167,26 +164,6 @@ class IntPoly:
         if g <= 1:
             return self
         return IntPoly([c // g for c in self.coeffs])
-
-
-def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
-    """The remainder of ``a`` divided by ``b`` times a positive integer.
-
-    Each step scales by ``|lead(b)|`` instead of ``lead(b)``, so the result
-    keeps the sign of the true remainder, which a Sturm sequence needs.
-    """
-    r = list(a.coeffs)
-    d = b.degree
-    scale, sign = abs(b.leading), (1 if b.leading > 0 else -1)
-    while len(r) > d:
-        top, shift = r[-1] * sign, len(r) - 1 - d
-        r = [c * scale for c in r]
-        for i, c in enumerate(b.coeffs):
-            r[shift + i] -= top * c
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-    return IntPoly(r)
 
 
 def _exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
@@ -210,36 +187,34 @@ def _exact_div(p: IntPoly, d: IntPoly) -> IntPoly:
     return IntPoly(reversed(quot))
 
 
-def _sturm_sequence(p: IntPoly) -> list[IntPoly]:
-    """p, p', then negated primitive pseudo-remainders down to degree <= 0.
+def _variations(p: IntPoly, lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of the coefficients of ``(1 + y)**d p((hi + lo y)/(1 + y))``.
 
-    This is Euclid's remainder sequence of ``p`` and ``p'`` up to signs, so
-    for ``deg p >= 1`` it ends in a non-zero constant exactly when ``p`` is
-    square-free, and in the zero polynomial when ``p`` has a repeated root.
+    The Möbius map ``y -> (hi + lo y)/(1 + y)`` takes ``(0, oo)`` onto
+    ``(lo, hi)``, so by Descartes' rule of signs the count bounds the
+    roots of ``p`` in ``(lo, hi)``, counted with multiplicity, and has
+    their parity; a count of 1 proves one simple root there (Collins and
+    Akritas, 1976).  With ``lo = A/D`` and ``hi = (A + W)/D`` over one
+    denominator, Horner's rule on the linear map gives the coefficients
+    of ``D**d p((A + W x)/D)``; reversed, they are ``x**d`` times its value
+    at ``1/x``, and the shift ``x -> 1 + y`` ends the transform.  All in
+    integers, in O(d**2) additions and small multiples.
     """
-    seq = [p, p.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-_pseudo_remainder(seq[-2], seq[-1]).primitive())
-    return seq
-
-
-def _square_free(p: IntPoly, seq: list[IntPoly]) -> IntPoly:
-    """Primitive quotient of ``p`` by gcd(p, p'), given ``seq = _sturm_sequence(p)``.
-
-    The Sturm sequence is the remainder sequence of ``p`` and ``p'`` up to
-    signs and positive factors, so gcd(p, p') is its last non-zero entry: the
-    entry before a terminal zero, or a constant when ``p`` is square-free
-    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*).
-    """
-    g = (seq[-2] if seq[-1].is_zero else seq[-1]).primitive()
-    return _exact_div(p, -g if g.leading < 0 else g).primitive()
-
-
-def _sturm_point(seq: list[IntPoly], x: Fraction) -> tuple[int, int]:
-    """(sign of ``seq[0]`` at x, sign variations of the sequence at x)."""
-    signs = [q.sign_at(x) for q in seq]
-    nonzero = [s for s in signs if s]
-    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
+    d = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (d // lo.denominator)
+    w = hi.numerator * (d // hi.denominator) - a
+    cs, scale = [], 1
+    for c in reversed(p.coeffs):
+        # cs <- cs (a + w x) + c scale, low coefficients first
+        cs = [a * u + w * v for u, v in zip(cs + [0], [0] + cs)]
+        cs[0] += c * scale
+        scale *= d
+    cs.reverse()
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += cs[j + 1]
+    signs = [c > 0 for c in cs if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def ratio_float(num: int, den: int) -> float:
@@ -278,7 +253,7 @@ class AlgebraicNumber(_AlgebraicFields):
     """A real algebraic number: a root of ``defining`` in the open ``(lo, hi)``.
 
     Intervals built by :func:`isolate_root` and :meth:`refine` hold exactly
-    one root of ``defining``, a simple one, certified by a Sturm count (a
+    one root of ``defining``, a simple one, certified by a Descartes count (a
     Darboux level's by the families' lemma), and have no root at either
     end.  The constructor re-checks only the sign change at the endpoints,
     which proves an odd number of roots inside, so a value read back from
@@ -286,7 +261,7 @@ class AlgebraicNumber(_AlgebraicFields):
     :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
     interval :func:`isolate_root` certifies and the cells :meth:`refine`
     returns skip that check: their strictly opposite end signs are the ones
-    the Sturm count or :func:`_bisect` has just computed.  ``approx`` is
+    the Descartes count or :func:`_bisect` has just established.  ``approx`` is
     a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
     exactly, which :func:`midpoint_float` computes in one integer division,
     and a midpoint too large for a float is refused with ``ValueError``.
@@ -453,15 +428,20 @@ def isolate_root(
 ) -> AlgebraicNumber:
     """The one root of ``p`` in the open ``(lo, hi)``, to width <= eps.
 
-    One Sturm count certifies the interval: the Sturm sequence of the
-    square-free part of ``p`` (rebuilt only when ``p.primitive()``'s own
-    sequence ends in zero) is evaluated at ``lo`` and ``hi`` only, and by
-    Sturm's theorem ``V(lo) - V(hi)`` roots lie in ``(lo, hi]``.  Unless that
-    count is 1 and neither end is a root, :class:`NoSignChange` is raised: a
-    root at an end is refused, not searched around.  The result's defining
-    polynomial is the square-free part, so its root is simple and the end
-    signs just computed are strictly opposite; :meth:`AlgebraicNumber.refine`
-    narrows the interval without evaluating them again.
+    One Descartes count certifies the interval: :func:`_variations` of
+    ``p.primitive()`` on ``(lo, hi)`` must be exactly 1, which proves one
+    simple root inside, and neither end may be a root; otherwise
+    :class:`NoSignChange` is raised.  A root at an end, or a count of 2 or
+    more, is refused, not searched around.  The count is 1 whenever the
+    union of the two discs circumscribing the equilateral triangles on
+    ``(lo, hi)`` holds one root of ``p``, a simple one, and no other, real
+    or complex (the two-circle theorem; Krandick and Mehlhorn, 2006).  For
+    a polynomial whose roots are all real it is the number of roots
+    inside, so an interval around one simple root of such a polynomial,
+    as every one this package isolates, is never refused.  The result's defining polynomial is ``p.primitive()``,
+    whose end signs a count of 1 makes strictly opposite;
+    :meth:`AlgebraicNumber.refine` narrows the interval without
+    evaluating them again.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:
@@ -471,13 +451,9 @@ def isolate_root(
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
     ps = p.primitive()
-    seq = _sturm_sequence(ps)
-    if seq[-1].is_zero:
-        ps = _square_free(ps, seq)
-        seq = _sturm_sequence(ps)
-    (sign_lo, var_lo), (sign_hi, var_hi) = _sturm_point(seq, lo), _sturm_point(seq, hi)
-    if not sign_lo or not sign_hi:
+    if not ps.sign_at(lo) or not ps.sign_at(hi):
         raise NoSignChange(f"p has a root at an end of ({lo}, {hi})")
-    if var_lo - var_hi != 1:
-        raise NoSignChange(f"{var_lo - var_hi} roots of p in ({lo}, {hi}), need exactly one")
+    count = _variations(ps, lo, hi)
+    if count != 1:
+        raise NoSignChange(f"{count} sign variations for p on ({lo}, {hi}), need exactly one")
     return AlgebraicNumber._cell(ps, lo, hi, midpoint_float(lo, hi)).refine(eps)

@@ -810,7 +810,7 @@ def verify_witness(w: LoopWitness) -> bool:
       continuous and strictly monotone there, so it cannot vanish at both
       ends, and a sign it has at both ends it has throughout.  So no N_j
       vanishes on [lo, hi].
-    * One root, by the lemma rather than a Sturm count: c_n is then finite,
+    * One root, by the lemma rather than a root count: c_n is then finite,
       continuous and strictly monotone on [lo, hi], so den, coprime to num,
       does not vanish there, and num + c*den, and with it its divisor
       ``defining``, has at most one root there, where the loop closes.  The

@@ -28,9 +28,7 @@ from forbiddenq.exact import (
     AlgebraicNumber,
     IntPoly,
     RationalLike,
-    _square_free,
-    _sturm_point,
-    _sturm_sequence,
+    _exact_div,
     midpoint_float,
 )
 from forbiddenq.families import norm_form
@@ -38,6 +36,8 @@ from forbiddenq.loops import (
     BudgetExceeded,
     LoopWitness,
     OutOfRange,
+    SearchConfig,
+    SearchResult,
     _checked,
     _positive,
     _weight,
@@ -67,6 +67,63 @@ def horner_eval(p: IntPoly, x: RationalLike) -> Fraction:
 def parity_split(p: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Split ``p(x) = even(x**2) + x * odd(x**2)`` into its parity parts."""
     return IntPoly(p.coeffs[0::2]), IntPoly(p.coeffs[1::2])
+
+
+def _derivative(p: IntPoly) -> IntPoly:
+    """The derivative ``p'``."""
+    return IntPoly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _pseudo_remainder(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The remainder of ``a`` divided by ``b`` times a positive integer.
+
+    Each step scales by ``|lead(b)|`` instead of ``lead(b)``, so the result
+    keeps the sign of the true remainder, which a Sturm sequence needs.
+    """
+    r = list(a.coeffs)
+    d = b.degree
+    scale, sign = abs(b.leading), (1 if b.leading > 0 else -1)
+    while len(r) > d:
+        top, shift = r[-1] * sign, len(r) - 1 - d
+        r = [c * scale for c in r]
+        for i, c in enumerate(b.coeffs):
+            r[shift + i] -= top * c
+        r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPoly(r)
+
+
+def _sturm_sequence(p: IntPoly) -> list[IntPoly]:
+    """p, p', then negated primitive pseudo-remainders down to degree <= 0.
+
+    This is Euclid's remainder sequence of ``p`` and ``p'`` up to signs, so
+    for ``deg p >= 1`` it ends in a non-zero constant exactly when ``p`` is
+    square-free, and in the zero polynomial when ``p`` has a repeated root.
+    """
+    seq = [p, _derivative(p)]
+    while seq[-1].degree > 0:
+        seq.append(-_pseudo_remainder(seq[-2], seq[-1]).primitive())
+    return seq
+
+
+def _square_free(p: IntPoly, seq: list[IntPoly]) -> IntPoly:
+    """Primitive quotient of ``p`` by gcd(p, p'), given ``seq = _sturm_sequence(p)``.
+
+    The Sturm sequence is the remainder sequence of ``p`` and ``p'`` up to
+    signs and positive factors, so gcd(p, p') is its last non-zero entry: the
+    entry before a terminal zero, or a constant when ``p`` is square-free
+    (Basu, Pollack and Roy, *Algorithms in Real Algebraic Geometry*).
+    """
+    g = (seq[-2] if seq[-1].is_zero else seq[-1]).primitive()
+    return _exact_div(p, -g if g.leading < 0 else g).primitive()
+
+
+def _sturm_point(seq: list[IntPoly], x: Fraction) -> tuple[int, int]:
+    """(sign of ``seq[0]`` at x, sign variations of the sequence at x)."""
+    signs = [q.sign_at(x) for q in seq]
+    nonzero = [s for s in signs if s]
+    return signs[0], sum(s != t for s, t in zip(nonzero, nonzero[1:]))
 
 
 def real_roots(
@@ -113,6 +170,35 @@ def real_roots(
         todo.append((mid, at_mid, b, at_b))
         todo.append((a, at_a, mid, at_mid))
     return out
+
+
+def mobius_variations(p: IntPoly, lo: RationalLike, hi: RationalLike) -> int:
+    """Sign variations of the coefficients of ``(1 + y)**d p((lo + hi y)/(1 + y))``.
+
+    Expanded term by term in ``Fraction``, as the sum of
+    ``c_i (lo + hi y)**i (1 + y)**(d - i)``, to check the integer transform
+    of ``exact._variations``, which maps ``y`` to ``1/y`` and so lists the
+    same coefficients in reverse order, scaled by ``D**d > 0``.
+    """
+    lo, hi, d = Fraction(lo), Fraction(hi), p.degree
+
+    def times(u: list, v: list) -> list:
+        out = [Fraction(0)] * (len(u) + len(v) - 1)
+        for i, a in enumerate(u):
+            for j, b in enumerate(v):
+                out[i + j] += a * b
+        return out
+
+    total = [Fraction(0)] * (d + 1)
+    for i, c in enumerate(p.coeffs):
+        term = [Fraction(c)]
+        for _ in range(i):
+            term = times(term, [lo, hi])
+        for _ in range(d - i):
+            term = times(term, [Fraction(1), Fraction(1)])
+        total = [s + t for s, t in zip(total, term)]
+    signs = [c > 0 for c in total if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def ratio_by_prefix_pairs(n: int) -> tuple[IntPoly, IntPoly]:
@@ -290,6 +376,91 @@ def brute_enumerate_loops(
                         verified=False)
         witnesses.append(w._replace(verified=verify_witness(w)))
     return witnesses
+
+
+class _Stop(Exception):
+    """Ends :func:`reference_search`: ``witness`` is None for a budget stop."""
+
+    def __init__(self, witness: Union[LoopWitness, None] = None):
+        self.witness = witness
+
+
+def reference_search(q: RationalLike, cfg: SearchConfig) -> SearchResult:
+    """What ``search_nonunit_loop``'s docstring describes, the plain way.
+
+    Every child is counted against the budget and settled in offset order
+    (0, -1, +1, -2, ...) around round(-1/(q c)), halves to even, and an
+    interior child is descended into at once, depth first.  A closing child
+    with squared weight != 1 is a "search" witness.  In a pruned search
+    (2 < q < 4) entry 0 is never offered, a root is cut when
+    ``(m0 > 1) + C(q) > max_depth - 1``, and a child with |c| > 1 is cut once
+    its parent's length reaches ``max_depth - 1 - C(q)``.  Every other child
+    meets the one table ``seen``: each value's first path, its weight (the
+    ``Fraction`` D**2 / (qn qd)**k of its unreduced ``prefix_pairs`` pair)
+    and the shortest length it was expanded at, ``max_depth`` for a leaf.
+    Another weight at the same value is a "duplicate-c" witness; a value
+    already expanded at a length no greater than the child's is not
+    expanded again.  No class table, gcd product, bulk count or linked cell:
+    the fast search must give the same ``SearchResult`` by those means.
+    """
+    q = _positive(q)
+    qn, qd = q.numerator, q.denominator
+    prune = 2 < q < 4
+    max_len, budget = cfg.max_depth, cfg.node_budget
+    cq = chain_length(q, max_len) if prune else 0
+    cut_from = max_len - 1 - cq if prune else max_len
+    offsets = [0] + [s * d for d in range(1, min(cfg.window, budget) + 1) for s in (-1, 1)]
+    seen: dict = {}
+    nodes = 0
+
+    def count() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise _Stop
+
+    def visit(path: tuple, num: int, den: int) -> None:
+        # path has value c = num/den, its unreduced prefix_pairs pair
+        c, w = Fraction(num, den), Fraction(den * den, (qn * qd) ** (len(path) - 1))
+        prev = seen.get(c)
+        if prev is None:
+            seen[c] = [path, w, len(path)]
+        elif prev[1] != w:
+            raise _Stop(LoopWitness(
+                q=q, loop=prev[0], weight_squared=prev[1], provenance="duplicate-c",
+                verified=False, other_loop=path, other_weight_squared=w, c_value=c))
+        elif prev[2] <= len(path):
+            return
+        else:
+            prev[2] = len(path)
+        if len(path) == max_len:
+            return
+        center = round(Fraction(-qd * den, qn * num))
+        for off in offsets:
+            mj = center + off
+            if prune and mj == 0:
+                continue
+            count()
+            child = (mj * qn * num + qd * den, qn * num)
+            if child[0] == 0:
+                w = Fraction(child[1] ** 2, (qn * qd) ** len(path))
+                if w != 1:
+                    raise _Stop(LoopWitness(q=q, loop=path + (mj,), weight_squared=w,
+                                            provenance="search", verified=False))
+            elif not (len(path) >= cut_from and abs(child[0]) > abs(child[1])):
+                visit(path + (mj,), *child)
+
+    witness, exhausted = None, False
+    try:
+        for m0 in range(1, cfg.window + 1):
+            count()
+            if not (prune and (m0 > 1) + cq > max_len - 1):
+                visit((m0,), m0, 1)
+    except _Stop as stop:
+        witness, exhausted = stop.witness, stop.witness is None
+    if witness is not None:
+        witness = witness._replace(verified=verify_witness(witness))
+    return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
 
 
 def check_chain_proposition(q: RationalLike, witnesses: Sequence[LoopWitness]) -> bool:

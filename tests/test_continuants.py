@@ -6,6 +6,7 @@ import pytest
 
 from forbiddenq.continuants import (
     MAX_G_DEGREE,
+    _u_brackets,
     g_poly,
     g_roots,
     prefix_pairs,
@@ -267,15 +268,23 @@ def test_u_point_takes_no_denominator_or_brackets_of_the_caller():
 
 
 def test_u_set_makes_one_sturm_count_per_point(monkeypatch):
-    # isolate_root evaluates the Sturm sequence at its two ends and nowhere
-    # else, so each point of u_set costs exactly two evaluations
+    # isolate_root certifies each point of u_set by one Descartes count on
+    # its half-angle bracket, of the denominator itself, and every bracket
+    # counts exactly 1: den has only real, simple roots, one per bracket
     calls = []
-    point = exact._sturm_point
-    monkeypatch.setattr(exact, "_sturm_point", lambda seq, x: calls.append(x) or point(seq, x))
-    for n in range(1, 41):
+    variations = exact._variations
+
+    def recording(p, lo, hi):
+        calls.append((p, lo, hi, variations(p, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(exact, "_variations", recording)
+    for n in range(1, 101):
         calls.clear()
         points = u_set(n)
-        assert len(calls) == 2 * len(points), n
+        _, den = ratio_in_q(n)
+        assert [call[1:] for call in calls] == [(lo, hi, 1) for _, lo, hi in _u_brackets(n)], n
+        assert len(calls) == len(points) and all(call[0] == den for call in calls), n
 
 
 @pytest.mark.parametrize("call", [

@@ -13,7 +13,7 @@ from forbiddenq.exact import (
     NoSignChange,
     isolate_root,
 )
-from oracles import horner_eval, parity_split, real_roots
+from oracles import horner_eval, mobius_variations, parity_split, real_roots
 
 
 def rand_poly(rng, max_deg=6, bound=9):
@@ -122,11 +122,12 @@ def test_isolate_root_no_sign_change():
 
 def test_isolate_root_defensive_square_free():
     # (q - 1) * (q - 3)**2 on [0, 2]: the double root outside the bracket
-    # must not defeat isolation of the simple root at 1
+    # must not defeat isolation of the simple root at 1, and p itself, not
+    # its square-free part, defines the root
     p = IntPoly([-9, 15, -7, 1])
     alg = isolate_root(p, 0, 2)
     assert abs(alg.approx - 1.0) < 1e-9
-    assert alg.defining.degree == 2
+    assert alg.defining == p and alg.defining.degree == 3
 
 
 def test_sign_change_certificate_reevaluates():
@@ -190,23 +191,28 @@ def test_isolate_root_midpoint_hits_the_root():
 @pytest.mark.parametrize("p", [IntPoly([0, -1, 1]), IntPoly([0, 1, -2, 1])])
 def test_isolate_root_refuses_a_root_at_an_end(p, lo, hi):
     # x(x - 1) and x(x - 1)**2: one root inside each interval and one at an
-    # end, which the single Sturm count at the ends refuses rather than searches
+    # end, which the single count refuses rather than searches around
     assert p.sign_at(Fraction(lo)) * p.sign_at(Fraction(hi)) == 0
     with pytest.raises(NoSignChange, match="at an end"):
         isolate_root(p, lo, hi)
 
 
-@pytest.mark.parametrize("p,runs", [(IntPoly([0, 1, -2, 1]), 2), (IntPoly([0, -1, 1]), 1)])
-def test_isolate_root_reuses_the_square_free_part(monkeypatch, p, runs):
-    # the root 1 takes its defining polynomial from the Sturm count's
-    # sequence: one Sturm sequence for a square-free p, and one more for the
-    # square-free part of x(x - 1)**2
+@pytest.mark.parametrize("p,count", [(IntPoly([0, 1, -2, 1]), 2), (IntPoly([0, -1, 1]), 1)])
+def test_isolate_root_reuses_the_square_free_part(monkeypatch, p, count):
+    # one Descartes count on (1/2, 2) decides: x(x - 1) counts 1 and defines
+    # its root 1 itself, while the double root 1 of x(x - 1)**2 counts 2 and
+    # is refused, as no square-free part is taken
     calls = []
-    build = exact._sturm_sequence
-    monkeypatch.setattr(exact, "_sturm_sequence", lambda s: calls.append(s) or build(s))
-    alg = isolate_root(p, Fraction(1, 2), 2)
-    assert alg.defining == IntPoly([0, -1, 1]) and alg.compare_rational(1) == 0
-    assert len(calls) == runs
+    variations = exact._variations
+    monkeypatch.setattr(exact, "_variations",
+                        lambda *args: calls.append(variations(*args)) or calls[-1])
+    if count == 1:
+        alg = isolate_root(p, Fraction(1, 2), 2)
+        assert alg.defining == IntPoly([0, -1, 1]) and alg.compare_rational(1) == 0
+    else:
+        with pytest.raises(NoSignChange, match="2 sign variations"):
+            isolate_root(p, Fraction(1, 2), 2)
+    assert calls == [count]
 
 
 def test_compare_rational_inside_a_wide_interval():
@@ -434,3 +440,49 @@ def test_refine_checks_a_grid_roots_bracket_in_the_constructor(monkeypatch):
     monkeypatch.setattr(AlgebraicNumber, "_check", lambda x: checked.append(x) or check(x))
     fine = x.refine(Fraction(1, 10**9))
     assert checked == [fine] and fine.lo < Fraction(3, 8) < fine.hi
+
+
+SMALL_ENDS = st.fractions(min_value=-8, max_value=8, max_denominator=16)
+SMALL_WIDTHS = st.fractions(min_value=Fraction(1, 16), max_value=8, max_denominator=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=9), SMALL_ENDS, SMALL_WIDTHS)
+@example([0, 0, 1], Fraction(-1), Fraction(13, 12))  # x**2 on (-1, 1/12): a double root
+@example([-6, 11, -6, 1], Fraction(0), Fraction(4))  # three roots inside
+def test_variations_match_the_fraction_transform(coeffs, lo, width):
+    # the integer transform and the term-by-term Fraction expansion of
+    # (1 + y)**d p((lo + hi y)/(1 + y)) have the same sign variations
+    p = IntPoly(coeffs)
+    assert exact._variations(p, lo, lo + width) == mobius_variations(p, lo, lo + width)
+
+
+INNER = st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda t: 0 < t < 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=9),
+             min_size=1, max_size=7, unique=True),
+    st.data(),
+    INNER,
+    INNER,
+    st.sampled_from([1, -1, 6]),
+)
+def test_distinct_linear_factors_always_isolate(roots, data, t_lo, t_hi, scale):
+    # a product of distinct rational linear factors has only real, simple
+    # roots, so an interval around one of them that holds no other, and
+    # none at an end, counts exactly 1 and is never refused
+    roots.sort()
+    i = data.draw(st.integers(0, len(roots) - 1))
+    r = roots[i]
+    below = roots[i - 1] if i else r - 5
+    above = roots[i + 1] if i + 1 < len(roots) else r + 5
+    lo, hi = r - t_lo * (r - below), r + t_hi * (above - r)
+    p = IntPoly([scale])
+    for x in roots:
+        p = p * IntPoly([-x.numerator, x.denominator])
+    assert exact._variations(p.primitive(), lo, hi) == 1
+    alg = isolate_root(p, lo, hi, Fraction(1, 10**9))
+    assert alg.defining == p.primitive() and alg.compare_rational(r) == 0
+    assert lo <= alg.lo < alg.hi <= hi

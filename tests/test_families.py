@@ -461,15 +461,15 @@ def test_first_level_at_min_c_1_is_the_floor_of_c_n_at_t1():
 @pytest.mark.parametrize("n, u_index", [(4, 1), (16, 6), (60, 3)])
 def test_darboux_builds_sturm_sequences_of_den_only(monkeypatch, n, u_index):
     # each level root is the one sign change the lemma gives, so no level
-    # polynomial gets a Sturm sequence
-    sturm = exact._sturm_sequence
+    # polynomial gets a root count: only den does, for t0
+    variations = exact._variations
     seen = []
 
-    def recording_sturm(p):
+    def recording(p, lo, hi):
         seen.append(p)
-        return sturm(p)
+        return variations(p, lo, hi)
 
-    monkeypatch.setattr(exact, "_sturm_sequence", recording_sturm)
+    monkeypatch.setattr(exact, "_variations", recording)
     darboux_witnesses(n, u_index, 3)
     _, den = ratio_in_q(n)
     assert seen and all(p == den for p in seen)

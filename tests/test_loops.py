@@ -46,6 +46,7 @@ from oracles import (
     check_chain_proposition,
     closed_form_c5,
     parity_split,
+    reference_search,
 )
 
 Q52 = Fraction(5, 2)
@@ -665,6 +666,31 @@ def test_shallow_unpruned_search_budget_sweep_matches_pinned_results():
     # the search that visited each leaf parent in a call of its own
     assert _shallow_budget_sweep_digest() == (
         "4d32d6f0106c5a446f3206876fa48d1fd38039706ee2e070727625468b546abc")
+
+
+def _reference_pool() -> list[tuple[Fraction, SearchConfig]]:
+    # every q = p/d < 6 with d <= 5, pruned or not, at depths 1-7 and windows
+    # 1-4, at budget 1 and at the edges of its node count n: budgets n - 1
+    # (exhausted) and n, or only 1,000 where that budget runs out; then every
+    # golden row and the 29/21 row that the interior class lookup decides
+    pool = []
+    for q in sorted({Fraction(p, d) for d in range(1, 6) for p in range(1, 6 * d)}):
+        for depth in range(1, 8):
+            for window in range(1, 5):
+                nodes = search_nonunit_loop(q, SearchConfig(depth, window, 1_000)).nodes
+                for budget in sorted({1, nodes - 1, nodes} - {0, 1_001}):
+                    pool.append((q, SearchConfig(depth, window, budget)))
+    for (q, depth, window, budget), _ in GOLDEN_SEARCHES + [(("29/21", 6, 4, 50_000), None)]:
+        pool.append((Fraction(q), SearchConfig(depth, window, budget)))
+    return pool
+
+
+def test_reference_search_gives_the_same_results():
+    # the plain search of the docstring, each child counted and settled in
+    # turn with one table of weights, and the fast search agree on every
+    # SearchResult: node count, budget stop and witness
+    for q, cfg in _reference_pool():
+        assert repr(search_nonunit_loop(q, cfg)) == repr(reference_search(q, cfg)), (q, cfg)
 
 
 def test_negation_symmetry():

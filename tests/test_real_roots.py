@@ -5,8 +5,9 @@ For ``real_roots``, the three checks below pin the output down completely:
 the number of roots equals the oracle's count on the whole interval, each
 returned interval holds exactly one root (and each returned rational is a
 root), and the returned sets are disjoint and increasing.  For
-``isolate_root``, the oracle decides when it must succeed, and checks the
-interval it returns.
+``isolate_root``, the ``Fraction`` transform of Descartes' rule in the
+oracles decides when it must succeed, and sympy checks the interval it
+returns.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from forbiddenq.continuants import ratio_in_q
 from forbiddenq.exact import IntPoly, NoSignChange, isolate_root
-from oracles import real_roots
+from oracles import mobius_variations, real_roots
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -76,21 +77,24 @@ WIDTHS = st.fractions(min_value=Fraction(1, 12), max_value=6, max_denominator=12
 @example([0, -1, 1], Fraction(0), Fraction(2), Fraction(1, 3))  # a root at lo
 @example([0, 1, -2, 1], Fraction(-1), Fraction(2), Fraction(1, 3))  # a double root at hi
 @example([-6, 11, -6, 1], Fraction(0), Fraction(4), Fraction(1, 3))  # three roots inside
+@example([0, 0, 1], Fraction(-1), Fraction(13, 12), Fraction(1, 3))  # a double root inside
 def test_isolate_root_matches_sympy(coeffs, lo, width, eps):
-    # isolate_root succeeds exactly when p, whose distinct roots are those of
-    # its square-free part, has none at either end and one inside; its
-    # interval then lies in [lo, hi], has width <= eps, and holds that root
+    # isolate_root succeeds exactly when p has no root at either end and the
+    # Fraction transform of Descartes' rule counts one sign variation; sympy
+    # then counts one distinct root in (lo, hi), and one in the interval
+    # returned, which lies in [lo, hi] and has width <= eps
     hi = lo + width
     p = IntPoly(coeffs)
     oracle = sympy.Poly(list(reversed(p.coeffs)), X)
     one = (oracle.eval(rat(lo)) != 0 and oracle.eval(rat(hi)) != 0
-           and oracle.count_roots(rat(lo), rat(hi)) == 1)
+           and mobius_variations(p, lo, hi) == 1)
     try:
         alg = isolate_root(p, lo, hi, eps)
     except NoSignChange:
         assert not one
         return
     assert one
+    assert oracle.count_roots(rat(lo), rat(hi)) == 1
     assert lo <= alg.lo < alg.hi <= hi and alg.width <= eps
     assert oracle.eval(rat(alg.lo)) != 0 and oracle.eval(rat(alg.hi)) != 0
     assert oracle.count_roots(rat(alg.lo), rat(alg.hi)) == 1
