@@ -1,20 +1,23 @@
 """Independent test oracles for the runtime in ``src/forbiddenq``.
 
 Each one recomputes something the package computes another way: Horner in
-``Fraction`` for :meth:`IntPoly.eval`, the root list ``real_roots`` (Sturm
-counts and bisection over the whole interval, itself checked against sympy
-in ``test_real_roots.py``) for the one-root intervals ``isolate_root``
-certifies by a single count and for the level roots of
-``darboux_witnesses``, the ``prefix_pairs`` walk over ``IntPoly`` for
-``ratio_in_q`` (which reads the parity split of ``g_poly``), the three-term
-recurrence ``f_poly`` for the closed form of ``g_poly``, and subset
-enumeration for ``f_poly`` itself, the float recurrence for the roots of
-``g_poly``, a brute scan of the norm form for the Fibonacci pairs behind
-``pell_witnesses``, the length-5 closed form ``closed_form_c5`` for
-``evaluate_path``, exhaustive ``brute_enumerate_loops`` (an unreduced copy of
-the ``prefix_pairs`` step) for the search, and ``check_chain_proposition``
-for the soundness of its alternating-chain cut.  None of them is on a path
-that produces a certificate.
+``Fraction`` for :meth:`IntPoly.eval`, the root list ``real_roots`` (a Sturm
+sequence of integer pseudo-remainders, counted at the ends and midpoints of
+a bisection over the whole interval, itself checked against sympy in
+``test_real_roots.py``) for the one-root intervals ``isolate_root``
+certifies by a single Descartes count and for the level roots of
+``darboux_witnesses``, the term-by-term ``Fraction`` expansion
+``mobius_variations`` for that count's integer transform, the
+``prefix_pairs`` walk over ``IntPoly`` for ``ratio_in_q`` (which reads the
+parity split of ``g_poly``), the three-term recurrence ``f_poly`` for the
+closed form of ``g_poly``, and subset enumeration for ``f_poly`` itself,
+the float recurrence for the roots of ``g_poly``, a brute scan of the norm
+form for the Fibonacci pairs behind ``pell_witnesses``, the length-5 closed
+form ``closed_form_c5`` for ``evaluate_path``, exhaustive
+``brute_enumerate_loops`` (an unreduced copy of the ``prefix_pairs`` step)
+and the plain ``reference_search`` for the search, and
+``check_chain_proposition`` for the soundness of its alternating-chain cut.
+None of them is on a path that produces a certificate.
 """
 
 from __future__ import annotations
