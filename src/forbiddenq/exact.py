@@ -261,8 +261,8 @@ class AlgebraicNumber(_AlgebraicFields):
     :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
     interval :func:`isolate_root` certifies and the cells :meth:`refine`
     returns skip that check: their strictly opposite end signs are the ones
-    the Descartes count or :func:`_bisect` has just established.  ``approx`` is
-    a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
+    the Descartes count or :func:`_bisect` has just established.  ``approx``
+    is a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
     exactly, which :func:`midpoint_float` computes in one integer division,
     and a midpoint too large for a float is refused with ``ValueError``.
     """
@@ -438,10 +438,10 @@ def isolate_root(
     or complex (the two-circle theorem; Krandick and Mehlhorn, 2006).  For
     a polynomial whose roots are all real it is the number of roots
     inside, so an interval around one simple root of such a polynomial,
-    as every one this package isolates, is never refused.  The result's defining polynomial is ``p.primitive()``,
-    whose end signs a count of 1 makes strictly opposite;
-    :meth:`AlgebraicNumber.refine` narrows the interval without
-    evaluating them again.
+    as every one this package isolates, is never refused.  The result's
+    defining polynomial is ``p.primitive()``, whose end signs a count of 1
+    makes strictly opposite; :meth:`AlgebraicNumber.refine` narrows the
+    interval without evaluating them again.
     """
     lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if eps <= 0:

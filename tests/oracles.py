@@ -461,6 +461,9 @@ def reference_search(q: RationalLike, cfg: SearchConfig) -> SearchResult:
                 visit((m0,), m0, 1)
     except _Stop as stop:
         witness, exhausted = stop.witness, stop.witness is None
+    finally:
+        # `visit` calls itself through its closure cell, as `dfs` above does
+        visit = None
     if witness is not None:
         witness = witness._replace(verified=verify_witness(witness))
     return SearchResult(witness=witness, nodes=nodes, budget_exhausted=exhausted)
