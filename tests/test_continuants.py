@@ -281,10 +281,9 @@ def test_u_set_makes_one_sturm_count_per_point(monkeypatch):
     monkeypatch.setattr(exact, "_variations", recording)
     for n in range(1, 101):
         calls.clear()
-        points = u_set(n)
+        u_set(n)
         _, den = ratio_in_q(n)
-        assert [call[1:] for call in calls] == [(lo, hi, 1) for _, lo, hi in _u_brackets(n)], n
-        assert len(calls) == len(points) and all(call[0] == den for call in calls), n
+        assert calls == [(den, lo, hi, 1) for _, lo, hi in _u_brackets(n)], n
 
 
 @pytest.mark.parametrize("call", [

@@ -482,7 +482,6 @@ def test_distinct_linear_factors_always_isolate(roots, data, t_lo, t_hi, scale):
     p = IntPoly([scale])
     for x in roots:
         p = p * IntPoly([-x.numerator, x.denominator])
-    assert exact._variations(p.primitive(), lo, hi) == 1
     alg = isolate_root(p, lo, hi, Fraction(1, 10**9))
     assert alg.defining == p.primitive() and alg.compare_rational(r) == 0
     assert lo <= alg.lo < alg.hi <= hi
