@@ -135,9 +135,13 @@ def q_from_dict(d: dict) -> Union[Fraction, AlgebraicNumber]:
     interval, approx = d["interval"], float(d["approx"])
     if not isinstance(interval, list) or len(interval) != 2:
         raise ValueError(f"need a two-entry interval, got {interval!r}")
-    # the constructor refuses any approx but the float of the interval midpoint
-    return AlgebraicNumber(poly, _rational_from_json(interval[0]),
-                           _rational_from_json(interval[1]), approx)
+    q = AlgebraicNumber(poly, _rational_from_json(interval[0]),
+                        _rational_from_json(interval[1]))
+    # approx is not a tolerance: the one float it may be is q's own, the
+    # float of the interval midpoint; NaN, which equals nothing, is refused
+    if approx != q.approx:
+        raise ValueError("approx is not the float of the interval midpoint")
+    return q
 
 
 def w2_to_dict(w2: Union[Fraction, loops.FormulaWeight]) -> dict:

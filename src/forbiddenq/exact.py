@@ -18,10 +18,12 @@ interval refinement, secant guesses on ever finer grids, each certified by
 two integer signs, in integers over one power-of-two multiple of a common
 denominator.  Each fact is computed once: the cell's end signs come from
 that search and are not evaluated again, and the :class:`AlgebraicNumber`
-constructor re-checks only intervals that come from elsewhere.  A float of a
-rational (:func:`ratio_float`) is one correctly rounded true division of two
-integers, the value ``float(Fraction(num, den))`` has, with no fraction
-formed or reduced.
+constructor re-checks only intervals that come from elsewhere.  An algebraic
+number is its polynomial and its interval, nothing else: no float is
+computed to build one.  Its float, ``approx``, is derived when it is read:
+the float of the interval midpoint by :func:`ratio_float`, one correctly
+rounded true division of two integers, the value ``float(Fraction(num,
+den))`` has, with no fraction formed or reduced.
 """
 
 from __future__ import annotations
@@ -246,7 +248,6 @@ class _AlgebraicFields(NamedTuple):
     defining: IntPoly
     lo: Fraction
     hi: Fraction
-    approx: float
 
 
 class AlgebraicNumber(_AlgebraicFields):
@@ -261,10 +262,12 @@ class AlgebraicNumber(_AlgebraicFields):
     :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
     interval :func:`isolate_root` certifies and the cells :meth:`refine`
     returns skip that check: their strictly opposite end signs are the ones
-    the Descartes count or :func:`_bisect` has just established.  ``approx``
-    is a defined value, not a tolerance: it must equal ``float((lo + hi) / 2)``
-    exactly, which :func:`midpoint_float` computes in one integer division,
-    and a midpoint too large for a float is refused with ``ValueError``.
+    the Descartes count or :func:`_bisect` has just established.  So the
+    constructor checks two exact facts, ``lo < hi`` and the sign change.
+    ``approx`` (and ``float()``) is not stored but derived: the float of
+    ``(lo + hi) / 2``, which :func:`midpoint_float` computes in one integer
+    division.  A midpoint too large for a float is refused with
+    ``ValueError`` when it is read, not when the number is built.
     """
 
     __slots__ = ()
@@ -284,19 +287,21 @@ class AlgebraicNumber(_AlgebraicFields):
             raise ValueError("empty isolating interval")
         if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
             raise NoSignChange("isolating interval lost its sign-change certificate")
-        if self.approx != midpoint_float(self.lo, self.hi):
-            raise ValueError("approx is not the float of the interval midpoint")
 
     @classmethod
-    def _cell(cls, defining: IntPoly, lo: Fraction, hi: Fraction,
-              approx: float) -> "AlgebraicNumber":
+    def _cell(cls, defining: IntPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
         """The interval ``(lo, hi)`` whose strictly opposite end signs the
         caller has just computed, built without evaluating them again."""
-        return tuple.__new__(cls, (defining, lo, hi, approx))
+        return tuple.__new__(cls, (defining, lo, hi))
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
+
+    @property
+    def approx(self) -> float:
+        """``float((lo + hi) / 2)``; ``ValueError`` if too large for a float."""
+        return midpoint_float(self.lo, self.hi)
 
     def __float__(self) -> float:
         return self.approx
@@ -365,8 +370,7 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicN
     around it, whose sign change the :class:`AlgebraicNumber` constructor
     re-checks; the same interval is returned here.  Any other cell is
     returned as certified by its two end values, with no further
-    evaluation, and the float of its midpoint ``(2x + W)/(2D')`` over its
-    own denominator ``D'``.
+    evaluation.
     """
     en, ed = eps.numerator, eps.denominator
     d = math.lcm(lo.denominator, hi.denominator)
@@ -398,8 +402,7 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicN
         k, fa, fb = (base + j, vj, vm) if m > j else (base + m, vm, vj)
         level, t = fine, 2 * t
     x, den = (a << level) + k * w, d << level
-    return AlgebraicNumber._cell(p, Fraction(x, den), Fraction(x + w, den),
-                                 ratio_float((x << 1) + w, den << 1))
+    return AlgebraicNumber._cell(p, Fraction(x, den), Fraction(x + w, den))
 
 
 def _grid_root(p: IntPoly, a: int, w: int, d: int, g: int, level: int,
@@ -417,7 +420,7 @@ def _grid_root(p: IntPoly, a: int, w: int, d: int, g: int, level: int,
     level -= zeros
     num, den = (a << level) + (g >> zeros) * w, d << level
     r, half = Fraction(num, den), min(eps, Fraction(w, den)) / 2
-    return AlgebraicNumber(p, r - half, r + half, ratio_float(num, den))
+    return AlgebraicNumber(p, r - half, r + half)
 
 
 def isolate_root(
@@ -441,11 +444,10 @@ def isolate_root(
     as every one this package isolates, is never refused.  The result's
     defining polynomial is ``p.primitive()``, whose end signs a count of 1
     makes strictly opposite; :meth:`AlgebraicNumber.refine` narrows the
-    interval without evaluating them again.
+    interval without evaluating them again, and refuses an ``eps`` that is
+    not positive with ``ValueError``.
     """
-    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if p.is_zero:
@@ -456,4 +458,4 @@ def isolate_root(
     count = _variations(ps, lo, hi)
     if count != 1:
         raise NoSignChange(f"{count} sign variations for p on ({lo}, {hi}), need exactly one")
-    return AlgebraicNumber._cell(ps, lo, hi, midpoint_float(lo, hi)).refine(eps)
+    return AlgebraicNumber._cell(ps, lo, hi).refine(eps)

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root, midpoint_float
+from .exact import AlgebraicNumber, IntPoly, isolate_root
 from .continuants import ratio_in_q, u_point
 from .loops import (
     FormulaWeight,
@@ -184,7 +184,7 @@ def _root_in_interval(
     """
     p = target.primitive()
     lead = abs(p.leading)
-    r = AlgebraicNumber(p, t0.lo, t1, midpoint_float(t0.lo, t1))
+    r = AlgebraicNumber(p, t0.lo, t1)
     r = r.refine(min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * lead)))
     while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
         r = r.refine(r.width / 2)

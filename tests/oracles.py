@@ -32,7 +32,6 @@ from forbiddenq.exact import (
     IntPoly,
     RationalLike,
     _exact_div,
-    midpoint_float,
 )
 from forbiddenq.families import norm_form
 from forbiddenq.loops import (
@@ -164,7 +163,7 @@ def real_roots(
         count = at_a[1] - at_b[1] - (at_b[0] == 0)  # roots in the open (a, b)
         if count == 0 or (count == 1 and at_a[0] and at_b[0]):
             if count:
-                out.append(AlgebraicNumber(ps, a, b, midpoint_float(a, b)))
+                out.append(AlgebraicNumber(ps, a, b))
             if at_b[0] == 0:
                 out.append(b)
             continue

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from forbiddenq import exact
+from forbiddenq import cli, exact
 from forbiddenq.continuants import _u_brackets, ratio_in_q, u_set
 from forbiddenq.exact import (
     AlgebraicNumber,
@@ -145,17 +145,20 @@ def test_sign_change_certificate_reevaluates():
 def test_algebraic_number_validation():
     p = IntPoly([1, -3, 1])
     with pytest.raises(ValueError):
-        AlgebraicNumber(p, Fraction(3), Fraction(2), 2.5)
+        AlgebraicNumber(p, Fraction(3), Fraction(2))
     with pytest.raises(NoSignChange):
-        AlgebraicNumber(p, Fraction(3), Fraction(4), 3.5)
-    with pytest.raises(ValueError):
-        AlgebraicNumber(p, Fraction(2), Fraction(3), 5.0)
+        AlgebraicNumber(p, Fraction(3), Fraction(4))
+    # a number is its polynomial and its interval; approx is derived
+    assert AlgebraicNumber._fields == ("defining", "lo", "hi")
+    with pytest.raises(TypeError):
+        AlgebraicNumber(p, Fraction(2), Fraction(3), 2.5)
+    assert AlgebraicNumber(p, Fraction(2), Fraction(3)).approx == 2.5
 
 
 @pytest.mark.parametrize("eps", [0, -1])
 def test_refine_refuses_a_width_that_is_not_positive(eps):
     with pytest.raises(ValueError, match="eps must be positive"):
-        AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), 1.5).refine(eps)
+        AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2)).refine(eps)
 
 
 def test_refine_and_compare():
@@ -225,15 +228,21 @@ def test_compare_rational_inside_a_wide_interval():
 
 
 def test_approx_is_the_float_of_the_midpoint():
-    p = IntPoly([-2, 0, 1])
-    assert AlgebraicNumber(p, Fraction(1), Fraction(3, 2), 1.25).approx == 1.25
+    # approx is derived, and the JSON reader refuses any other float for it
+    x = AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(3, 2))
+    assert x.approx == float(x) == 1.25
+    d = cli.q_to_dict(x)
+    assert d["approx"] == 1.25 and cli.q_from_dict(d) == x
     for approx in (math.nextafter(1.25, 2), 1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            AlgebraicNumber(p, Fraction(1), Fraction(3, 2), approx)
-    # a midpoint too large for a float is refused as input, not as an overflow
+        with pytest.raises(ValueError, match="approx is not the float of the interval midpoint"):
+            cli.q_from_dict({**d, "approx": approx})
+    # a midpoint too large for a float is refused when read, not as an overflow
     big = 10**400
-    with pytest.raises(ValueError):
-        AlgebraicNumber(IntPoly([-big - 1, 1]), Fraction(big), Fraction(big + 2), 1e308)
+    x = AlgebraicNumber(IntPoly([-big - 1, 1]), Fraction(big), Fraction(big + 2))
+    d = {**d, "poly": [str(-big - 1), "1"], "interval": [str(big), str(big + 2)], "approx": 1e308}
+    for read in (lambda: float(x), lambda: x.approx, lambda: cli.q_to_dict(x), lambda: cli.q_from_dict(d)):
+        with pytest.raises(ValueError, match="too large for a float"):
+            read()
 
 
 def test_sign_at_matches_exact_value():
@@ -319,7 +328,7 @@ def test_refine_matches_rational_bisection():
         if lo == hi or p.sign_at(lo) * p.sign_at(hi) >= 0:
             continue
         eps = Fraction(1, rng.choice([3, 10, 10**7, 10**20]))
-        alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
+        alg = AlgebraicNumber(p, lo, hi).refine(eps)
         if len(real_roots(p, lo, hi)) > 1:
             # outside AlgebraicNumber's contract: a sign-change cell of
             # bisection's last grid, perhaps around another root
@@ -372,7 +381,7 @@ def test_refine_returns_bisections_interval_for_a_root_on_the_grid(p, eps):
     # 3/8 is a point of the dyadic grid of (0, 1): bisection meets it as the
     # midpoint of [1/4, 1/2] and returns the narrow interval around it
     # (x**2 = 5/32 has none, for contrast)
-    alg = AlgebraicNumber(p, Fraction(0), Fraction(1), 0.5).refine(eps)
+    alg = AlgebraicNumber(p, Fraction(0), Fraction(1)).refine(eps)
     want = _fraction_bisection(p, Fraction(0), Fraction(1), eps)
     if want[0] == "hit":
         assert want[1:] == (Fraction(3, 8), Fraction(1, 4), Fraction(1, 2))
@@ -385,7 +394,7 @@ def test_refine_meets_a_root_at_the_neighbour_grid_point():
     # bisection meets it as a midpoint and returns the narrow interval around it
     p = IntPoly([-77, 56, -11, 8])
     lo, hi, eps = Fraction(-185, 8), Fraction(71, 8), Fraction(1, 10**6)
-    alg = AlgebraicNumber(p, lo, hi, float((lo + hi) / 2)).refine(eps)
+    alg = AlgebraicNumber(p, lo, hi).refine(eps)
     want = _fraction_bisection(p, lo, hi, eps)
     assert want[:2] == ("hit", Fraction(11, 8))
     assert (alg.lo, alg.hi) == _bracket(*want[1:], eps)
@@ -434,7 +443,7 @@ def test_refine_checks_a_grid_roots_bracket_in_the_constructor(monkeypatch):
     # 3/8 is on the dyadic grid of (0, 1): the narrow interval around it is
     # built by _grid_root, not certified by _bisect's two end values, so
     # the constructor re-checks its sign change
-    x = AlgebraicNumber(IntPoly([-3, 8]), Fraction(0), Fraction(1), 0.5)
+    x = AlgebraicNumber(IntPoly([-3, 8]), Fraction(0), Fraction(1))
     checked = []
     check = AlgebraicNumber._check
     monkeypatch.setattr(AlgebraicNumber, "_check", lambda x: checked.append(x) or check(x))

@@ -260,7 +260,7 @@ def test_root_in_interval_returns_an_exact_root_above_t0():
 
 def test_root_in_interval_refuses_a_sign_change_below_t0():
     # t0 = sqrt(2) on the wide interval (1, 2); the one root, 5/4, is below it
-    t0 = AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2), 1.5)
+    t0 = AlgebraicNumber(IntPoly([-2, 0, 1]), Fraction(1), Fraction(2))
     with pytest.raises(ArithmeticError):
         _root_in_interval(IntPoly([-5, 4]), t0, Fraction(2))
 
@@ -304,7 +304,7 @@ def test_root_in_interval_places_a_root_closer_to_t0_than_the_width():
     t0 = isolate_root(IntPoly([-2, 0, 1]), 1, 2)
     k, t1 = 16 * 10**21, Fraction(2)
     target = IntPoly([-(2 * k + 1), 0, k])
-    wide = AlgebraicNumber(target, t0.lo, t1, float((t0.lo + t1) / 2)).refine(_root_width(target))
+    wide = AlgebraicNumber(target, t0.lo, t1).refine(_root_width(target))
     assert t0.compare_rational(wide.lo) > 0 > t0.compare_rational(wide.hi)
     got = _root_in_interval(target, t0, t1)
     assert isinstance(got, AlgebraicNumber) and t0.compare_rational(got.lo) <= 0

@@ -806,7 +806,7 @@ def _past_an_inner_prefix_zero(w):
     # keeps its sign change, which the constructor in _posed accepts, its
     # polynomial and its weight: only the prefix-sign walk refuses it, at j = 4
     hi = Fraction(3) + Fraction(1, 10**30)
-    assert AlgebraicNumber(w.q.defining, w.q.lo, hi, float((w.q.lo + hi) / 2))
+    assert AlgebraicNumber(w.q.defining, w.q.lo, hi)
     return _posed(w, w.q.defining, w.q.lo, hi)
 
 
@@ -872,7 +872,7 @@ def test_verify_witness_refuses_an_algebraic_q_not_above_zero():
     assert loop == (1, 1)
     num, den = ratio_in_q(1)
     assert num + 2 * den == IntPoly([1, 1])
-    q = AlgebraicNumber(IntPoly([1, 1]), Fraction(-3, 2), Fraction(2), 0.25)
+    q = AlgebraicNumber(IntPoly([1, 1]), Fraction(-3, 2), Fraction(2))
     fw = FormulaWeight(float(lemma_weight_squared(1, 2, Fraction(1, 4))))
     assert not verify_witness(LoopWitness(q, loop, fw, "darboux", False))
 
@@ -882,7 +882,7 @@ def _posed(w, defining, lo, hi):
     mid = (lo + hi) / 2
     n = len(w.loop) - 1
     approx = float(lemma_weight_squared(n, w.loop[-1] - (-1) ** n, mid))
-    return w._replace(q=AlgebraicNumber(defining, lo, hi, float(mid)), verified=False,
+    return w._replace(q=AlgebraicNumber(defining, lo, hi), verified=False,
                       weight_squared=FormulaWeight(approx))
 
 

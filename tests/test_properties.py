@@ -3,9 +3,10 @@ verifies; brute enumeration marks exactly its non-unit loops as verified;
 the search's gcd product G gives every path's telescoped weight; the
 lemma's squared weight is below 1 at every q > 0; the integer-division
 floats of a midpoint and of the lemma's weight are the floats of the
-fractions; ``refine`` returns the cell the constructor gives, with strictly
-opposite end signs; and tampered algebraic Darboux certificates are
-refused, not raised on."""
+fractions, and the JSON reader takes no other float for a midpoint;
+``refine`` returns the cell the constructor gives, with strictly opposite
+end signs, which survives a JSON round trip; and tampered algebraic
+Darboux certificates are refused, not raised on."""
 
 import json
 import math
@@ -121,19 +122,31 @@ def wide_rational_pairs(draw, positive=False):
 def test_integer_midpoint_float_is_the_fraction_float(ends, scale):
     lo, hi = ends
     mid = (lo + hi) / 2
+    x = AlgebraicNumber(IntPoly([-mid.numerator, mid.denominator]), lo, hi)
     try:
         want = float(mid)
     except OverflowError:
-        # beyond the float range: refused with the constructor's ValueError,
-        # for a root of x - mid too
-        with pytest.raises(ValueError, match="too large for a float"):
-            midpoint_float(lo, hi)
-        with pytest.raises(ValueError, match="too large for a float"):
-            AlgebraicNumber(IntPoly([-mid.numerator, mid.denominator]), lo, hi, 0.0)
+        # beyond the float range: refused with ValueError when read, by the
+        # root of x - mid and by the JSON reader, not raised as an overflow
+        for read in (lambda: midpoint_float(lo, hi), lambda: float(x), lambda: x.approx,
+                     lambda: cli.q_from_dict(_algebraic_dict(x, 1e308))):
+            with pytest.raises(ValueError, match="too large for a float"):
+                read()
         return
     assert midpoint_float(lo, hi) == want
     assert ratio_float(scale * mid.numerator, scale * mid.denominator) == want
-    assert AlgebraicNumber(IntPoly([-mid.numerator, mid.denominator]), lo, hi, want).approx == want
+    assert x.approx == float(x) == want
+    assert cli.q_from_dict(_algebraic_dict(x, want)) == x
+    for approx in (math.nextafter(want, math.inf), math.nextafter(want, -math.inf),
+                   math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="approx is not the float of the interval midpoint"):
+            cli.q_from_dict(_algebraic_dict(x, approx))
+
+
+def _algebraic_dict(x, approx):
+    """The JSON form of ``x``, with ``approx`` as given."""
+    return {"type": "algebraic", "poly": list(x.defining.coeffs),
+            "interval": [cli.frac_str(x.lo), cli.frac_str(x.hi)], "approx": approx}
 
 
 @settings(max_examples=300, deadline=None)
@@ -172,10 +185,14 @@ def one_root_intervals(draw):
 def test_refine_returns_the_constructors_cell(case, eps_num, eps_exp):
     p, lo, hi = case
     eps = Fraction(eps_num, 10**eps_exp)
-    f = AlgebraicNumber(p, lo, hi, midpoint_float(lo, hi)).refine(eps)
+    f = AlgebraicNumber(p, lo, hi).refine(eps)
     assert f.width <= eps and lo <= f.lo < f.hi <= hi
     assert p.sign_at(f.lo) * p.sign_at(f.hi) == -1
-    assert f == AlgebraicNumber(p, f.lo, f.hi, float((f.lo + f.hi) / 2))
+    assert f == AlgebraicNumber(p, f.lo, f.hi)
+    d = cli.q_to_dict(f)
+    assert d["approx"] == float((f.lo + f.hi) / 2) and cli.q_from_dict(d) == f
+    with pytest.raises(ValueError, match="approx is not the float of the interval midpoint"):
+        cli.q_from_dict({**d, "approx": math.nextafter(d["approx"], math.inf)})
 
 
 @st.composite
@@ -198,10 +215,6 @@ def _posed(w, q, c):
                       weight_squared=FormulaWeight(approx), verified=False)
 
 
-def _interval(p, lo, hi):
-    return AlgebraicNumber(p, lo, hi, float((lo + hi) / 2))
-
-
 @settings(max_examples=60, deadline=None)
 @given(dw=algebraic_darboux(), tamper=st.sampled_from(["coefficient", "shift", "lo"]),
        data=st.data())
@@ -217,12 +230,12 @@ def test_tampered_algebraic_certificates_are_refused(dw, tamper, data):
         # from t0.hi to halfway to t1, the next obstruction's float (which
         # may lie just past it), wherever the moved one changes sign there
         lo, hi = dw.t0.hi, (w.q.hi + Fraction(dw.t1_approx)) / 2
-        assert verify_witness(_posed(w, _interval(p, lo, hi), c))
+        assert verify_witness(_posed(w, AlgebraicNumber(p, lo, hi), c))
         coeffs = list(p.coeffs)
         coeffs[data.draw(st.integers(0, p.degree - 1))] += data.draw(
             st.sampled_from([-3, -2, -1, 1, 2, 3]))
         try:
-            q = _interval(IntPoly(coeffs), lo, hi)
+            q = AlgebraicNumber(IntPoly(coeffs), lo, hi)
         except NoSignChange:
             return
         tampered = _posed(w, q, c)
@@ -234,5 +247,5 @@ def test_tampered_algebraic_certificates_are_refused(dw, tamper, data):
     else:
         # down to t0.lo the interval holds the pole t0, where N_{n-1} changes
         # sign, so the prefix signs differ at its ends
-        tampered = _posed(w, _interval(p, dw.t0.lo, w.q.hi), c)
+        tampered = _posed(w, AlgebraicNumber(p, dw.t0.lo, w.q.hi), c)
     assert verify_witness(tampered) is False
