@@ -9,9 +9,9 @@ converted exactly.  All big integers in JSON output are rendered as decimal
 strings; one longer than the interpreter's int-to-str limit is a budget
 fault, with nothing printed.
 
-``scan --jobs N`` with N > 1 runs the candidates in a process pool; the pool
-and its modules (``concurrent.futures``, ``multiprocessing``) are imported
-only then, so every other command starts without them.
+``scan --jobs N`` with N > 1 runs the candidates in a ``multiprocessing``
+pool; that module is imported only then, so every other command starts
+without it.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ import math
 import os
 import re
 import sys
-from collections import deque
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, Optional, Union
 
 from .exact import AlgebraicNumber, IntPoly
@@ -279,31 +277,6 @@ def _scan_candidate(task):
     return a, b, loops.search_nonunit_loop(Fraction(a, b), cfg)
 
 
-def _scan_chunk(tasks):
-    return [_scan_candidate(task) for task in tasks]
-
-
-def _pooled(pool, workers: int, tasks):
-    """``_scan_candidate`` over ``tasks`` in the pool, results in task order.
-
-    Tasks go out in chunks of 8, at most two chunks per worker in flight: the
-    next is submitted as the oldest one's results are taken, so the parent
-    holds a bounded number of tasks and results however many candidates the
-    scan has.
-    """
-    tasks = iter(tasks)
-    pending = deque()
-    while True:
-        while len(pending) < 2 * workers:
-            chunk = list(islice(tasks, 8))
-            if not chunk:
-                break
-            pending.append(pool.submit(_scan_chunk, chunk))
-        if not pending:
-            return
-        yield from pending.popleft().result()
-
-
 def cmd_scan(args) -> int:
     ends = args.range.split(",")
     if len(ends) != 2:
@@ -321,13 +294,15 @@ def cmd_scan(args) -> int:
                          f"candidates than the guard {MAX_SCAN_CANDIDATES}")
     cfg = _search_config(args)
     tasks = ((a, b, cfg) for a, b in reduced_fractions(lo, hi, d))
-    # results keep task order, so rows stay in (b, a) order either way, and
-    # both paths stream their candidates
+    # imap, like map, yields in task order, so rows stay in (b, a) order.  Its
+    # feeder thread sends chunks of 8 and blocks while the pipe to the workers
+    # is full, and a result waits only until _scan_text takes it, so the pool
+    # streams too.  On a fault, leaving the pool terminates its workers at
+    # once, without waiting for the chunks in flight.
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        workers = min(args.jobs, os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            text = _scan_text(args, lo, hi, _pooled(pool, workers, tasks))
+        import multiprocessing
+        with multiprocessing.Pool(min(args.jobs, os.cpu_count() or 1)) as pool:
+            text = _scan_text(args, lo, hi, pool.imap(_scan_candidate, tasks, 8))
     else:
         text = _scan_text(args, lo, hi, map(_scan_candidate, tasks))
     sys.stdout.write(text)

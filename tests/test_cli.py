@@ -1,5 +1,5 @@
-import concurrent.futures
 import json
+import multiprocessing
 import subprocess
 import sys
 import tracemalloc
@@ -669,12 +669,13 @@ def test_scan_max_den_below_one_is_invalid_input(capsys, max_den):
 
 
 def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
-    # a stand-in executor records its size and maps serially: no process starts
-    sizes = []
+    # a stand-in pool records its size and chunk size and maps serially: no
+    # process starts
+    sizes, chunksizes = [], []
 
     class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, processes):
+            sizes.append(processes)
 
         def __enter__(self):
             return self
@@ -682,15 +683,14 @@ def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def submit(self, fn, *args):
-            future = concurrent.futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def imap(self, fn, iterable, chunksize):
+            chunksizes.append(chunksize)
+            return map(fn, iterable)
 
     args = ["scan", "--range", "2,3", "--max-den", "5", "--depth", "4", "--window", "2"]
     _, serial = run(capsys, *args)
     # cmd_scan imports the pool at call time, so it reads the patched attribute
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     for jobs, size in (("2", 2), ("3", 3), ("64", 3)):
         code, out = run(capsys, *args, "--jobs", jobs)
@@ -699,6 +699,22 @@ def test_scan_jobs_capped_at_cpu_count(capsys, monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     run(capsys, *args, "--jobs", "8")
     assert sizes == [1]
+    assert chunksizes == [8] * 4
+
+
+def test_scan_jobs_fault_while_reading_results_stops_the_pool(capsys, monkeypatch):
+    # the fault is raised in the parent as it renders a pooled result; the
+    # scan prints nothing, exits as a fault and leaves no worker behind
+    def fail(w):
+        raise ArithmeticError("forced")
+
+    monkeypatch.setattr(cli, "witness_to_dict", fail)
+    code = cli.main(["scan", "--json", "--range", "1,2", "--max-den", "12", "--depth", "6",
+                     "--window", "4", "--budget", "20000", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "fault: forced\n"
+    assert multiprocessing.active_children() == []
 
 
 def test_console_entry_point():
