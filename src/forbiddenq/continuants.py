@@ -4,8 +4,10 @@
 :mod:`forbiddenq.loops`, carried as unreduced numerator/denominator pairs;
 every exact loop evaluation in the package runs through it except the
 search's step, inlined and reduced in two copies (``walk`` and ``settle``
-in :func:`forbiddenq.loops.search_nonunit_loop`), and ``ratio_in_q``, read
-off ``g_poly``.
+in :func:`forbiddenq.loops.search_nonunit_loop`), ``ratio_in_q``, read off
+``g_poly``, and ``_prefix_signs_agree``, the sign walk of
+:func:`forbiddenq.loops.verify_witness` at both ends of an interval, on the
+numerators with the powers of q's numerator divided out.
 
 The alternating-sign specialization ``g_poly(n)`` is a rescaled Chebyshev
 polynomial of the second kind, built from its binomial coefficients: its
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .exact import AlgebraicNumber, IntPoly, isolate_root
 
@@ -49,6 +51,33 @@ def prefix_pairs(m: Iterable[int], qn, qd) -> Iterator[tuple]:
         step = qn * num
         num, den = mj * step + qd * den, step
         yield num, den
+
+
+def _prefix_signs_agree(m: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether each N_j of :func:`prefix_pairs` over ``m`` has one sign at ``lo`` and at ``hi``.
+
+    Both ends must be positive.  With q = qn/qd the recurrence reads
+    N_{j+1} = qn (m_{j+1} N_j + qd N_{j-1}), N_{-1} = 1/qn, so
+    N_j = qn**(j//2) R_j with R_{-1} = 1, R_0 = m_0 and
+    R_{j+1} = m_{j+1} qn R_j + qd R_{j-1} for even j, m_{j+1} R_j + qd R_{j-1}
+    for odd j: R_j has the sign of N_j, on integers about half as long.  The
+    two ends are walked in one loop, which stops at the first index whose
+    signs differ.  ``m`` must be non-empty.
+    """
+    an, ad, bn, bd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    x = y = m[0]
+    xp = yp = 1
+    for j in range(1, len(m)):
+        mj = m[j]
+        if j & 1:
+            x, xp = mj * an * x + ad * xp, x
+            y, yp = mj * bn * y + bd * yp, y
+        else:
+            x, xp = mj * x + ad * xp, x
+            y, yp = mj * y + bd * yp, y
+        if (x > 0) - (x < 0) != (y > 0) - (y < 0):
+            return False
+    return True
 
 
 @lru_cache(maxsize=3)

@@ -11,7 +11,8 @@ is rational for rational q, and a loop with w2 != 1 certifies that q is
 forbidden (q cannot be the conductor of a degree-two function).  Everything
 here is exact; floats appear only in reported approximations.  The recurrence
 itself is :func:`forbiddenq.continuants.prefix_pairs`; the search inlines
-a reduced copy of its step.
+a reduced copy of its step, and ``verify_witness`` walks the signs of its
+numerators on a halved copy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .continuants import prefix_pairs, ratio_in_q
+from .continuants import _prefix_signs_agree, prefix_pairs, ratio_in_q
 from .exact import AlgebraicNumber, RationalLike, _exact_div, _midpoint, ratio_float
 
 STATUS_PATH = "path"
@@ -800,16 +801,21 @@ def verify_witness(w: LoopWitness) -> bool:
       polynomial :func:`forbiddenq.families.darboux_witnesses` solves.  The
       alternating path's final value is c_n = num/den, so the loop's is
       c_n + c, and num + c*den = den (c_n + c).
-    * No proper prefix vanishes: the integer :func:`prefix_pairs` walks of
-      the loop less its last entry, at lo and at hi, give each N_j the same
-      sign at both ends.  The two walks run side by side in one loop, which
-      stops at the first N_j whose signs differ.  By the monotonicity lemma
-      in ``darboux_witnesses`` each prefix value c_j with j >= 1 is strictly
-      monotone wherever it is defined, and N_j has the sign of c_0 ... c_j.
-      N_0 = 1; while N_0 .. N_{j-1} have no zero on [lo, hi], c_j is
-      continuous and strictly monotone there, so it cannot vanish at both
-      ends, and a sign it has at both ends it has throughout.  So no N_j
-      vanishes on [lo, hi].
+    * No proper prefix vanishes: the integer :func:`prefix_pairs` numerators
+      N_j of the loop less its last entry have the same sign at lo and at
+      hi.  :func:`forbiddenq.continuants._prefix_signs_agree` walks both ends
+      in one loop on the halved recurrence: at q = qn/qd,
+      N_{j+1} = qn (m_{j+1} N_j + qd N_{j-1}), so N_j = qn**(j//2) R_j with
+      R_{j+1} = m_{j+1} qn R_j + qd R_{j-1} for even j and
+      m_{j+1} R_j + qd R_{j-1} for odd j.  As lo > 0 is checked first, qn
+      is positive at both ends, R_j has the sign of N_j on integers about
+      half as long, and the loop stops at the first j whose signs differ.
+      By the monotonicity lemma in ``darboux_witnesses`` each prefix value
+      c_j with j >= 1 is strictly monotone wherever it is defined, and N_j
+      has the sign of c_0 ... c_j.  N_0 = 1; while N_0 .. N_{j-1} have no
+      zero on [lo, hi], c_j is continuous and strictly monotone there, so it
+      cannot vanish at both ends, and a sign it has at both ends it has
+      throughout.  So no N_j vanishes on [lo, hi].
     * One root, by the lemma rather than a root count: c_n is then finite,
       continuous and strictly monotone on [lo, hi], so den, coprime to num,
       does not vanish there, and num + c*den, and with it its divisor
@@ -820,7 +826,7 @@ def verify_witness(w: LoopWitness) -> bool:
     The weight's ``approx`` must equal exactly the float of the weight at
     the interval midpoint (:func:`lemma_weight_approx`); a NaN or infinite
     ``approx`` is refused, not raised on.  It is checked first, then the
-    divisibility, and the prefix walks, quadratic in n, run last: an n
+    divisibility, and the prefix sign walk, quadratic in n, runs last: an n
     beyond the guard on :func:`forbiddenq.continuants.g_poly` is refused
     before them.  The weight needs no enclosure: by
     :func:`lemma_weight_squared` it is below 1 at every q > 0 for every
@@ -870,9 +876,4 @@ def verify_witness(w: LoopWitness) -> bool:
         _exact_div(num + c * den, alg.defining.primitive())
     except ValueError:
         return False
-    walks = zip(prefix_pairs(loop[:-1], lo.numerator, lo.denominator),
-                prefix_pairs(loop[:-1], hi.numerator, hi.denominator))
-    for (x, _), (y, _) in walks:
-        if (x > 0) - (x < 0) != (y > 0) - (y < 0):
-            return False
-    return True
+    return _prefix_signs_agree(loop[:-1], lo, hi)

@@ -9,14 +9,16 @@ certifies by a single Descartes count and for the level roots of
 ``darboux_witnesses``, the term-by-term ``Fraction`` expansion
 ``mobius_variations`` for that count's integer transform, the
 ``prefix_pairs`` walk over ``IntPoly`` for ``ratio_in_q`` (which reads the
-parity split of ``g_poly``), the three-term recurrence ``f_poly`` for the
-closed form of ``g_poly``, and subset enumeration for ``f_poly`` itself,
-the float recurrence for the roots of ``g_poly``, a brute scan of the norm
-form for the Fibonacci pairs behind ``pell_witnesses``, the length-5 closed
-form ``closed_form_c5`` for ``evaluate_path``, exhaustive
-``brute_enumerate_loops`` (an unreduced copy of the ``prefix_pairs`` step)
-and the plain ``reference_search`` for the search, and
-``check_chain_proposition`` for the soundness of its alternating-chain cut.
+parity split of ``g_poly``), two ``prefix_pairs`` walks side by side for
+the halved sign walk ``_prefix_signs_agree``, the three-term recurrence
+``f_poly`` for the closed form of ``g_poly``, and subset enumeration for
+``f_poly`` itself, the float recurrence for the roots of ``g_poly``, a
+brute scan of the norm form for the Fibonacci pairs behind
+``pell_witnesses``, the length-5 closed form ``closed_form_c5`` for
+``evaluate_path``, exhaustive ``brute_enumerate_loops`` (an unreduced copy
+of the ``prefix_pairs`` step) and the plain ``reference_search`` for the
+search, and ``check_chain_proposition`` for the soundness of its
+alternating-chain cut.
 None of them is on a path that produces a certificate.
 """
 
@@ -214,6 +216,21 @@ def ratio_by_prefix_pairs(n: int) -> tuple[IntPoly, IntPoly]:
     low = min(next(i for i, c in enumerate(p.coeffs) if c) for p in pair)
     g = math.gcd(*(p.content() for p in pair))
     return tuple(IntPoly([c // g for c in p.coeffs[low:]]) for p in pair)
+
+
+def prefix_signs_by_two_walks(m: Sequence[int], lo: Fraction, hi: Fraction) -> bool:
+    """Whether every :func:`prefix_pairs` numerator N_j of ``m`` has one sign at lo and hi.
+
+    The two unreduced walks side by side, stopping at the first N_j whose
+    signs differ: the check ``verify_witness`` made before its sign walk ran
+    on the halved recurrence of ``_prefix_signs_agree``.
+    """
+    walks = zip(prefix_pairs(m, lo.numerator, lo.denominator),
+                prefix_pairs(m, hi.numerator, hi.denominator))
+    for (x, _), (y, _) in walks:
+        if (x > 0) - (x < 0) != (y > 0) - (y < 0):
+            return False
+    return True
 
 
 def f_poly(m: Sequence[int]) -> IntPoly:

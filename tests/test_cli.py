@@ -130,8 +130,9 @@ def test_scan_streams_its_candidates(capsys, monkeypatch, fmt):
 
 
 def test_scan_jobs_keeps_a_bounded_number_of_tasks_in_flight(capsys):
-    # 10**4 one-node searches in the pool: the parent holds two chunks per
-    # worker, not every task, future and result (about 4 MiB more traced than
+    # 10**4 one-node searches in the pool: Pool.imap's feeder thread sends
+    # chunks of 8 and blocks while the pipe to the workers is full, so the
+    # parent never holds every task and result (about 4 MiB more traced than
     # the serial scan when every chunk was submitted up front)
     argv = ["scan", "--max-den", "1", "--depth", "1", "--budget", "1", "--range"]
     # a first pool imports the modules it needs, which would count in the peak

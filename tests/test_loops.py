@@ -902,7 +902,7 @@ def test_verify_witness_refuses_the_forged_algebraic_certificate():
     assert not verify_witness(back)
 
 
-@pytest.mark.parametrize("n", [6, 14, 20])
+@pytest.mark.parametrize("n", [6, 14, 20, 301, 400])
 def test_verify_witness_refuses_an_interval_holding_the_pole(n):
     # down to t0.lo the interval still holds the one root of the level
     # polynomial, which divides itself, but N_{n-1} changes sign at the pole
@@ -937,7 +937,7 @@ def test_verify_witness_refuses_a_unit_weight_algebraic_loop():
 def test_verify_witness_refuses_an_order_beyond_the_guard_before_the_prefix_walks(monkeypatch):
     # a read-back certificate of order MAX_G_DEGREE with the weight of its
     # shift: ratio_in_q refuses to build g_poly(n + 1), so neither the
-    # division nor the prefix walks, quadratic in n, start
+    # division nor the prefix sign walk, quadratic in n, starts
     w = _algebraic_darboux_witness()
     n, c = MAX_G_DEGREE, w.loop[-1] - 1  # the witness has even order 4
     long = w._replace(loop=shifted_alternating_loop(n, c), verified=False,
@@ -947,7 +947,7 @@ def test_verify_witness_refuses_an_order_beyond_the_guard_before_the_prefix_walk
         raise AssertionError("called past the guard")
 
     monkeypatch.setattr("forbiddenq.loops._exact_div", never)
-    monkeypatch.setattr("forbiddenq.loops.prefix_pairs", never)
+    monkeypatch.setattr("forbiddenq.loops._prefix_signs_agree", never)
     assert verify_witness(long) is False
 
 

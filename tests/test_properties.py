@@ -5,8 +5,9 @@ lemma's squared weight is below 1 at every q > 0; the integer-division
 floats of a midpoint and of the lemma's weight are the floats of the
 fractions, and the JSON reader takes no other float for a midpoint;
 ``refine`` returns the cell the constructor gives, with strictly opposite
-end signs, which survives a JSON round trip; and tampered algebraic
-Darboux certificates are refused, not raised on."""
+end signs, which survives a JSON round trip; tampered algebraic Darboux
+certificates are refused, not raised on; and the halved prefix sign walk
+answers as two unreduced walks side by side."""
 
 import json
 import math
@@ -18,7 +19,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from forbiddenq import cli
-from forbiddenq.continuants import _u_brackets
+from forbiddenq.continuants import _prefix_signs_agree, _u_brackets
 from forbiddenq.exact import AlgebraicNumber, IntPoly, NoSignChange, midpoint_float, ratio_float
 from forbiddenq.families import darboux_witnesses
 from forbiddenq.loops import (
@@ -33,7 +34,7 @@ from forbiddenq.loops import (
     verify_witness,
     weight_squared,
 )
-from oracles import brute_enumerate_loops
+from oracles import brute_enumerate_loops, prefix_signs_by_two_walks
 
 
 @st.composite
@@ -249,3 +250,23 @@ def test_tampered_algebraic_certificates_are_refused(dw, tamper, data):
         # sign, so the prefix signs differ at its ends
         tampered = _posed(w, AlgebraicNumber(p, dw.t0.lo, w.q.hi), c)
     assert verify_witness(tampered) is False
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.lists(st.integers(-3, 3), min_size=1, max_size=40),
+       lo=st.tuples(st.integers(1, 50), st.integers(1, 1000)),
+       hi=st.tuples(st.integers(1, 1000), st.integers(1, 50)),
+       across=st.booleans(), upper=st.booleans(), steps=st.integers(0, 60))
+def test_prefix_sign_walk_matches_two_walks(m, lo, hi, across, upper, steps):
+    # from a wide interval, bisect, keeping a half across a root of some N_j
+    # (at least one half is, when the whole is) or a half inside one sign
+    # cell, as drawn, the upper half first when both are; an exact zero at
+    # an end counts as a sign of its own
+    lo, hi = Fraction(*lo), Fraction(*hi)
+    assume(lo < hi)
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        parts = [(mid, hi), (lo, mid)] if upper else [(lo, mid), (mid, hi)]
+        kept = [part for part in parts if prefix_signs_by_two_walks(m, *part) != across]
+        lo, hi = (kept or parts)[0]
+    assert _prefix_signs_agree(m, lo, hi) == prefix_signs_by_two_walks(m, lo, hi)
