@@ -207,9 +207,13 @@ def witness_from_dict(d: dict) -> loops.LoopWitness:
     wd = d["weight_squared"]
     w2: Union[Fraction, loops.FormulaWeight]
     if "formula" in wd:
+        if wd["formula"] != WEIGHT_FORMULA:
+            raise ValueError(f"unknown weight formula {wd['formula']!r}")
         w2 = loops.FormulaWeight(float(wd["approx"]))
     else:
         w2 = _fraction_from_json(wd)
+    if d["provenance"] not in ("search", "duplicate-c", "pell", "darboux"):
+        raise ValueError(f"unknown provenance {d['provenance']!r}")
     kwargs = {}
     if d["provenance"] == "duplicate-c":
         kwargs = {

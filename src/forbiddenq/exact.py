@@ -16,9 +16,10 @@ on: a cell of one dyadic grid of the interval, the only one there with a
 sign change when the interval holds one root.  It is reached by quadratic
 interval refinement, secant guesses on ever finer grids, each certified by
 two integer signs, in integers over one power-of-two multiple of a common
-denominator.  Each fact is computed once: the cell's end signs come from
-that search and are not evaluated again, and the :class:`AlgebraicNumber`
-constructor re-checks only intervals that come from elsewhere.  An algebraic
+denominator.  Each fact is computed once: :func:`_bisect` checks its premise,
+a sign change at the ends, on the end values its search starts from; the
+cell's end signs come from that search, and the :class:`AlgebraicNumber`
+constructor re-checks only intervals from elsewhere.  An algebraic
 number is its polynomial and its interval, nothing else: no float is
 computed to build one.  Its float, ``approx``, is derived when it is read:
 the float of the interval midpoint by :func:`ratio_float`, one correctly
@@ -260,10 +261,10 @@ class AlgebraicNumber(_AlgebraicFields):
     which proves an odd number of roots inside, so a value read back from
     outside (a JSON certificate) is a root, known to be the only one once
     :func:`forbiddenq.loops.verify_witness` accepts its certificate.  The
-    interval :func:`isolate_root` certifies and the cells :meth:`refine`
-    returns skip that check: their strictly opposite end signs are the ones
-    the Descartes count or :func:`_bisect` has just established.  So the
-    constructor checks two exact facts, ``lo < hi`` and the sign change.
+    cells :func:`_bisect` returns skip that check: it refuses ends without
+    strictly opposite signs before it narrows, and each cell's end signs
+    are the ones its search has just established.  So the constructor
+    checks two exact facts, ``lo < hi`` and the sign change.
     ``approx`` (and ``float()``) is not stored but derived: the float of
     ``(lo + hi) / 2``, which :func:`midpoint_float` computes in one integer
     division.  A midpoint too large for a float is refused with
@@ -288,12 +289,6 @@ class AlgebraicNumber(_AlgebraicFields):
         if self.defining.sign_at(self.lo) * self.defining.sign_at(self.hi) >= 0:
             raise NoSignChange("isolating interval lost its sign-change certificate")
 
-    @classmethod
-    def _cell(cls, defining: IntPoly, lo: Fraction, hi: Fraction) -> "AlgebraicNumber":
-        """The interval ``(lo, hi)`` whose strictly opposite end signs the
-        caller has just computed, built without evaluating them again."""
-        return tuple.__new__(cls, (defining, lo, hi))
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -309,18 +304,11 @@ class AlgebraicNumber(_AlgebraicFields):
     def refine(self, eps: RationalLike) -> "AlgebraicNumber":
         """Shrink the isolating interval to width <= eps, as bisection would.
 
-        The result is the interval that plain bisection of ``(lo, hi)`` ends
-        on, found by :func:`_bisect` in a few signs rather than one per
-        halving.  Its end signs are the two :func:`_bisect` certified the
-        cell by, so the constructor does not evaluate ``defining`` there
-        again; only the narrow interval around a root on the grid
-        (:func:`_grid_root`) goes through it.  ``eps`` must be positive.
+        One call to :func:`_bisect`, which returns the interval that plain
+        bisection of ``(lo, hi)`` ends on, in a few signs rather than one
+        per halving, and refuses an ``eps`` that is not positive with
+        ``ValueError``.  An interval no wider than ``eps`` comes back equal.
         """
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        if self.width <= eps:
-            return self
         return _bisect(self.defining, self.lo, self.hi, eps)
 
     def compare_rational(self, r: RationalLike) -> int:
@@ -343,6 +331,10 @@ class AlgebraicNumber(_AlgebraicFields):
 
 def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicNumber:
     """The interval plain bisection of a one-root interval ends on, in few signs.
+
+    Its premise is checked on the two end values every search starts from:
+    a root at an end, or one sign at both, raises :class:`NoSignChange`
+    before any step, and an ``eps`` not positive raises ``ValueError``.
 
     With ``lo = A/D`` and ``hi = (A + W)/D`` over one denominator, the grid
     of level ``l`` is the points ``(A 2**l + g W) / (D 2**l)``,
@@ -372,6 +364,8 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicN
     returned as certified by its two end values, with no further
     evaluation.
     """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     en, ed = eps.numerator, eps.denominator
     d = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (d // lo.denominator)
@@ -379,6 +373,10 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicN
     s = (-(-w * ed // (en * d)) - 1).bit_length()  # least s with 2**s >= W eps.den / (D eps.num)
     deg, value = p.degree, p.value_at_ratio
     fa, fb = value(a, d), value(a + w, d)
+    if not fa or not fb:
+        raise NoSignChange(f"p has a root at an end of ({lo}, {hi})")
+    if (fa > 0) == (fb > 0):
+        raise NoSignChange(f"p has one sign at both ends of ({lo}, {hi})")
     level, k, t = 0, 0, 1
     while level < s:
         t = min(t, s - level)
@@ -402,7 +400,7 @@ def _bisect(p: IntPoly, lo: Fraction, hi: Fraction, eps: Fraction) -> AlgebraicN
         k, fa, fb = (base + j, vj, vm) if m > j else (base + m, vm, vj)
         level, t = fine, 2 * t
     x, den = (a << level) + k * w, d << level
-    return AlgebraicNumber._cell(p, Fraction(x, den), Fraction(x + w, den))
+    return tuple.__new__(AlgebraicNumber, (p, Fraction(x, den), Fraction(x + w, den)))
 
 
 def _grid_root(p: IntPoly, a: int, w: int, d: int, g: int, level: int,
@@ -442,20 +440,17 @@ def isolate_root(
     a polynomial whose roots are all real it is the number of roots
     inside, so an interval around one simple root of such a polynomial,
     as every one this package isolates, is never refused.  The result's
-    defining polynomial is ``p.primitive()``, whose end signs a count of 1
-    makes strictly opposite; :meth:`AlgebraicNumber.refine` narrows the
-    interval without evaluating them again, and refuses an ``eps`` that is
-    not positive with ``ValueError``.
+    defining polynomial is ``p.primitive()``.  After the count the interval
+    goes straight to :func:`_bisect`, which refuses a root at an end, and
+    an ``eps`` that is not positive with ``ValueError``.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi, eps = Fraction(lo), Fraction(hi), Fraction(eps)
     if lo >= hi:
         raise ValueError("need lo < hi")
     if p.is_zero:
         raise ValueError("the zero polynomial has no isolated roots")
     ps = p.primitive()
-    if not ps.sign_at(lo) or not ps.sign_at(hi):
-        raise NoSignChange(f"p has a root at an end of ({lo}, {hi})")
     count = _variations(ps, lo, hi)
     if count != 1:
         raise NoSignChange(f"{count} sign variations for p on ({lo}, {hi}), need exactly one")
-    return AlgebraicNumber._cell(ps, lo, hi).refine(eps)
+    return _bisect(ps, lo, hi, eps)

@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .exact import AlgebraicNumber, IntPoly, isolate_root
+from .exact import AlgebraicNumber, IntPoly, _bisect, isolate_root
 from .continuants import ratio_in_q, u_point
 from .loops import (
     FormulaWeight,
@@ -172,20 +172,20 @@ def _root_in_interval(
 
     By the lemma in :func:`darboux_witnesses`, ``target`` has one simple root
     in (t0, t1) and, as eps*c_n falls to -infinity just below t0, none in
-    [t0.lo, t0]: it changes sign once on [t0.lo, t1].  That interval is
-    bisected to width min(ALG_INTERVAL_WIDTH, 1/(2L)), L the primitive
-    ``target``'s leading coefficient, and on while t0 is strictly inside, by
-    :meth:`AlgebraicNumber.compare_rational`.  Bisection intervals are nested
-    and do not depend on where a stage stops, so the two stops commute.  The
-    halving ends: at t0, a root of den, ``target`` = num - eps*c*den equals
-    num, non-zero as num and den are coprime.  A sign change below t0 breaks
-    the premise: ArithmeticError.  A rational root is a multiple of 1/L, and
-    the interval holds at most one: the first above r.lo, if below r.hi.
+    [t0.lo, t0]: it changes sign once on [t0.lo, t1], as :func:`_bisect`
+    checks at the two ends while it bisects to width min(ALG_INTERVAL_WIDTH,
+    1/(2L)), L the primitive ``target``'s leading coefficient, and on while t0
+    is strictly inside, by :meth:`AlgebraicNumber.compare_rational`.
+    Bisection intervals are nested and do not depend on where a stage stops,
+    so the two stops commute.  The halving ends: at t0, a root of den,
+    ``target`` = num - eps*c*den equals num, non-zero as num and den are
+    coprime.  A sign change below t0 breaks the premise: ArithmeticError.  A
+    rational root is a multiple of 1/L, and the interval holds at most one:
+    the first above r.lo, if below r.hi.
     """
     p = target.primitive()
     lead = abs(p.leading)
-    r = AlgebraicNumber(p, t0.lo, t1)
-    r = r.refine(min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * lead)))
+    r = _bisect(p, t0.lo, t1, min(ALG_INTERVAL_WIDTH, Fraction(1, 2 * lead)))
     while t0.compare_rational(r.lo) > 0 > t0.compare_rational(r.hi):
         r = r.refine(r.width / 2)
     if t0.compare_rational(r.lo) > 0:

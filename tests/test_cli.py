@@ -428,6 +428,22 @@ def test_non_finite_weight_approx_is_refused_not_raised(approx):
     assert verify_witness(cli.witness_from_dict(wd)) is False
 
 
+@pytest.mark.parametrize("edit,match", [
+    (lambda wd: wd["weight_squared"].update(formula="anything"), "unknown weight formula"),
+    (lambda wd: wd["weight_squared"].update(formula="1"), "unknown weight formula"),
+    (lambda wd: wd.update(provenance="made-up"), "unknown provenance"),
+    (lambda wd: wd.update(provenance=7), "unknown provenance"),
+], ids=["formula_anything", "formula_1", "provenance_made_up", "provenance_7"])
+def test_reader_refuses_a_formula_or_provenance_the_writer_never_writes(edit, match):
+    # the writer names one formula and four provenances; anything else is
+    # not read as a certificate that might then verify
+    wd = _algebraic_darboux_dict()
+    assert verify_witness(cli.witness_from_dict(wd))
+    edit(wd)
+    with pytest.raises(ValueError, match=match):
+        cli.witness_from_dict(wd)
+
+
 @pytest.mark.parametrize("field,value", [
     ("interval", lambda iv: iv[:1]),
     ("interval", lambda iv: iv + iv[:1]),

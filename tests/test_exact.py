@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from fractions import Fraction
@@ -193,10 +194,13 @@ def test_isolate_root_midpoint_hits_the_root():
 @pytest.mark.parametrize("lo,hi", [(0, 2), (-1, 1)], ids=["at_lo", "at_hi"])
 @pytest.mark.parametrize("p", [IntPoly([0, -1, 1]), IntPoly([0, 1, -2, 1])])
 def test_isolate_root_refuses_a_root_at_an_end(p, lo, hi):
-    # x(x - 1) and x(x - 1)**2: one root inside each interval and one at an
-    # end, which the single count refuses rather than searches around
+    # x(x - 1) and x(x - 1)**2: a root at an end, refused rather than
+    # searched around; the count runs first, so on (0, 2) the double root 1
+    # of x(x - 1)**2 counts 2, and every other case counts the one root
+    # inside and leaves the end to _bisect's two end values
     assert p.sign_at(Fraction(lo)) * p.sign_at(Fraction(hi)) == 0
-    with pytest.raises(NoSignChange, match="at an end"):
+    match = "2 sign variations" if (p.degree, lo) == (3, 0) else "at an end"
+    with pytest.raises(NoSignChange, match=match):
         isolate_root(p, lo, hi)
 
 
@@ -453,6 +457,60 @@ def test_refine_checks_a_grid_roots_bracket_in_the_constructor(monkeypatch):
 
 SMALL_ENDS = st.fractions(min_value=-8, max_value=8, max_denominator=16)
 SMALL_WIDTHS = st.fractions(min_value=Fraction(1, 16), max_value=8, max_denominator=16)
+
+
+@contextlib.contextmanager
+def _recorded_values(most):
+    """The points ``IntPoly.value_at_ratio`` is called at inside the block.
+
+    Past ``most`` calls it raises ``RuntimeError``, so a bisection that
+    cannot narrow fails instead of running on.
+    """
+    points = []
+    value = IntPoly.value_at_ratio
+
+    def recording(p, a, b):
+        points.append(Fraction(a, b))
+        if len(points) > most:
+            raise RuntimeError(f"more than {most} evaluations")
+        return value(p, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntPoly, "value_at_ratio", recording)
+        yield points
+
+
+@pytest.mark.parametrize("p,lo,hi,match", [
+    (IntPoly([1, 0, 1]), 0, 1, "one sign"),  # x**2 + 1: no root
+    (IntPoly([-1, 0, 4]), -1, 1, "one sign"),  # 4x**2 - 1: two roots inside
+    (IntPoly([0, 1]), 0, 1, "at an end"),  # x: its root at lo
+], ids=["no_root", "two_roots", "root_at_lo"])
+def test_bisect_refuses_ends_without_a_strict_sign_change(p, lo, hi, match):
+    # the two end values _bisect narrows from are its premise: it refuses
+    # them before any step, having evaluated nothing else
+    lo, hi = Fraction(lo), Fraction(hi)
+    with _recorded_values(most=2) as points, pytest.raises(NoSignChange, match=match):
+        exact._bisect(p, lo, hi, Fraction(1, 10**6))
+    assert points == [lo, hi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=7), SMALL_ENDS, SMALL_WIDTHS,
+       st.fractions(min_value=Fraction(1, 10**12), max_value=4, max_denominator=10**12))
+@example([-3, 8], Fraction(0), Fraction(1), Fraction(1, 10**9))  # a root on the grid
+@example([0, 0, 1], Fraction(-1), Fraction(13, 12), Fraction(1, 10**6))  # a double root
+def test_bisect_refuses_or_returns_a_certified_cell(coeffs, lo, width, eps):
+    # on any interval _bisect either refuses with NoSignChange or returns a
+    # cell inside it, as narrow as asked, with strictly opposite end signs
+    p, hi = IntPoly(coeffs), lo + width
+    try:
+        with _recorded_values(most=10_000):
+            f = exact._bisect(p, lo, hi, eps)
+    except NoSignChange:
+        assert p.sign_at(lo) * p.sign_at(hi) >= 0 or len(real_roots(p, lo, hi)) > 1
+        return
+    assert lo <= f.lo < f.hi <= hi and f.width <= eps
+    assert p.sign_at(f.lo) * p.sign_at(f.hi) == -1
 
 
 @settings(max_examples=200, deadline=None)

@@ -475,19 +475,47 @@ def test_darboux_builds_sturm_sequences_of_den_only(monkeypatch, n, u_index):
     assert seen and all(p == den for p in seen)
 
 
+@pytest.mark.parametrize("n, u_index, count", [(4, 1, 3), (7, 1, 3), (12, 2, 3), (20, 3, 3)])
+def test_darboux_evaluates_each_level_once_at_each_end(monkeypatch, n, u_index, count):
+    # _bisect certifies [t0.lo, t1] by the two end values it narrows from,
+    # so no level polynomial is evaluated twice at either end
+    value = IntPoly.value_at_ratio
+    seen = []
+
+    def recording(p, a, b):
+        seen.append((p, Fraction(a, b)))
+        return value(p, a, b)
+
+    monkeypatch.setattr(IntPoly, "value_at_ratio", recording)
+    ws = darboux_witnesses(n, u_index, count)
+    num, den = ratio_in_q(n)
+    for dw in ws:
+        level = (num - (dw.epsilon * dw.c_k) * den).primitive()
+        at = [x for p, x in seen if p == level]
+        assert (at.count(dw.t0.lo), at.count(Fraction(dw.t1_approx))) == (1, 1), dw.c_k
+
+
 @pytest.mark.parametrize("n, u_index, count", [(4, 1, 3), (7, 1, 3), (12, 2, 3)])
 def test_darboux_refines_t0_once_in_isolate_root(monkeypatch, n, u_index, count):
     # t0 never moves: each level root is placed against it by exact
-    # comparison, and its sign above t0 needs no refinement
-    refine = AlgebraicNumber.refine
-    callers = []
+    # comparison, and its sign above t0 needs no refinement, so its
+    # polynomial is narrowed by one bisection, the one isolate_root runs
+    bisect, refine = exact._bisect, AlgebraicNumber.refine
+    bisected, refined = [], []
+
+    def counting_bisect(p, lo, hi, eps):
+        bisected.append((p, sys._getframe(1).f_code.co_name))
+        return bisect(p, lo, hi, eps)
 
     def counting_refine(self, eps):
-        callers.append((self.defining, sys._getframe(1).f_code.co_name))
+        refined.append(self.defining)
         return refine(self, eps)
 
+    monkeypatch.setattr(exact, "_bisect", counting_bisect)
+    monkeypatch.setattr(families, "_bisect", counting_bisect)
     monkeypatch.setattr(AlgebraicNumber, "refine", counting_refine)
     ws = darboux_witnesses(n, u_index, count)
     assert len(ws) == count
     t0_poly = ws[0].t0.defining
-    assert [name for poly, name in callers if poly == t0_poly] == ["isolate_root"]
+    assert [name for poly, name in bisected if poly == t0_poly] == ["isolate_root"]
+    assert t0_poly not in refined
